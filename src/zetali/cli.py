@@ -131,6 +131,10 @@ def _gamma_source(config: RunConfig, n_needed: int, ctx: PrecisionContext) -> Ga
         if table.n_max < n_needed:
             raise ValueError(
                 f"table {config.table_path} too short: need index {n_needed}")
+        if table.precision_bits < config.precision_target_bits:
+            raise PrecisionInfeasibleError(
+                f"table {config.table_path} carries {table.precision_bits} bits, "
+                f"less than --prec {config.precision_target_bits}")
         return table
     return compute_gamma_table(n_needed, ctx)
 

@@ -50,7 +50,7 @@ from .numerics import (
     series_mul,
     series_recip,
 )
-from .partitions import MultiplicityVector, enumerate_constrained
+from .partitions import MultiplicityVector, _dense, _power_rows, _walk_partitions
 from .stieltjes import CONVENTION_PAPER, GammaTable
 
 __all__ = [
@@ -140,6 +140,12 @@ def partition_product(values, vec: MultiplicityVector) -> BigReal:
     return acc
 
 
+def _signed_powers(values, n: int) -> list[list]:
+    """Walk table of the factors of :func:`partition_product`, computed
+    the same way; call under the working precision."""
+    return _power_rows(n, lambda j, c: (-values[j]) ** c / math.factorial(c))
+
+
 def eta_from_gamma_recurrence(g: GammaTable, n_max: int,
                               ctx: PrecisionContext = DEFAULT_CONTEXT) -> EtaTable:
     """eta_n = -(n+1) gamma_n - sum_{k=0}^{n-1} eta_k gamma_{n-k-1}."""
@@ -169,8 +175,8 @@ def eta_from_gamma_explicit(g: GammaTable, n: int,
     _require_length(g, n - 1, "gamma")
     with ctx.workprec():
         total = mp.mpf(0)
-        for vec in enumerate_constrained(n):
-            total += (n * modified_gamma(vec.p)) * partition_product(g.values, vec)
+        for _, p, product in _walk_partitions(n, _signed_powers(g.values, n)):
+            total += (n * modified_gamma(p)) * product
         return total
 
 
@@ -186,8 +192,8 @@ def gamma_from_eta_explicit(e: EtaTable, n: int,
     with ctx.workprec():
         scaled = [e.values[i] / (1 + i) for i in range(n)]
         total = mp.mpf(0)
-        for vec in enumerate_constrained(n):
-            total += partition_product(scaled, vec)
+        for _, _, product in _walk_partitions(n, _signed_powers(scaled, n)):
+            total += product
         return total
 
 
@@ -367,15 +373,10 @@ def expand_eta_symbolic(n: int) -> SymbolicExpansion:
     if n < 1:
         raise ValueError("n must be positive")
     terms: dict[tuple[int, ...], Fraction] = {}
-    for vec in enumerate_constrained(n):
-        denom = 1
-        for m in vec.k:
-            if m > 1:
-                denom *= math.factorial(m)
-        coeff = Fraction(n * modified_gamma(vec.p), denom)
-        if vec.p % 2:
-            coeff = -coeff
-        terms[vec.k] = coeff
+    denoms = _power_rows(n, lambda j, c: math.factorial(c))
+    for parts, p, denom in _walk_partitions(n, denoms):
+        coeff = Fraction(n * modified_gamma(p), denom)
+        terms[_dense(parts, n + 1)] = -coeff if p % 2 else coeff
     return SymbolicExpansion("eta", n, terms)
 
 
@@ -385,11 +386,8 @@ def expand_gamma_symbolic(n: int) -> SymbolicExpansion:
     of them is an integer."""
     if n < 1:
         raise ValueError("n must be positive")
+    denoms = _power_rows(n, lambda j, c: math.factorial(c) * (j + 1) ** c)
     terms: dict[tuple[int, ...], Fraction] = {}
-    for vec in enumerate_constrained(n):
-        coeff = Fraction(1)
-        for i, m in enumerate(vec.k):
-            if m:
-                coeff *= Fraction((-1) ** m, math.factorial(m) * (1 + i) ** m)
-        terms[vec.k] = coeff
+    for parts, p, denom in _walk_partitions(n, denoms):
+        terms[_dense(parts, n + 1)] = Fraction(-1 if p % 2 else 1, denom)
     return SymbolicExpansion("gamma", n, terms)

@@ -41,14 +41,16 @@ import mpmath as mp
 from .coefficients import (
     EtaTable,
     SymbolicExpansion,
+    _require_length,
+    _require_paper,
+    _signed_powers,
     eta_from_gamma_recurrence,
     modified_gamma,
-    partition_product,
 )
 from .errors import PrecisionInfeasibleError
 from .numerics import DEFAULT_CONTEXT, BigReal, PrecisionContext
-from .partitions import enumerate_constrained
-from .stieltjes import CONVENTION_PAPER, GammaTable, compute_gamma_table
+from .partitions import _dense, _power_rows, _walk_partitions
+from .stieltjes import GammaTable, compute_gamma_table
 
 __all__ = [
     "LambdaRecord",
@@ -110,12 +112,6 @@ def lambda_context(target_bits: int, n: int) -> PrecisionContext:
     return PrecisionContext(target_bits, lambda_guard_bits(n))
 
 
-def _require_paper(g: GammaTable):
-    if g.convention != CONVENTION_PAPER:
-        raise ValueError(
-            f"need a {CONVENTION_PAPER!r}-convention table, got {g.convention!r}")
-
-
 def _binomial_sum(values, n: int, bits: int) -> BigReal:
     with mp.workprec(bits):
         acc = mp.mpf(0)
@@ -137,9 +133,7 @@ def lambda_tilde_binomial(e: EtaTable, n: int,
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if e.n_max < n - 1:
-        raise ValueError(
-            f"eta table too short: need index {n - 1}, have {e.n_max}")
+    _require_length(e, n - 1, "eta")
     value = _binomial_sum(e.values, n, ctx.working_bits)
     if check_cancellation:
         recheck = _binomial_sum(e.values, n, ctx.working_bits + 64)
@@ -155,11 +149,11 @@ def lambda_tilde_binomial(e: EtaTable, n: int,
 def _term_values(g: GammaTable, n: int) -> Iterator[BigReal]:
     # one value per vector, r ascending then lexicographic: the canonical
     # order shared with the symbolic expansion
+    powers = _signed_powers(g.values, n)
     for r in range(1, n + 1):
         c_nr = math.comb(n, r)
-        for vec in enumerate_constrained(r):
-            weight = modified_gamma(vec.p) * c_nr * r
-            yield weight * partition_product(g.values, vec)
+        for _, p, product in _walk_partitions(r, powers):
+            yield modified_gamma(p) * c_nr * r * product
 
 
 def lambda_tilde_explicit(g: GammaTable, n: int,
@@ -169,9 +163,7 @@ def lambda_tilde_explicit(g: GammaTable, n: int,
     if n < 1:
         raise ValueError("n must be positive")
     _require_paper(g)
-    if g.n_max < n - 1:
-        raise ValueError(
-            f"gamma table too short: need index {n - 1}, have {g.n_max}")
+    _require_length(g, n - 1, "gamma")
     with ctx.workprec():
         total = mp.mpf(0)
         for t in _term_values(g, n):
@@ -189,9 +181,7 @@ def term_distribution(g: GammaTable, n: int,
     if n < 1:
         raise ValueError("n must be positive")
     _require_paper(g)
-    if g.n_max < n - 1:
-        raise ValueError(
-            f"gamma table too short: need index {n - 1}, have {g.n_max}")
+    _require_length(g, n - 1, "gamma")
     with ctx.workprec():
         return TermDistribution(n, tuple(_term_values(g, n)))
 
@@ -206,19 +196,13 @@ def expand_lambda_symbolic(n: int) -> SymbolicExpansion:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    denoms = _power_rows(n, lambda j, c: math.factorial(c))
     terms: dict[tuple[int, ...], Fraction] = {}
     for r in range(1, n + 1):
         c_nr = math.comb(n, r)
-        for vec in enumerate_constrained(r):
-            denom = 1
-            for m in vec.k:
-                if m > 1:
-                    denom *= math.factorial(m)
-            coeff = Fraction(modified_gamma(vec.p) * c_nr * r, denom)
-            if vec.p % 2 == 0:
-                coeff = -coeff
-            key = vec.k + (0,) * (n - r)
-            terms[key] = coeff
+        for parts, p, denom in _walk_partitions(r, denoms):
+            coeff = Fraction(modified_gamma(p) * c_nr * r, denom)
+            terms[_dense(parts, n + 1)] = coeff if p % 2 else -coeff
     return SymbolicExpansion("lambda_tilde", n, terms)
 
 

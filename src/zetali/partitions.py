@@ -10,15 +10,19 @@ are sums indexed by exactly the vectors with ``r = n``, a set of size
 ``p(n)`` (the partition function) — vastly smaller than the O(n^n) box
 ``k_i in [0, n]`` those sums formally range over.
 
-:func:`enumerate_constrained` generates that index set directly, never
-visiting an infeasible point.  It walks positions left to right with a
-simple viability rule: after fixing ``k_0 .. k_pos``, the unallocated
-remainder must be writable with parts of size at least ``pos + 2``,
-i.e. it must be zero or at least ``pos + 2``.  The walk tries smaller
-multiplicities first, so vectors stream out in ascending lexicographic
-order on ``(k_0, k_1, ...)`` — a total, deterministic ordering that the
-rest of the package adopts as canonical (expansions, distributions and
-histograms are all reported in this order).
+Every such sum runs on one walk, :func:`_walk_partitions`, which visits
+the partitions of ``n`` sparsely, as ``(j, k_j)`` pairs with ``k_j > 0``:
+it branches on the smallest part index ``j`` (largest first), then on
+its multiplicity (smallest first), and splits the rest into larger
+parts the same way (cf. the ascending-composition walks of Kelleher &
+O'Sullivan, arXiv:0909.2331).  That is ascending lexicographic order on
+``(k_0, k_1, ...)`` — the order the rest of the package adopts as
+canonical (sums, expansions, distributions and histograms all use it).
+The walk carries the running product of the caller's ``powers[j][k_j]``
+over the parts fixed so far, so each added part costs one multiplication
+instead of a loop over the whole vector; the table's entries set the
+ring (``mpf`` for the numeric sums, ``int`` for the exact expansions).
+:func:`enumerate_constrained` is the public, dense view of the walk.
 """
 
 from __future__ import annotations
@@ -47,46 +51,49 @@ class MultiplicityVector(NamedTuple):
         return cls(kk, sum(kk), sum((i + 1) * m for i, m in enumerate(kk)))
 
 
-def _constrained_tuples(n: int) -> Iterator[tuple[int, ...]]:
-    # Iterative depth-first search (recursion would cost one generator
-    # frame per position on every yield; at n=60 that dominates runtime).
-    if n == 0:
-        yield (0,)
-        return
-
-    k = [0] * (n + 1)
-
-    def first_choice(pos, rem):
-        # smallest viable multiplicity at pos given remainder rem
-        if rem >= pos + 2:
-            return 0
-        return rem // (pos + 1) if rem % (pos + 1) == 0 else None
-
-    def next_choice(pos, rem, c):
-        # next viable multiplicity after c, or None
-        cap = (rem - (pos + 2)) // (pos + 1)
-        if c < cap:
-            return c + 1
-        if rem % (pos + 1) == 0 and c < rem // (pos + 1):
-            return rem // (pos + 1)
-        return None
-
-    stack = [(0, n, first_choice(0, n))]
+def _walk_partitions(n: int, powers) -> Iterator[tuple]:
+    """Yield ``(parts, p, product)`` for every partition of ``n`` in
+    canonical order: ``parts`` holds the ``(j, k_j)`` with ``k_j > 0`` in
+    ascending ``j``, ``p`` counts the parts, and ``product`` is
+    ``1 * powers[j][k_j] * ...`` multiplied left to right in that order.
+    """
+    # Depth-first.  A frame (rem, lo, ...) splits rem into parts of size
+    # > lo (rem = 0: a finished partition); children are pushed in reverse
+    # canonical order so they pop in canonical order.  c parts of size s
+    # must leave 0 or a rest > s, so above s = (rem-1)/2 only the parts
+    # {rem} and {rem/2, rem/2} fit.
+    stack = [(n, 0, (), 0, 1)]
+    pop, push = stack.pop, stack.append
     while stack:
-        pos, rem, c = stack[-1]
-        if c is None:
-            stack.pop()
-            k[pos] = 0
+        rem, lo, parts, p, prod = pop()
+        if not rem:
+            yield parts, p, prod
             continue
-        k[pos] = c
-        stack[-1] = (pos, rem, next_choice(pos, rem, c))
-        left = rem - c * (pos + 1)
-        if left == 0:
-            yield tuple(k)
-        else:
-            nc = first_choice(pos + 1, left)
-            if nc is not None:
-                stack.append((pos + 1, left, nc))
+        for size in range(lo + 1, (rem - 1) // 2 + 1):
+            row = powers[size - 1]
+            for c in range(rem // size, 0, -1):
+                left = rem - c * size
+                if left == 0 or left > size:
+                    push((left, size, parts + ((size - 1, c),), p + c,
+                          prod * row[c]))
+        for c, size in ((2, rem // 2), (1, rem)):
+            if c * size == rem and size > lo:
+                push((0, size, parts + ((size - 1, c),), p + c,
+                      prod * powers[size - 1][c]))
+
+
+def _power_rows(n: int, entry) -> list[list]:
+    """The walk's ``powers`` table for partitions of at most ``n``:
+    ``rows[j][c] = entry(j, c)`` for ``j < n`` and ``c <= n // (j+1)``."""
+    return [[entry(j, c) for c in range(n // (j + 1) + 1)] for j in range(n)]
+
+
+def _dense(parts, length: int) -> tuple[int, ...]:
+    """The multiplicity vector of ``length`` entries with these parts."""
+    k = [0] * length
+    for j, c in parts:
+        k[j] = c
+    return tuple(k)
 
 
 def enumerate_constrained(n: int) -> Iterator[MultiplicityVector]:
@@ -99,8 +106,8 @@ def enumerate_constrained(n: int) -> Iterator[MultiplicityVector]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for k in _constrained_tuples(n):
-        yield MultiplicityVector(k, sum(k), n)
+    for parts, p, _ in _walk_partitions(n, _power_rows(n, lambda j, c: 1)):
+        yield MultiplicityVector(_dense(parts, n + 1), p, n)
 
 
 _pcount_lock = threading.Lock()

@@ -357,6 +357,9 @@ def _table_from_parts(convention, precision_bits, n_max, raw_values) -> GammaTab
         values = tuple(from_decimal(v, precision_bits) for v in raw_values)
     except (ValueError, TypeError) as exc:
         raise TableFormatError(f"bad value string: {exc}") from exc
+    for n, v in enumerate(values):
+        if not mp.isfinite(v):
+            raise TableFormatError(f"non-finite value {raw_values[n]!r} at index {n}")
     return GammaTable(convention, n_max, values, precision_bits)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -92,6 +93,32 @@ class TestStieltjesCommand:
                                "--n-max", "0")
         assert code == 1
         assert "x-max" in err
+
+    def test_non_finite_table_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "convention": "paper", "precision_bits": 256,
+            "n_max": 2, "values": ["0.5", "nan", "0.1"]}))
+        code, out, err = run_cli(capsys, "eta", "--n-max", "2",
+                                 "--table", str(path))
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err
+
+    def test_table_below_prec_exits_2(self, capsys, tmp_path):
+        # a 64-bit table cannot back 192-bit output
+        path = tmp_path / "low.json"
+        path.write_text(json.dumps({
+            "convention": "paper", "precision_bits": 64,
+            "n_max": 3, "values": ["0.58", "0.073", "-0.0097", "-0.0021"]}))
+        code, out, err = run_cli(capsys, "li", "--n-max", "3",
+                                 "--table", str(path), "--prec", "192")
+        assert code == 2
+        assert out == ""
+        assert "precision infeasible" in err and "64 bits" in err
+        code, _, _ = run_cli(capsys, "li", "--n-max", "3",
+                             "--table", str(path), "--prec", "64")
+        assert code == 0
 
     def test_guard_too_small_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "stieltjes", "--n-max", "2",
@@ -281,3 +308,30 @@ class TestParser:
         parser = build_parser()
         args = parser.parse_args(["stieltjes", "--n-max", "3"])
         assert args.n_max == 3 and args.prec == 192 and args.guard == "auto"
+
+
+class TestGoldenOutput:
+    """SHA-256 digests of CLI output over the partition sums and
+    expansions, pinned when every sum still looped over
+    ``enumerate_constrained`` with ``partition_product``."""
+
+    @pytest.mark.parametrize("command,digest", [
+        ("eta --method explicit --n-max 12",
+         "7df025537839ce7b96e69394a2307e7e1c9cc0053cd3ad2c235888c92bac645d"),
+        ("gamma-invert --n-max 12",
+         "7a69f35f80764dd7a63c31c17e9776058e2d5c5f8f3c9d6ac3570e0055205481"),
+        ("li --method explicit --n-max 12",
+         "db7a187751e7364ecc415e3f1f3e7cd6f7afa7301f46d86f3480490e055607d0"),
+        ("histogram --n 12 --raw",
+         "9f8701d9cfa05ac99fdb03c03927092c3fc9f775faa49e33b22604c6718ce257"),
+        ("expand --target eta --n 12 --format json",
+         "1dadcc79a5861c7519f8661db4e98b4ff1f690867a5b66ed6764f83b86424f95"),
+        ("expand --target gamma --n 12 --format json",
+         "8ed25dfc5197dcc10847d14002fc40d88c108c691acd415adf112119609018e0"),
+        ("expand --target lambda --n 12 --format json",
+         "cfd94ab9ec81861e5d287b87a16a27453b01ea633a7d5dd9bacdadac2fe0646b"),
+    ])
+    def test_output_digest(self, capsys, command, digest):
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -41,8 +41,9 @@ class TestBinomialRoute:
             assert abs(got - want) < mp.mpf(2) ** -(ctx256.working_bits - 16)
 
     def test_table_too_short(self, eta40, ctx256):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             lambda_tilde_binomial(eta40, 42, ctx256)
+        assert str(err.value) == "eta table too short: need index 41, have 40"
 
     def test_sentinel_fires_without_guard(self):
         bare = PrecisionContext(192, 0)
@@ -92,8 +93,15 @@ class TestExplicitRoute:
 
     def test_wrong_convention(self, gamma40, ctx256):
         classic = convert_convention(gamma40, CONVENTION_CLASSIC)
-        with pytest.raises(ValueError):
-            lambda_tilde_explicit(classic, 3, ctx256)
+        for route in (lambda_tilde_explicit, term_distribution):
+            with pytest.raises(ValueError, match="convention"):
+                route(classic, 3, ctx256)
+
+    def test_table_too_short(self, gamma40, ctx256):
+        for route in (lambda_tilde_explicit, term_distribution):
+            with pytest.raises(ValueError) as err:
+                route(gamma40, 42, ctx256)
+            assert str(err.value) == "gamma table too short: need index 41, have 40"
 
 
 class TestSymbolicLambda:

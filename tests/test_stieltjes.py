@@ -228,6 +228,22 @@ class TestTableFiles:
         with pytest.raises(TableFormatError):
             load_table(path)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "+inf"])
+    def test_non_finite_value_rejected(self, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "convention": "paper", "precision_bits": 64,
+            "n_max": 1, "values": ["0.5", raw]}))
+        with pytest.raises(TableFormatError, match="non-finite"):
+            load_table(path)
+
+    def test_csv_non_finite_value_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# convention=paper\n# precision_bits=64\n"
+                        "n,value\n0,0.5\n1,nan\n")
+        with pytest.raises(TableFormatError, match="non-finite"):
+            load_table(path)
+
     def test_literature_table_ingestion(self, gamma40, tmp_path):
         # classic-normalization values from an independent source
         # (mpmath's own Stieltjes computation), saved, loaded, converted
