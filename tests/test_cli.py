@@ -5,7 +5,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from zetali import load_table, rational_from_str
+from zetali import load_table, rational_from_str, save_table
 from zetali.cli import build_parser, main, output_schema
 
 
@@ -311,9 +311,12 @@ class TestParser:
 
 
 class TestGoldenOutput:
-    """SHA-256 digests of CLI output over the partition sums and
-    expansions, pinned when every sum still looped over
-    ``enumerate_constrained`` with ``partition_product``."""
+    """SHA-256 digests of CLI output, each run exiting 0.  The first seven
+    were pinned when every partition sum still looped over
+    ``enumerate_constrained`` with ``partition_product``; the rest, which
+    cover every subcommand, both formats and ``--out`` files, were pinned
+    while each subcommand still built its CSV and JSON text by hand.
+    ``{table}`` is a saved copy of the shared gamma_0..gamma_40 table."""
 
     @pytest.mark.parametrize("command,digest", [
         ("eta --method explicit --n-max 12",
@@ -330,8 +333,68 @@ class TestGoldenOutput:
          "8ed25dfc5197dcc10847d14002fc40d88c108c691acd415adf112119609018e0"),
         ("expand --target lambda --n 12 --format json",
          "cfd94ab9ec81861e5d287b87a16a27453b01ea633a7d5dd9bacdadac2fe0646b"),
+        ("stieltjes --n-max 12",
+         "7a69f35f80764dd7a63c31c17e9776058e2d5c5f8f3c9d6ac3570e0055205481"),
+        ("stieltjes --n-max 12 --format json",
+         "fb0106d68bd0b068276ea38b9d8bd0df9492e2e30230678843de47f6999c2f1c"),
+        ("stieltjes --n-max 40 --table {table}",
+         "1588f421137c263669d5157fa8c422649fac0f8445f43780200ee2e070c9b66f"),
+        ("stieltjes --method limit --x-max 500 --n-max 2 --prec 64",
+         "c4e26c9b671c1397b492cb4413f6963847ab0cab0749277086baeccff29a8f54"),
+        ("eta --n-max 12",
+         "e6e760073c3938dea6d636e7543431ab1121c3b818ba394b366e8072a17ecd5f"),
+        ("eta --method series --n-max 12",
+         "69086980112388f6f65c9c252d8e583cc82ef063fba4b25792e506bdda629707"),
+        ("eta --method limit --x-max 500 --n-max 2 --prec 64",
+         "6362f3c5839246958c1cee6fb13767bbef70e295437ef0e8ba7a29f63c7e7864"),
+        ("gamma-invert --n-max 12 --format json",
+         "fb0106d68bd0b068276ea38b9d8bd0df9492e2e30230678843de47f6999c2f1c"),
+        ("li --n-max 12",
+         "7550e57aa2997db485d3c545a621b7bf20131ce1e873f6e3e334a43b6c9aecb9"),
+        ("li --n-max 12 --with-trend",
+         "248e54542e04f7c16547309f4bcc6e4631de6e22d3d5067257ef3c68a1eddb69"),
+        ("li --method explicit --n-max 12 --with-trend --format json",
+         "fbcb43b927080be1d79f3d06beaf230ff900c131503c9a42078052cf4587379d"),
+        ("li --n-max 0",
+         "867c8aa14f396b0e9bb59f2fe5f8a4f18a94b7a75aa668bf6cf828141e426a9d"),
+        ("histogram --n 12 --bins 20 --format json",
+         "821b45adfb988bee836326ecc5ce4e2b3e5e20da7da8da34a500d8aa59cf962b"),
+        ("expand --target eta --n 12",
+         "135c13797013c057bef9685ea6d0544e06b251391d3b12acaa332a4fd5321af7"),
+        ("expand --target gamma --n 12",
+         "a2b1d064a36bbc5ab513cdfa459c4cb7a042bd4d861e883c1968861d0774f935"),
+        ("expand --target lambda --n 12",
+         "c8306563524b27ec905b6a4ba72960048a45bc50518e40662ee54cd620272901"),
+        ("verify --n-max 5",
+         "7996a07cf19f7d752d801430dadbfc0f8d15385f5c81032fd0e4b71792db1d3f"),
+        ("verify --n-max 5 --format json",
+         "8ac71ecfb1157381cdef055a0feb105ea057a82f0215d9abe88337486096b42e"),
     ])
-    def test_output_digest(self, capsys, command, digest):
-        code, out, _ = run_cli(capsys, *command.split())
+    def test_output_digest(self, capsys, tmp_path, gamma40, command, digest):
+        if "{table}" in command:
+            save_table(gamma40, tmp_path / "gamma40.json")
+        argv = command.format(table=tmp_path / "gamma40.json").split()
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("command,stdout_digest,file_digest", [
+        # the stieltjes file holds the table at full working precision
+        ("stieltjes --n-max 6",
+         "c1cc000d11373b390a75708fe3b1cdaa9de9a39719869d78886985acce91e1f5",
+         "dfd8392d12c356622fd0bad5d620dee966ac4144d764b50f3d3082d45c987253"),
+        ("stieltjes --n-max 6 --format json",
+         "4128702713a17430416b573e78b122da21ed64c57464ca39a41f32e4a85d585f",
+         "46ee4b4f8d05c704ae162c63b03c83793057ea83bcdbded3c514d4307b7c7668"),
+        # every other command mirrors stdout
+        ("eta --method explicit --n-max 6 --format json",
+         "00d7a1f840482419c765fac14a660320b6659b454b68edacb5d5b09a7715d261",
+         "00d7a1f840482419c765fac14a660320b6659b454b68edacb5d5b09a7715d261"),
+    ])
+    def test_out_file_digest(self, capsys, tmp_path, command, stdout_digest,
+                             file_digest):
+        path = tmp_path / "out"
+        code, out, _ = run_cli(capsys, *command.split(), "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == file_digest
