@@ -36,6 +36,7 @@ from .numerics import (
     rational_to_str,
     series_derivative,
     series_mul,
+    render,
     series_recip,
     to_decimal,
 )
@@ -68,8 +69,6 @@ from .coefficients import (
     expand_gamma_symbolic,
     gamma_from_eta_explicit,
     modified_gamma,
-    prime_power_base,
-    von_mangoldt,
 )
 from .li import (
     LambdaRecord,
@@ -96,7 +95,7 @@ __all__ = [
     "NonInvertibleSeriesError", "TableFormatError",
     # numerics
     "BigReal", "BigRational", "PrecisionContext", "DEFAULT_CONTEXT",
-    "default_guard_bits", "decimal_digits", "to_decimal", "from_decimal",
+    "default_guard_bits", "decimal_digits", "to_decimal", "render", "from_decimal",
     "rational_to_str", "rational_from_str", "bernoulli", "PowerSeries",
     "series_mul", "series_recip", "series_derivative",
     # partitions
@@ -110,9 +109,8 @@ __all__ = [
     # coefficients
     "EtaTable", "SymbolicExpansion", "modified_gamma",
     "eta_from_gamma_recurrence", "eta_from_gamma_explicit",
-    "gamma_from_eta_explicit", "eta_series_oracle", "von_mangoldt",
-    "prime_power_base", "eta_limit_definition", "expand_eta_symbolic",
-    "expand_gamma_symbolic",
+    "gamma_from_eta_explicit", "eta_series_oracle", "eta_limit_definition",
+    "expand_eta_symbolic", "expand_gamma_symbolic",
     # li
     "LambdaRecord", "TermDistribution", "lambda_guard_bits",
     "lambda_context", "lambda_tilde_binomial", "lambda_tilde_explicit",

@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Subcommands: ``stieltjes``, ``eta``, ``gamma-invert``, ``li``,
-``histogram``, ``expand``, ``verify``.  All output is deterministic
-(byte-identical across runs with identical flags) and available as CSV
-or JSON; the JSON shapes are described by ``schemas/cli_output.schema.json``
-shipped inside the package.
+``histogram``, ``expand``, ``verify``.  Each subcommand computes one
+output object and hands it to :func:`zetali.numerics.render`, the single
+writer of CSV and JSON text (the JSON shapes are described by
+``schemas/cli_output.schema.json`` shipped inside the package).  All
+output is deterministic: byte-identical across runs with identical flags.
 
 Exit codes: 0 success, 1 usage or I/O error (including failed
-verification), 2 precision infeasible.
+verification and flags that do not go together, such as ``--x-max``
+without ``--method limit`` or ``--table`` with it), 2 precision
+infeasible.
 
 Values print at ceil(target_bits * 0.302) significant digits.  The one
 exception is ``stieltjes --out``: the file written there is a
@@ -20,9 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .coefficients import (
     eta_from_gamma_explicit,
@@ -44,7 +45,7 @@ from .li import (
     lambda_guard_bits,
     term_distribution,
 )
-from .numerics import PrecisionContext, default_guard_bits, to_decimal
+from .numerics import PrecisionContext, default_guard_bits, render, to_decimal
 from .stieltjes import (
     CONVENTION_PAPER,
     GammaTable,
@@ -56,22 +57,7 @@ from .stieltjes import (
 )
 from .verify import run_verification
 
-__all__ = ["RunConfig", "build_parser", "main", "output_schema"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved common flags; fully deterministic (no seeds anywhere)."""
-
-    precision_target_bits: int = 192
-    guard_bits: int | str = "auto"
-    n_max: int = 8
-    output_format: str = "csv"
-    table_path: Optional[str] = None
-
-    def resolve_context(self, policy_guard: int) -> PrecisionContext:
-        guard = policy_guard if self.guard_bits == "auto" else int(self.guard_bits)
-        return PrecisionContext(self.precision_target_bits, guard)
+__all__ = ["build_parser", "main", "output_schema"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,49 +91,61 @@ def _guard(text: str):
     return value
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        precision_target_bits=args.prec,
-        guard_bits=args.guard,
-        n_max=getattr(args, "n_max", 8),
-        output_format=args.format,
-        table_path=getattr(args, "table", None),
-    )
+def _context(args, policy_guard: int) -> PrecisionContext:
+    guard = policy_guard if args.guard == "auto" else args.guard
+    return PrecisionContext(args.prec, guard)
 
 
-def _emit(text: str, out_path) -> None:
+def _check_limit_flags(args) -> None:
+    """``--x-max`` goes with ``--method limit`` and only with it; the
+    limit routes start from no table, so ``--table`` cannot join them."""
+    limit = getattr(args, "method", None) == "limit"
+    if limit and args.x_max is None:
+        raise ValueError("--method limit requires --x-max")
+    if not limit and getattr(args, "x_max", None) is not None:
+        raise ValueError("--x-max applies only to --method limit")
+    if limit and args.table:
+        raise ValueError("--table cannot be combined with --method limit")
+
+
+def _limit_values(definition, args, ctx: PrecisionContext) -> tuple:
+    return tuple(definition(n, args.x_max, ctx) for n in range(args.n_max + 1))
+
+
+def _emit(args, obj: dict, meta_keys, header: str, file_text: str | None = None) -> int:
+    """Write the rendered output to stdout and to ``--out`` (or
+    ``file_text`` there instead, when given)."""
+    text = render(args.format, obj, meta_keys, header)
     sys.stdout.write(text)
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text if file_text is None else file_text,
+                                  encoding="utf-8")
+    return 0
 
 
-def _gamma_source(config: RunConfig, n_needed: int, ctx: PrecisionContext) -> GammaTable:
+def _emit_values(args, meta: dict, values, file_text: str | None = None) -> int:
+    """Emit a table as ``meta``, ``n_max`` and one ``n,value`` row per index."""
+    obj = {**meta, "n_max": len(values) - 1,
+           "values": [to_decimal(v, args.prec) for v in values]}
+    return _emit(args, obj, tuple(meta), "n,value", file_text)
+
+
+def _gamma_source(args, n_needed: int, ctx: PrecisionContext) -> GammaTable:
     """Load the table given by --table (converting to the working
     convention if needed) or compute one."""
-    if config.table_path:
-        table = load_table(config.table_path)
+    if args.table:
+        table = load_table(args.table)
         if table.convention != CONVENTION_PAPER:
             table = convert_convention(table, CONVENTION_PAPER)
         if table.n_max < n_needed:
             raise ValueError(
-                f"table {config.table_path} too short: need index {n_needed}")
-        if table.precision_bits < config.precision_target_bits:
+                f"table {args.table} too short: need index {n_needed}")
+        if table.precision_bits < args.prec:
             raise PrecisionInfeasibleError(
-                f"table {config.table_path} carries {table.precision_bits} bits, "
-                f"less than --prec {config.precision_target_bits}")
+                f"table {args.table} carries {table.precision_bits} bits, "
+                f"less than --prec {args.prec}")
         return table
     return compute_gamma_table(n_needed, ctx)
-
-
-def _rows_csv(meta: dict, header: str, rows) -> str:
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append(header)
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -156,233 +154,105 @@ def _json_text(obj) -> str:
 
 
 def _cmd_stieltjes(args) -> int:
-    config = _config(args)
-    ctx = config.resolve_context(default_guard_bits(config.n_max))
-    digits_bits = config.precision_target_bits
+    ctx = _context(args, default_guard_bits(args.n_max))
     if args.method == "limit":
-        if args.x_max is None:
-            raise ValueError("--method limit requires --x-max")
-        values = tuple(gamma_limit_definition(n, args.x_max, ctx)
-                       for n in range(config.n_max + 1))
-        table = GammaTable(CONVENTION_PAPER, config.n_max, values, ctx.working_bits)
+        table = GammaTable(CONVENTION_PAPER, args.n_max,
+                           _limit_values(gamma_limit_definition, args, ctx),
+                           ctx.working_bits)
     else:
-        table = _gamma_source(config, config.n_max, ctx)
-    printed = [to_decimal(v, digits_bits) for v in table.values]
-    if config.output_format == "json":
-        text = _json_text({
-            "convention": table.convention,
-            "precision_bits": table.precision_bits,
-            "n_max": table.n_max,
-            "values": printed,
-        })
-    else:
-        text = _rows_csv(
-            {"convention": table.convention, "precision_bits": table.precision_bits},
-            "n,value", (f"{n},{v}" for n, v in enumerate(printed)))
-    sys.stdout.write(text)
-    if args.out:
-        # full-precision, loadable table file
-        Path(args.out).write_text(render_table(table, config.output_format),
-                                  encoding="utf-8")
-    return 0
-
-
-def _eta_table(config: RunConfig, args, ctx: PrecisionContext) -> EtaTable:
-    method = args.method
-    if method == "limit":
-        if args.x_max is None:
-            raise ValueError("--method limit requires --x-max")
-        values = tuple(eta_limit_definition(n, args.x_max, ctx)
-                       for n in range(config.n_max + 1))
-        return EtaTable(config.n_max, values, ctx.working_bits,
-                        PROVENANCE_LIMIT_DEFINITION)
-    gamma = _gamma_source(config, config.n_max, ctx)
-    if method == "recurrence":
-        return eta_from_gamma_recurrence(gamma, config.n_max, ctx)
-    if method == "series":
-        return eta_series_oracle(gamma, config.n_max, ctx)
-    # explicit
-    values = tuple(eta_from_gamma_explicit(gamma, n + 1, ctx)
-                   for n in range(config.n_max + 1))
-    return EtaTable(config.n_max, values, ctx.working_bits, PROVENANCE_EXPLICIT)
+        table = _gamma_source(args, args.n_max, ctx)
+    # the --out file is a full-precision, loadable table
+    file_text = render_table(table, args.format) if args.out else None
+    return _emit_values(args, {"convention": table.convention,
+                               "precision_bits": table.precision_bits},
+                        table.values, file_text)
 
 
 def _cmd_eta(args) -> int:
-    config = _config(args)
-    ctx = config.resolve_context(default_guard_bits(config.n_max))
-    table = _eta_table(config, args, ctx)
-    printed = [to_decimal(v, config.precision_target_bits) for v in table.values]
-    if config.output_format == "json":
-        text = _json_text({
-            "provenance": table.provenance,
-            "precision_bits": table.precision_bits,
-            "n_max": table.n_max,
-            "values": printed,
-        })
+    ctx = _context(args, default_guard_bits(args.n_max))
+    if args.method == "limit":
+        table = EtaTable(args.n_max, _limit_values(eta_limit_definition, args, ctx),
+                         ctx.working_bits, PROVENANCE_LIMIT_DEFINITION)
     else:
-        text = _rows_csv(
-            {"provenance": table.provenance, "precision_bits": table.precision_bits},
-            "n,value", (f"{n},{v}" for n, v in enumerate(printed)))
-    _emit(text, args.out)
-    return 0
+        gamma = _gamma_source(args, args.n_max, ctx)
+        if args.method == "recurrence":
+            table = eta_from_gamma_recurrence(gamma, args.n_max, ctx)
+        elif args.method == "series":
+            table = eta_series_oracle(gamma, args.n_max, ctx)
+        else:
+            values = tuple(eta_from_gamma_explicit(gamma, n + 1, ctx)
+                           for n in range(args.n_max + 1))
+            table = EtaTable(args.n_max, values, ctx.working_bits, PROVENANCE_EXPLICIT)
+    return _emit_values(args, {"provenance": table.provenance,
+                               "precision_bits": table.precision_bits}, table.values)
 
 
 def _cmd_gamma_invert(args) -> int:
-    config = _config(args)
-    ctx = config.resolve_context(default_guard_bits(config.n_max))
-    gamma = _gamma_source(config, config.n_max, ctx)
-    eta = eta_from_gamma_recurrence(gamma, config.n_max, ctx)
-    values = tuple(gamma_from_eta_explicit(eta, n + 1, ctx)
-                   for n in range(config.n_max + 1))
-    printed = [to_decimal(v, config.precision_target_bits) for v in values]
-    if config.output_format == "json":
-        text = _json_text({
-            "convention": CONVENTION_PAPER,
-            "precision_bits": ctx.working_bits,
-            "n_max": config.n_max,
-            "values": printed,
-        })
-    else:
-        text = _rows_csv(
-            {"convention": CONVENTION_PAPER, "precision_bits": ctx.working_bits},
-            "n,value", (f"{n},{v}" for n, v in enumerate(printed)))
-    _emit(text, args.out)
-    return 0
+    ctx = _context(args, default_guard_bits(args.n_max))
+    gamma = _gamma_source(args, args.n_max, ctx)
+    eta = eta_from_gamma_recurrence(gamma, args.n_max, ctx)
+    values = [gamma_from_eta_explicit(eta, n + 1, ctx) for n in range(args.n_max + 1)]
+    return _emit_values(args, {"convention": CONVENTION_PAPER,
+                               "precision_bits": ctx.working_bits}, values)
 
 
 def _cmd_li(args) -> int:
-    config = _config(args)
-    ctx = config.resolve_context(lambda_guard_bits(config.n_max))
-    gamma = _gamma_source(config, max(0, config.n_max - 1), ctx)
-    digits_bits = config.precision_target_bits
+    n_max = args.n_max
+    ctx = _context(args, lambda_guard_bits(n_max))
+    # a gamma table selects the explicit route, an eta table the binomial
+    # one; the eta table for the top index serves every smaller index
+    table = _gamma_source(args, max(0, n_max - 1), ctx)
+    if args.method == "binomial" and n_max > 0:
+        table = eta_from_gamma_recurrence(table, n_max - 1, ctx)
     records = []
-    for n in range(1, config.n_max + 1):
-        rec = lambda_estimate(gamma, n, ctx, method=args.method)
-        row = {"n": n, "lambda_tilde": to_decimal(rec.lambda_tilde, digits_bits)}
+    for n in range(1, n_max + 1):
+        rec = lambda_estimate(table, n, ctx)
+        row = {"n": n, "lambda_tilde": to_decimal(rec.lambda_tilde, args.prec)}
         if args.with_trend:
-            row["trend"] = to_decimal(rec.trend, digits_bits)
-            row["estimate"] = to_decimal(rec.estimate, digits_bits)
+            row["trend"] = to_decimal(rec.trend, args.prec)
+            row["estimate"] = to_decimal(rec.estimate, args.prec)
         records.append(row)
-    if config.output_format == "json":
-        text = _json_text({
-            "method": args.method,
-            "precision_bits": ctx.working_bits,
-            "n_max": config.n_max,
-            "with_trend": bool(args.with_trend),
-            "records": records,
-        })
-    else:
-        if args.with_trend:
-            header = "n,lambda_tilde,trend,estimate"
-            rows = (f"{r['n']},{r['lambda_tilde']},{r['trend']},{r['estimate']}"
-                    for r in records)
-        else:
-            header = "n,lambda_tilde"
-            rows = (f"{r['n']},{r['lambda_tilde']}" for r in records)
-        text = _rows_csv(
-            {"method": args.method, "precision_bits": ctx.working_bits},
-            header, rows)
-    _emit(text, args.out)
-    return 0
+    obj = {"method": args.method, "precision_bits": ctx.working_bits,
+           "n_max": n_max, "with_trend": bool(args.with_trend), "records": records}
+    header = "n,lambda_tilde,trend,estimate" if args.with_trend else "n,lambda_tilde"
+    return _emit(args, obj, ("method", "precision_bits"), header)
 
 
 def _cmd_histogram(args) -> int:
-    config = _config(args)
-    ctx = config.resolve_context(lambda_guard_bits(args.n))
-    gamma = _gamma_source(config, args.n - 1, ctx)
-    dist = term_distribution(gamma, args.n, ctx)
-    digits_bits = config.precision_target_bits
+    ctx = _context(args, lambda_guard_bits(args.n))
+    dist = term_distribution(_gamma_source(args, args.n - 1, ctx), args.n, ctx)
+    obj = {"n": args.n, "count": len(dist)}
     if args.raw:
-        values = [to_decimal(v, digits_bits) for v in dist.term_values]
-        if config.output_format == "json":
-            text = _json_text({"n": args.n, "count": len(values), "values": values})
-        else:
-            text = _rows_csv({"n": args.n, "count": len(values)},
-                             "term_index,value",
-                             (f"{i},{v}" for i, v in enumerate(values)))
-    else:
-        rows = histogram(dist, args.bins, ctx)
-        if config.output_format == "json":
-            text = _json_text({
-                "n": args.n,
-                "count": len(dist),
-                "bins": [{"lower": to_decimal(lo, digits_bits),
-                          "upper": to_decimal(hi, digits_bits),
-                          "count": c} for lo, hi, c in rows],
-            })
-        else:
-            text = _rows_csv({"n": args.n, "count": len(dist)},
-                             "bin_lower,bin_upper,count",
-                             (f"{to_decimal(lo, digits_bits)},"
-                              f"{to_decimal(hi, digits_bits)},{c}"
-                              for lo, hi, c in rows))
-    _emit(text, args.out)
-    return 0
+        obj["values"] = [to_decimal(v, args.prec) for v in dist.term_values]
+        return _emit(args, obj, ("n", "count"), "term_index,value")
+    obj["bins"] = [{"lower": to_decimal(lo, args.prec),
+                    "upper": to_decimal(hi, args.prec),
+                    "count": c} for lo, hi, c in histogram(dist, args.bins, ctx)]
+    return _emit(args, obj, ("n", "count"), "bin_lower,bin_upper,count")
 
 
 def _cmd_expand(args) -> int:
-    target = args.target
-    if target == "eta":
-        exp = expand_eta_symbolic(args.n)
-    elif target == "gamma":
-        exp = expand_gamma_symbolic(args.n)
-    else:
-        exp = expand_lambda_symbolic(args.n)
-    if args.format == "json":
-        text = _json_text(exp.to_json_obj())
-    else:
-        obj = exp.to_json_obj()
-        text = _rows_csv({"target": obj["target"], "n": obj["n"]},
-                         "k,coeff",
-                         (f"{' '.join(map(str, t['k']))},{t['coeff']}"
-                          for t in obj["terms"]))
-    _emit(text, args.out)
-    return 0
+    expand = {"eta": expand_eta_symbolic, "gamma": expand_gamma_symbolic,
+              "lambda": expand_lambda_symbolic}[args.target]
+    return _emit(args, expand(args.n).to_json_obj(), ("target", "n"), "k,coeff")
 
 
 def _cmd_verify(args) -> int:
     checks = run_verification(n_max=args.n_max, target_bits=args.prec)
     ok = all(c.passed for c in checks)
-    if args.format == "json":
-        text = _json_text({
-            "n_max": args.n_max,
-            "target_bits": args.prec,
-            "passed": ok,
-            "checks": [{
-                "name": c.name,
-                "scope": c.scope,
-                "max_discrepancy": c.max_discrepancy,
-                "threshold": c.threshold,
-                "status": "pass" if c.passed else "fail",
-            } for c in checks],
-        })
-    else:
-        text = _rows_csv(
-            {"n_max": args.n_max, "target_bits": args.prec},
-            "check,scope,max_discrepancy,threshold,status",
-            (f"{c.name},{c.scope},{c.max_discrepancy},{c.threshold},"
-             f"{'pass' if c.passed else 'fail'}" for c in checks))
-    _emit(text, args.out)
+    obj = {"n_max": args.n_max, "target_bits": args.prec, "passed": ok,
+           "checks": [{"name": c.name, "scope": c.scope,
+                       "max_discrepancy": c.max_discrepancy,
+                       "threshold": c.threshold,
+                       "status": "pass" if c.passed else "fail"} for c in checks]}
+    _emit(args, obj, ("n_max", "target_bits"),
+          "check,scope,max_discrepancy,threshold,status")
     return 0 if ok else 1
 
 
 # --------------------------------------------------------------------------
 # parser
 # --------------------------------------------------------------------------
-
-
-def _add_common(parser, n_max=True):
-    parser.add_argument("--prec", type=_positive_int, default=192,
-                        help="target precision in bits (default 192)")
-    parser.add_argument("--guard", type=_guard, default="auto",
-                        help="guard bits, or 'auto' for the per-command policy")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="also write the output to PATH")
-    if n_max:
-        parser.add_argument("--n-max", dest="n_max", type=_nonneg_int, default=8,
-                            help="highest index to compute (default 8)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,53 +263,57 @@ def build_parser() -> argparse.ArgumentParser:
                     "cross-verified, reproducible output.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stieltjes", help="table of Stieltjes constants")
-    _add_common(p)
-    p.add_argument("--table", metavar="PATH", default=None,
-                   help="load this table instead of computing one")
+    # flags shared between subcommands, each declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--prec", type=_positive_int, default=192,
+                        help="target precision in bits (default 192)")
+    common.add_argument("--guard", type=_guard, default="auto",
+                        help="guard bits, or 'auto' for the per-command policy")
+    common.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="output format (default csv)")
+    common.add_argument("--out", metavar="PATH", default=None,
+                        help="also write the output to PATH")
+    n_max = argparse.ArgumentParser(add_help=False)
+    n_max.add_argument("--n-max", dest="n_max", type=_nonneg_int, default=8,
+                       help="highest index to compute (default 8)")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--table", metavar="PATH", default=None,
+                       help="gamma table to start from (computed if omitted)")
+    x_max = argparse.ArgumentParser(add_help=False)
+    x_max.add_argument("--x-max", dest="x_max", type=_positive_int, default=None,
+                       help="truncation point for --method limit (required by it)")
+
+    p = sub.add_parser("stieltjes", parents=[common, n_max, table, x_max],
+                       help="table of Stieltjes constants")
     p.add_argument("--method", choices=("em", "limit"), default="em",
                    help="'em' (production Euler-Maclaurin) or 'limit' "
                         "(direct truncated limit; slow, sanity check only)")
-    p.add_argument("--x-max", dest="x_max", type=_positive_int, default=None,
-                   help="truncation point for --method limit")
     p.set_defaults(func=_cmd_stieltjes)
 
-    p = sub.add_parser("eta", help="table of eta coefficients")
-    _add_common(p)
-    p.add_argument("--table", metavar="PATH", default=None,
-                   help="gamma table to start from (computed if omitted)")
+    p = sub.add_parser("eta", parents=[common, n_max, table, x_max],
+                       help="table of eta coefficients")
     p.add_argument("--method",
                    choices=("recurrence", "explicit", "series", "limit"),
                    default="recurrence",
                    help="route; 'limit' is the slow truncated limit "
-                        "(sanity check only) and requires --x-max")
-    p.add_argument("--x-max", dest="x_max", type=_positive_int, default=None,
-                   help="truncation point for --method limit")
+                        "(sanity check only)")
     p.set_defaults(func=_cmd_eta)
 
-    p = sub.add_parser("gamma-invert",
+    p = sub.add_parser("gamma-invert", parents=[common, n_max, table],
                        help="round-trip gamma -> eta -> gamma via the "
                             "explicit inversion")
-    _add_common(p)
-    p.add_argument("--table", metavar="PATH", default=None,
-                   help="gamma table to start from (computed if omitted)")
     p.set_defaults(func=_cmd_gamma_invert)
 
-    p = sub.add_parser("li", help="oscillating part of the Li sequence")
-    _add_common(p)
-    p.add_argument("--table", metavar="PATH", default=None,
-                   help="gamma table to start from (computed if omitted)")
+    p = sub.add_parser("li", parents=[common, n_max, table],
+                       help="oscillating part of the Li sequence")
     p.add_argument("--method", choices=("binomial", "explicit"),
                    default="binomial", help="oscillation route")
     p.add_argument("--with-trend", dest="with_trend", action="store_true",
                    help="also print the asymptotic trend and trend+oscillation")
     p.set_defaults(func=_cmd_li)
 
-    p = sub.add_parser("histogram",
+    p = sub.add_parser("histogram", parents=[common, table],
                        help="distribution of the oscillation's partition-sum terms")
-    _add_common(p, n_max=False)
-    p.add_argument("--table", metavar="PATH", default=None,
-                   help="gamma table to start from (computed if omitted)")
     p.add_argument("--n", type=_positive_int, required=True,
                    help="oscillation index")
     p.add_argument("--bins", type=_positive_int, default=40,
@@ -448,19 +322,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the raw term values instead of binning")
     p.set_defaults(func=_cmd_histogram)
 
-    p = sub.add_parser("expand",
+    p = sub.add_parser("expand", parents=[common],
                        help="exact symbolic expansion of one coefficient")
-    _add_common(p, n_max=False)
     p.add_argument("--target", choices=("eta", "gamma", "lambda"),
                    required=True, help="which family to expand")
     p.add_argument("--n", type=_positive_int, required=True,
                    help="expansion index")
     p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("verify",
+    p = sub.add_parser("verify", parents=[common, n_max],
                        help="run the cross-method invariant suite "
                             "(exit 0 iff every check passes)")
-    _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -479,6 +351,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_limit_flags(args)
         return args.func(args)
     except PrecisionInfeasibleError as exc:
         print(f"zetali: precision infeasible: {exc}", file=sys.stderr)

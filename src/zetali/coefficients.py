@@ -66,8 +66,6 @@ __all__ = [
     "eta_from_gamma_explicit",
     "gamma_from_eta_explicit",
     "eta_series_oracle",
-    "von_mangoldt",
-    "prime_power_base",
     "eta_limit_definition",
     "expand_eta_symbolic",
     "expand_gamma_symbolic",
@@ -223,71 +221,6 @@ def eta_series_oracle(g: GammaTable, n_max: Optional[int] = None,
 # --------------------------------------------------------------------------
 # von Mangoldt weights and the direct limit
 # --------------------------------------------------------------------------
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin; these fixed bases are exact for n < 3.3e24
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _integer_nth_root(x: int, m: int) -> int:
-    if m == 1:
-        return x
-    if m == 2:
-        return math.isqrt(x)
-    r = round(x ** (1.0 / m))
-    while r > 1 and r ** m > x:
-        r -= 1
-    while (r + 1) ** m <= x:
-        r += 1
-    return r
-
-
-def prime_power_base(k: int) -> Optional[int]:
-    """The prime p with k = p^m, or None when k is not a prime power.
-
-    Decided exactly: integer m-th roots for every m up to log2(k), then a
-    deterministic primality test on the root.
-    """
-    if k < 2:
-        return None
-    for m in range(1, k.bit_length()):
-        r = _integer_nth_root(k, m)
-        if r ** m == k and _is_prime(r):
-            return r
-    return None
-
-
-def von_mangoldt(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    """Lambda(k): log p when k = p^m for a prime p, else exact zero."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    base = prime_power_base(k)
-    with ctx.workprec():
-        return mp.log(base) if base else mp.mpf(0)
-
 
 def _primes_up_to(n: int) -> list[int]:
     if n < 2:

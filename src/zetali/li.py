@@ -44,7 +44,6 @@ from .coefficients import (
     _require_length,
     _require_paper,
     _signed_powers,
-    eta_from_gamma_recurrence,
     modified_gamma,
 )
 from .errors import PrecisionInfeasibleError
@@ -66,10 +65,6 @@ __all__ = [
     "histogram",
     "lambda_estimate",
 ]
-
-METHOD_BINOMIAL = "binomial"
-METHOD_EXPLICIT = "explicit"
-
 
 @dataclass(frozen=True)
 class LambdaRecord:
@@ -271,21 +266,21 @@ def histogram(d: TermDistribution, bins: int,
     return rows
 
 
-def lambda_estimate(g: GammaTable, n: int,
-                    ctx: PrecisionContext = DEFAULT_CONTEXT,
-                    method: str = METHOD_BINOMIAL) -> LambdaRecord:
+def lambda_estimate(table: EtaTable | GammaTable, n: int,
+                    ctx: PrecisionContext = DEFAULT_CONTEXT) -> LambdaRecord:
     """Bundle oscillation, trend, and their exact sum for one index.
 
-    ``method`` picks the oscillation route; "binomial" derives the eta
-    table from ``g`` by the recurrence first.
+    The table picks the oscillation route: an eta table is summed by the
+    binomial transform, a gamma table by the explicit partition sum.
+    Passing one eta table for every index builds it only once.
     """
-    if method == METHOD_BINOMIAL:
-        eta = eta_from_gamma_recurrence(g, n - 1, ctx)
-        osc = lambda_tilde_binomial(eta, n, ctx)
-    elif method == METHOD_EXPLICIT:
-        osc = lambda_tilde_explicit(g, n, ctx)
+    if isinstance(table, EtaTable):
+        method, osc = "binomial", lambda_tilde_binomial(table, n, ctx)
+    elif isinstance(table, GammaTable):
+        method, osc = "explicit", lambda_tilde_explicit(table, n, ctx)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise TypeError("expected an EtaTable or a GammaTable, "
+                        f"got {type(table).__name__}")
     trend = lambda_trend(n, ctx)
     estimate = mp.fadd(trend, osc, exact=True)
     return LambdaRecord(n=n, lambda_tilde=osc, trend=trend,

@@ -16,6 +16,7 @@ coefficient computations elsewhere in the package.
 
 from __future__ import annotations
 
+import json
 import math
 import threading
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ __all__ = [
     "default_guard_bits",
     "decimal_digits",
     "to_decimal",
+    "render",
     "from_decimal",
     "rational_to_str",
     "rational_from_str",
@@ -114,6 +116,30 @@ def to_decimal(x: BigReal, bits: int) -> str:
         with mp.workprec(bits):
             x = mp.mpf(x)
     return mp.nstr(x, decimal_digits(bits), strip_zeros=False)
+
+
+def render(fmt: str, obj: dict, meta_keys: Iterable[str], header: str) -> str:
+    """Serialize an output object as JSON or as CSV.
+
+    JSON is ``obj`` itself, indented by 2.  CSV is one ``# key=value``
+    line per key in ``meta_keys``, then ``header``, then one row per item
+    of ``obj``'s last value: a dict item gives its values in order, any
+    other item gives ``index,item``.  List cells are joined by spaces.
+    """
+    if fmt == "json":
+        return json.dumps(obj, indent=2) + "\n"
+    if fmt != "csv":
+        raise ValueError(f"unknown format {fmt!r}")
+
+    def cell(v):
+        return " ".join(map(str, v)) if isinstance(v, list) else str(v)
+
+    lines = [f"# {k}={obj[k]}" for k in meta_keys]
+    lines.append(header)
+    for i, item in enumerate(list(obj.values())[-1]):
+        cells = item.values() if isinstance(item, dict) else (i, item)
+        lines.append(",".join(map(cell, cells)))
+    return "\n".join(lines) + "\n"
 
 
 def from_decimal(text: str, bits: int) -> BigReal:

@@ -50,6 +50,7 @@ from .numerics import (
     PrecisionContext,
     bernoulli,
     from_decimal,
+    render,
     to_decimal,
 )
 
@@ -314,24 +315,10 @@ def render_table(table: GammaTable, fmt: str = "json") -> str:
     a ``n,value`` header, one row per index.  Both forms are exact
     inverses of :func:`load_table` up to 1 ulp at the stated precision.
     """
-    values = [to_decimal(v, table.precision_bits) for v in table.values]
-    if fmt == "json":
-        obj = {
-            "convention": table.convention,
-            "precision_bits": table.precision_bits,
-            "n_max": table.n_max,
-            "values": values,
-        }
-        return json.dumps(obj, indent=2) + "\n"
-    if fmt == "csv":
-        lines = [
-            f"# convention={table.convention}",
-            f"# precision_bits={table.precision_bits}",
-            "n,value",
-        ]
-        lines.extend(f"{n},{v}" for n, v in enumerate(values))
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    obj = {"convention": table.convention, "precision_bits": table.precision_bits,
+           "n_max": table.n_max,
+           "values": [to_decimal(v, table.precision_bits) for v in table.values]}
+    return render(fmt, obj, ("convention", "precision_bits"), "n,value")
 
 
 def save_table(table: GammaTable, path) -> None:

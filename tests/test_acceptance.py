@@ -5,12 +5,15 @@ FAIL before re-raising), so a ``pytest -s tests/test_acceptance.py`` run
 reads as a checklist.  Tolerances are fixed here, not configurable.
 """
 
+import os
 import subprocess
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import mpmath as mp
 
+import zetali
 from zetali import (
     PrecisionContext,
     compute_gamma_table,
@@ -165,8 +168,12 @@ def test_criterion_9_verify_determinism(tmp_path):
     with report(9, "byte-identical verify runs"):
         cmd = [sys.executable, "-m", "zetali", "verify",
                "--n-max", "20", "--prec", "192"]
-        first = subprocess.run(cmd, capture_output=True, timeout=600)
-        second = subprocess.run(cmd, capture_output=True, timeout=600)
+        # the child runs the package this suite imports, installed or not
+        src = str(Path(zetali.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+        first = subprocess.run(cmd, capture_output=True, timeout=600, env=env)
+        second = subprocess.run(cmd, capture_output=True, timeout=600, env=env)
         assert first.returncode == 0, first.stderr.decode()
         assert second.returncode == 0
         assert first.stdout == second.stdout

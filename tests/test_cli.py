@@ -94,6 +94,14 @@ class TestStieltjesCommand:
         assert code == 1
         assert "x-max" in err
 
+    def test_x_max_without_limit_exits_1(self, capsys):
+        # the Euler-Maclaurin route has no truncation point to take
+        code, out, err = run_cli(capsys, "stieltjes", "--n-max", "2",
+                                 "--x-max", "100")
+        assert code == 1
+        assert out == ""
+        assert "--x-max applies only to --method limit" in err
+
     def test_non_finite_table_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -149,6 +157,14 @@ class TestEtaCommand:
         value = float(out.strip().splitlines()[-1].split(",")[1])
         assert abs(value + 0.5772156649) < 1e-2
 
+    def test_table_with_limit_exits_1(self, capsys):
+        # the limit route starts from no table
+        code, out, err = run_cli(capsys, "eta", "--method", "limit", "--x-max", "100",
+                                 "--table", "/nonexistent.json")
+        assert code == 1
+        assert out == ""
+        assert "--table cannot be combined with --method limit" in err
+
     def test_json_validates(self, capsys):
         code, out, _ = run_cli(capsys, "eta", "--n-max", "3", "--format", "json")
         assert code == 0
@@ -197,6 +213,24 @@ class TestLiCommand:
         _, b, _ = run_cli(capsys, "li", "--n-max", "6", "--method", "explicit")
         for ra, rb in zip(a.strip().splitlines()[3:], b.strip().splitlines()[3:]):
             assert abs(float(ra.split(",")[1]) - float(rb.split(",")[1])) < 1e-22
+
+    def test_eta_table_built_once(self, capsys, monkeypatch):
+        # one eta table, for the top index, serves every index
+        import zetali.cli
+        import zetali.li
+        calls = []
+        recurrence = zetali.cli.eta_from_gamma_recurrence
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return recurrence(*args, **kwargs)
+
+        for module in (zetali.cli, zetali.li):
+            monkeypatch.setattr(module, "eta_from_gamma_recurrence", counting,
+                                raising=False)
+        code, _, _ = run_cli(capsys, "li", "--n-max", "10")
+        assert code == 0
+        assert calls == [9]
 
     def test_json_validates(self, capsys):
         code, out, _ = run_cli(capsys, "li", "--n-max", "3", "--with-trend",

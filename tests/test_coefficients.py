@@ -2,8 +2,6 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from zetali import (
     CONVENTION_CLASSIC,
@@ -20,8 +18,6 @@ from zetali import (
     gamma_from_eta_explicit,
     modified_gamma,
     partition_count,
-    prime_power_base,
-    von_mangoldt,
 )
 from helpers import (
     ETA_EXPANSIONS,
@@ -150,50 +146,6 @@ class TestInversion:
                 back = gamma_from_eta_explicit(eta40, n, ctx256)
                 tol = mp.mpf(2) ** -(ctx256.working_bits - 8 * n)
                 assert rel_diff(gamma40[n - 1], back) < tol, n
-
-
-class TestVonMangoldt:
-    CTX = PrecisionContext(64, 16)
-
-    def test_one_is_zero(self):
-        assert von_mangoldt(1, self.CTX) == 0
-
-    def test_prime_power(self):
-        with self.CTX.workprec():
-            assert von_mangoldt(8, self.CTX) == mp.log(2)
-            assert von_mangoldt(9, self.CTX) == mp.log(3)
-            assert von_mangoldt(7919, self.CTX) == mp.log(7919)
-            assert von_mangoldt(2 ** 20, self.CTX) == mp.log(2)
-
-    def test_composite_is_zero(self):
-        for k in (6, 10, 12, 36, 1000, 2 * 3 * 5 * 7):
-            assert von_mangoldt(k, self.CTX) == 0
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            von_mangoldt(0, self.CTX)
-
-    def test_base_against_trial_division(self):
-        def oracle(k):
-            factors = set()
-            m, d = k, 2
-            while d * d <= m:
-                while m % d == 0:
-                    factors.add(d)
-                    m //= d
-                d += 1
-            if m > 1:
-                factors.add(m)
-            return factors.pop() if len(factors) == 1 else None
-
-        for k in range(2, 4000):
-            assert prime_power_base(k) == oracle(k), k
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.sampled_from([2, 3, 5, 7, 11, 13, 97]),
-           st.integers(min_value=1, max_value=12))
-    def test_powers_detected(self, p, m):
-        assert prime_power_base(p ** m) == p
 
 
 class TestEtaLimit:

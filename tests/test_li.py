@@ -243,20 +243,25 @@ class TestLambdaEstimate:
         # the sum is stored exactly, so the identity holds bit for bit
         assert mp.fsub(rec.estimate, rec.trend, exact=True) == rec.lambda_tilde
 
-    def test_n1(self, gamma40, ctx256):
-        rec = lambda_estimate(gamma40, 1, ctx256)
-        assert rec.lambda_tilde == gamma40[0]
+    def test_n1(self, gamma40, eta40, ctx256):
+        # lambda_tilde_1 = -eta_0 = gamma_0 on both routes
+        for table in (gamma40, eta40):
+            assert lambda_estimate(table, 1, ctx256).lambda_tilde == gamma40[0]
 
-    def test_methods_agree(self, gamma40, ctx256):
-        a = lambda_estimate(gamma40, 9, ctx256, method="binomial")
-        b = lambda_estimate(gamma40, 9, ctx256, method="explicit")
+    def test_methods_agree(self, gamma40, eta40, ctx256):
+        # the table type picks the route
+        a = lambda_estimate(eta40, 9, ctx256)
+        b = lambda_estimate(gamma40, 9, ctx256)
         assert a.method == "binomial" and b.method == "explicit"
+        assert a.lambda_tilde == lambda_tilde_binomial(eta40, 9, ctx256)
+        assert b.lambda_tilde == lambda_tilde_explicit(gamma40, 9, ctx256)
         with ctx256.workprec():
             assert rel_diff(a.lambda_tilde, b.lambda_tilde) < mp.mpf(2) ** -80
 
     def test_unknown_method(self, gamma40, ctx256):
-        with pytest.raises(ValueError):
-            lambda_estimate(gamma40, 3, ctx256, method="guess")
+        # only an eta or a gamma table names a route
+        with pytest.raises(TypeError):
+            lambda_estimate(gamma40.values, 3, ctx256)
 
     def test_guard_policy_values(self):
         assert lambda_guard_bits(1) == 64

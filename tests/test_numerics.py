@@ -19,6 +19,7 @@ from zetali import (
     from_decimal,
     rational_from_str,
     rational_to_str,
+    render,
     series_derivative,
     series_mul,
     series_recip,
@@ -96,6 +97,27 @@ class TestDecimalSerialization:
 
     def test_zero_roundtrip(self):
         assert from_decimal(to_decimal(mp.mpf(0), 128), 128) == 0
+
+
+class TestRender:
+    def test_csv_rows(self):
+        scalars = {"tag": "a", "bits": 8, "values": ["0.5", "-1"]}
+        assert render("csv", scalars, ("tag", "bits"), "n,value") == (
+            "# tag=a\n# bits=8\nn,value\n0,0.5\n1,-1\n")
+        dicts = {"n": 2, "terms": [{"k": [0, 1, 0], "coeff": "-2/1"},
+                                   {"k": [2, 0, 0], "coeff": "1/1"}]}
+        assert render("csv", dicts, ("n",), "k,coeff") == (
+            "# n=2\nk,coeff\n0 1 0,-2/1\n2 0 0,1/1\n")
+        assert render("csv", {"n": 0, "records": []}, (), "n,x") == "n,x\n"
+
+    def test_json(self):
+        obj = {"n": 1, "values": ["0.5"]}
+        assert render("json", obj, ("n",), "n,value") == (
+            '{\n  "n": 1,\n  "values": [\n    "0.5"\n  ]\n}\n')
+
+    def test_unknown_format(self):
+        with pytest.raises(ValueError):
+            render("xml", {"values": []}, (), "n,value")
 
 
 class TestRationals:
