@@ -131,12 +131,10 @@ def _emit_values(args, meta: dict, values, file_text: str | None = None) -> int:
 
 
 def _gamma_source(args, n_needed: int, ctx: PrecisionContext) -> GammaTable:
-    """Load the table given by --table (converting to the working
-    convention if needed) or compute one."""
+    """Load the table given by --table (cut to index ``n_needed`` and
+    converted to the working convention if needed) or compute one."""
     if args.table:
         table = load_table(args.table)
-        if table.convention != CONVENTION_PAPER:
-            table = convert_convention(table, CONVENTION_PAPER)
         if table.n_max < n_needed:
             raise ValueError(
                 f"table {args.table} too short: need index {n_needed}")
@@ -144,7 +142,9 @@ def _gamma_source(args, n_needed: int, ctx: PrecisionContext) -> GammaTable:
             raise PrecisionInfeasibleError(
                 f"table {args.table} carries {table.precision_bits} bits, "
                 f"less than --prec {args.prec}")
-        return table
+        table = GammaTable(table.convention, n_needed,
+                           table.values[:n_needed + 1], table.precision_bits)
+        return convert_convention(table, CONVENTION_PAPER)
     return compute_gamma_table(n_needed, ctx)
 
 

@@ -23,10 +23,12 @@ power series in s and reads the coefficients off after removing the
 Every summand is elementary as a series in s (each k^(-1-s) is
 (1/k) exp(-s log k); the rising-factorial polynomials have exact integer
 coefficients), and the first omitted tail term bounds the truncation
-error, so the cutoff M and tail order J are chosen adaptively until
-that bound drops below 2^-(target_bits + 8) for every retained
-coefficient.  The construction is self-verifying: doubling M, J or the
-guard bits must not change any digit above 2^-target_bits.
+error, so the cutoff M and tail order J are chosen adaptively (a float
+search in log2 space) until that bound drops below 2^-(target_bits + 8)
+for every retained coefficient.  The tail is summed over j once, as one
+polynomial in s, before it is multiplied by the series of M^(-s).  The
+construction is self-verifying: doubling M, J or the guard bits must
+not change any digit above 2^-target_bits.
 
 ``gamma_limit_definition`` is the direct truncation of the defining
 limit.  It converges like log(x)^n / x and is kept only as an
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -136,42 +139,40 @@ def euler_maclaurin_parameters(n_max: int, ctx: PrecisionContext = DEFAULT_CONTE
     (all parts of the term bounded in absolute value); if no such J
     exists at the current M, M is doubled.  Passing ``cutoff`` pins M
     (used by the self-verification tests); if the bound is unreachable
-    there, PrecisionInfeasibleError is raised.
+    there, PrecisionInfeasibleError is raised.  The search runs in
+    floats in log2 space (only ``ctx.target_bits`` matters): the worst
+    coefficient sums positive terms poly_j[m]/(2j)! * (ln M)^t/t!, each
+    factor at most 1, so nothing cancels.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     target = ctx.target_bits
-    with ctx.workprec():
-        eps = mp.mpf(2) ** -(target + 8)
-        m_cut = cutoff if cutoff is not None else max(
-            16, 2 * n_max, (35 * (target + 8)) // 100)
-        while True:
-            ln_m = mp.log(m_cut)
-            # |(-ln M)^t / t!| for the exp-series factor
-            expc = [ln_m ** t / mp.factorial(t) for t in range(n_max + 1)]
-            prev = None
-            for j in range(1, 8 * m_cut + 8):
-                poly = _pochhammer_poly(j)
-                b = bernoulli(2 * j)
-                pref = (mp.mpf(abs(b.numerator)) / b.denominator
-                        / mp.factorial(2 * j) * mp.mpf(m_cut) ** (-2 * j))
-                worst = mp.mpf(0)
-                for n in range(n_max + 1):
-                    acc = mp.mpf(0)
-                    for m in range(min(n, len(poly) - 1) + 1):
-                        acc += poly[m] * expc[n - m]
-                    if acc > worst:
-                        worst = acc
-                bound = pref * worst
-                if bound < eps:
-                    return m_cut, j - 1
-                if prev is not None and bound > prev and j > 2:
-                    break  # asymptotic terms started growing; M too small
-                prev = bound
-            if cutoff is not None:
-                raise PrecisionInfeasibleError(
-                    f"no tail order reaches 2^-{target + 8} at cutoff {m_cut}")
-            m_cut *= 2
+    m_cut = cutoff if cutoff is not None else max(
+        16, 2 * n_max, (35 * (target + 8)) // 100)
+    while True:
+        ln_m = math.log(m_cut)
+        # |(-ln M)^t / t!| for the exp-series factor
+        expc = [1.0]
+        for t in range(1, n_max + 1):
+            expc.append(expc[-1] * ln_m / t)
+        prev = None
+        for j in range(1, 8 * m_cut + 8):
+            fact = math.factorial(2 * j)
+            scaled = [c / fact for c in _pochhammer_poly(j)]
+            worst = max(sum(map(operator.mul, scaled, expc[n::-1]))
+                        for n in range(n_max + 1))
+            b = bernoulli(2 * j)
+            bound = (math.log2(abs(b.numerator)) - math.log2(b.denominator)
+                     - 2 * j * math.log2(m_cut) + math.log2(worst))
+            if bound < -(target + 8):
+                return m_cut, j - 1
+            if prev is not None and bound > prev and j > 2:
+                break  # asymptotic terms started growing; M too small
+            prev = bound
+        if cutoff is not None:
+            raise PrecisionInfeasibleError(
+                f"no tail order reaches 2^-{target + 8} at cutoff {m_cut}")
+        m_cut *= 2
 
 
 def compute_gamma_table(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
@@ -182,7 +183,8 @@ def compute_gamma_table(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
     Truncation error is below 2^-(target_bits + 8) per coefficient by
     construction; rounding stays well under that thanks to the guard
     bits.  ``cutoff`` and ``tail_terms`` override the adaptive M and J
-    for stability self-tests.
+    for stability self-tests.  The tail is folded into one polynomial
+    before it meets the exp series, so the build costs O(Mn + J^2 + nJ).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -220,18 +222,21 @@ def compute_gamma_table(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
         for n in range(n_max + 1):
             coef[n] += power * inv_fact[n]
             power *= -ln_m
-        # Euler-Maclaurin tail
-        expc = [(-ln_m) ** t * inv_fact[t] for t in range(n_max + 1)]
+        # Euler-Maclaurin tail folded to T[m] = sum_j pref_j * poly_j[m]
+        folded = [mp.mpf(0) for _ in range(min(2 * tail, n_max + 1))]
         for j in range(1, tail + 1):
             poly = _pochhammer_poly(j)
             b = bernoulli(2 * j)
             pref = (mp.mpf(b.numerator) / b.denominator
                     / mp.factorial(2 * j) * mp.mpf(m_cut) ** (-2 * j))
-            for n in range(n_max + 1):
-                acc = mp.mpf(0)
-                for m in range(min(n, len(poly) - 1) + 1):
-                    acc += poly[m] * expc[n - m]
-                coef[n] += pref * acc
+            for m in range(min(len(poly), len(folded))):
+                folded[m] += pref * poly[m]
+        expc = [(-ln_m) ** t * inv_fact[t] for t in range(n_max + 1)]
+        for n in range(n_max + 1):
+            acc = mp.mpf(0)
+            for m in range(min(n + 1, len(folded))):
+                acc += folded[m] * expc[n - m]
+            coef[n] += acc
     return GammaTable(CONVENTION_PAPER, n_max, tuple(coef), ctx.working_bits)
 
 

@@ -80,6 +80,14 @@ class TestComputeGammaTable:
             for n in range(9):
                 assert abs(base[n] - more[n]) < mp.mpf(2) ** -192
 
+    @pytest.mark.parametrize("n", [25, 40])
+    def test_high_index_matches_mpmath(self, gamma40, n):
+        # mpmath.stieltjes integrates a contour, independent of the EM
+        # builder; a wrong tail fold width would show first at high n
+        with mp.workprec(264):
+            ref = (-1) ** n * mp.stieltjes(n) / mp.factorial(n)
+            assert abs(gamma40[n] - ref) < mp.mpf(2) ** -192
+
     def test_deterministic_serialization(self, ctx256):
         a = compute_gamma_table(6, ctx256)
         b = compute_gamma_table(6, ctx256)
@@ -93,6 +101,31 @@ class TestComputeGammaTable:
     def test_negative_n_max_rejected(self, ctx256):
         with pytest.raises(ValueError):
             compute_gamma_table(-1, ctx256)
+
+
+class TestEulerMaclaurinParameters:
+    """(M, J) as the working-precision mpf search chose them; the float
+    search must return the same."""
+
+    @pytest.mark.parametrize("n_max,target,guard,cutoff,expected", [
+        (0, 64, 16, None, (25, 7)),
+        (8, 64, 16, None, (25, 8)),
+        (16, 192, 64, None, (70, 21)),
+        (34, 192, 340, None, (70, 21)),
+        (40, 192, 64, None, (80, 20)),
+        (58, 192, 590, None, (116, 18)),
+        (40, 192, 64, 32, (32, 35)),
+        (60, 384, 64, None, (137, 41)),
+        (200, 256, 64, None, (400, 18)),
+        (100, 1000, 200, None, (352, 105)),
+    ])
+    def test_pinned(self, n_max, target, guard, cutoff, expected):
+        ctx = PrecisionContext(target, guard)
+        assert euler_maclaurin_parameters(n_max, ctx, cutoff=cutoff) == expected
+
+    def test_pinned_cutoff_unreachable(self):
+        with pytest.raises(PrecisionInfeasibleError):
+            euler_maclaurin_parameters(40, PrecisionContext(192, 64), cutoff=16)
 
 
 class TestGammaLimitDefinition:
