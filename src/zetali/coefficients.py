@@ -49,6 +49,7 @@ from .numerics import (
     series_derivative,
     series_mul,
     series_recip,
+    weighted_sum,
 )
 from .partitions import MultiplicityVector, _dense, _power_rows, _walk_partitions
 from .stieltjes import CONVENTION_PAPER, GammaTable
@@ -165,17 +166,19 @@ def eta_from_gamma_explicit(g: GammaTable, n: int,
 
         eta_{n-1} = n * sum_{r(k)=n} (p-1)! prod_i (-gamma_i)^(k_i) / k_i!
 
-    summed in canonical enumeration order for reproducibility.
+    Each product is rounded at working precision; the integer weights
+    n (p-1)! are applied and summed exactly, and the total is rounded
+    once (:func:`~zetali.numerics.weighted_sum`).
     """
     if n < 1:
         raise ValueError("n must be positive")
     _require_paper(g)
     _require_length(g, n - 1, "gamma")
+    weights = [n * modified_gamma(p) for p in range(n + 1)]
     with ctx.workprec():
-        total = mp.mpf(0)
-        for _, p, product in _walk_partitions(n, _signed_powers(g.values, n)):
-            total += (n * modified_gamma(p)) * product
-        return total
+        walk = _walk_partitions(n, _signed_powers(g.values, n))
+        return weighted_sum(((weights[p], product) for _, p, product in walk),
+                            ctx.working_bits)
 
 
 def gamma_from_eta_explicit(e: EtaTable, n: int,
@@ -183,16 +186,18 @@ def gamma_from_eta_explicit(e: EtaTable, n: int,
     """gamma_{n-1} by inverting the partition sum:
 
         gamma_{n-1} = sum_{r(k)=n} prod_i (1/k_i!) (-eta_i / (1+i))^(k_i)
+
+    with the products summed exactly and rounded once, as in
+    :func:`eta_from_gamma_explicit`.
     """
     if n < 1:
         raise ValueError("n must be positive")
     _require_length(e, n - 1, "eta")
     with ctx.workprec():
         scaled = [e.values[i] / (1 + i) for i in range(n)]
-        total = mp.mpf(0)
-        for _, _, product in _walk_partitions(n, _signed_powers(scaled, n)):
-            total += product
-        return total
+        walk = _walk_partitions(n, _signed_powers(scaled, n))
+        return weighted_sum(((1, product) for _, _, product in walk),
+                            ctx.working_bits)
 
 
 def eta_series_oracle(g: GammaTable, n_max: Optional[int] = None,

@@ -21,20 +21,23 @@ famous open problem; this module only computes it, two independent ways:
                          (p-1)! C(n, r) r prod_i (-gamma_i)^(k_i) / k_i!
 
   (vectors with r > n would carry a zero binomial factor, so the
-  enumeration simply stops at r = n).
+  enumeration simply stops at r = n).  One partition walk visits every
+  r <= n, forming each shared prefix product once; the weighted
+  products are added exactly and the total is rounded once.
 
 ``term_distribution`` exposes the individual partition-sum terms — one
 value per vector, sum_{m<=n} p(m) of them — whose near-symmetric pileup
 around zero is what makes the oscillation so much smaller than its
-largest terms; ``histogram`` bins them for plotting.
+largest terms; ``histogram`` bins them for plotting, placing each value
+by exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import mpmath as mp
 
@@ -47,7 +50,7 @@ from .coefficients import (
     modified_gamma,
 )
 from .errors import PrecisionInfeasibleError
-from .numerics import DEFAULT_CONTEXT, BigReal, PrecisionContext
+from .numerics import DEFAULT_CONTEXT, BigReal, PrecisionContext, weighted_sum
 from .partitions import _dense, _power_rows, _walk_partitions
 from .stieltjes import GammaTable, compute_gamma_table
 
@@ -141,44 +144,53 @@ def lambda_tilde_binomial(e: EtaTable, n: int,
     return value
 
 
-def _term_values(g: GammaTable, n: int) -> Iterator[BigReal]:
-    # one value per vector, r ascending then lexicographic: the canonical
-    # order shared with the symbolic expansion
-    powers = _signed_powers(g.values, n)
-    for r in range(1, n + 1):
-        c_nr = math.comb(n, r)
-        for _, p, product in _walk_partitions(r, powers):
-            yield modified_gamma(p) * c_nr * r * product
+def _lambda_weights(n: int) -> list[list[int]]:
+    """``weights[r][p] = (p-1)! C(n, r) r``, the integer factor of a
+    term whose vector partitions r into p parts."""
+    return [[modified_gamma(p) * math.comb(n, r) * r for p in range(r + 1)]
+            for r in range(n + 1)]
 
 
 def lambda_tilde_explicit(g: GammaTable, n: int,
                           ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     """The oscillation by direct partition sum over the Stieltjes
-    constants; needs only gamma_0 .. gamma_{n-1}."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    _require_paper(g)
-    _require_length(g, n - 1, "gamma")
-    with ctx.workprec():
-        total = mp.mpf(0)
-        for t in _term_values(g, n):
-            total += t
-        return -total
+    constants; needs only gamma_0 .. gamma_{n-1}.
 
-
-def term_distribution(g: GammaTable, n: int,
-                      ctx: PrecisionContext = DEFAULT_CONTEXT) -> TermDistribution:
-    """Every nonzero partition-sum term for index n, in canonical order.
-
-    The length is sum_{m<=n} p(m) and the negated sum equals
-    lambda_tilde_n at working precision.
+    One walk visits the partitions of every r <= n; each product is
+    rounded at working precision, the integer weights are applied and
+    summed exactly, and the total is rounded once.
     """
     if n < 1:
         raise ValueError("n must be positive")
     _require_paper(g)
     _require_length(g, n - 1, "gamma")
+    weights = _lambda_weights(n)
     with ctx.workprec():
-        return TermDistribution(n, tuple(_term_values(g, n)))
+        walk = _walk_partitions(n, _signed_powers(g.values, n), least=1)
+        return -weighted_sum(((weights[r][p], product)
+                              for r, _, p, product in walk), ctx.working_bits)
+
+
+def term_distribution(g: GammaTable, n: int,
+                      ctx: PrecisionContext = DEFAULT_CONTEXT) -> TermDistribution:
+    """Every nonzero partition-sum term for index n, in canonical order:
+    r ascending, then the canonical order of the partitions of r.
+
+    Each term is its integer weight times its product, rounded once at
+    working precision.  The length is sum_{m<=n} p(m) and the negated
+    sum equals lambda_tilde_n up to rounding.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    _require_paper(g)
+    _require_length(g, n - 1, "gamma")
+    weights = _lambda_weights(n)
+    by_r: list[list[BigReal]] = [[] for _ in range(n + 1)]
+    with ctx.workprec():
+        for r, _, p, product in _walk_partitions(
+                n, _signed_powers(g.values, n), least=1):
+            by_r[r].append(weights[r][p] * product)
+    return TermDistribution(n, tuple(itertools.chain.from_iterable(by_r)))
 
 
 def expand_lambda_symbolic(n: int) -> SymbolicExpansion:
@@ -192,11 +204,11 @@ def expand_lambda_symbolic(n: int) -> SymbolicExpansion:
     if n < 1:
         raise ValueError("n must be positive")
     denoms = _power_rows(n, lambda j, c: math.factorial(c))
+    weights = _lambda_weights(n)
     terms: dict[tuple[int, ...], Fraction] = {}
     for r in range(1, n + 1):
-        c_nr = math.comb(n, r)
         for parts, p, denom in _walk_partitions(r, denoms):
-            coeff = Fraction(modified_gamma(p) * c_nr * r, denom)
+            coeff = Fraction(weights[r][p], denom)
             terms[_dense(parts, n + 1)] = coeff if p % 2 else -coeff
     return SymbolicExpansion("lambda_tilde", n, terms)
 
@@ -237,10 +249,14 @@ def histogram(d: TermDistribution, bins: int,
               ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[tuple[BigReal, BigReal, int]]:
     """Equal-width binning of the term values over [min, max].
 
-    Deterministic tie rule: a value sitting on a bin boundary counts in
-    the upper bin, and the maximum counts in the last bin (if all values
-    coincide, everything lands there).  Returns (lower, upper, count)
-    rows whose counts sum to len(d).
+    With ``width = (max - min) / bins`` rounded at working precision, a
+    value v goes to bin ``min(floor((v - min) / width), bins - 1)``,
+    computed exactly by integer division of the mantissas aligned on one
+    exponent.  So a value sitting exactly on a bin boundary
+    ``min + i * width`` counts in the upper bin, and the maximum counts
+    in the last bin (if all values coincide, everything lands there).
+    Returns (lower, upper, count) rows, the bounds rounded at working
+    precision, whose counts sum to len(d).
     """
     if bins < 1:
         raise ValueError("bins must be positive")
@@ -252,12 +268,18 @@ def histogram(d: TermDistribution, bins: int,
         hi = max(vals)
         width = (hi - lo) / bins
         counts = [0] * bins
-        for v in vals:
-            if width == 0:
-                idx = bins - 1
-            else:
-                idx = min(int(mp.floor((v - lo) / width)), bins - 1)
-            counts[idx] += 1
+        if not width:
+            counts[-1] = len(vals)
+        else:
+            at = min(width._mpf_[2], min(v._mpf_[2] for v in vals))
+
+            def scaled(x):  # x / 2^at, an integer
+                sign, man, exp, _ = x._mpf_
+                return -(man << (exp - at)) if sign else man << (exp - at)
+
+            base, step = scaled(lo), scaled(width)
+            for v in vals:
+                counts[min((scaled(v) - base) // step, bins - 1)] += 1
         rows = []
         for i in range(bins):
             lower = lo + i * width

@@ -7,7 +7,9 @@ Real values are mpmath floats (``BigReal``), exact coefficients are
 :class:`fractions.Fraction` (``BigRational``).  All operations use
 round-to-nearest and a fixed evaluation order, so identical inputs under
 an identical context produce bit-identical results and are safe to run
-concurrently (every value here is immutable).
+concurrently (every value here is immutable).  :func:`weighted_sum`
+adds integer-weighted terms exactly and rounds once, so its result does
+not depend on the order at all; the partition sums use it.
 
 The module also provides exact Bernoulli numbers and arithmetic on
 truncated formal power series, both of which back the series-based
@@ -24,6 +26,7 @@ from fractions import Fraction
 from typing import Iterable
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import NonInvertibleSeriesError, OrderMismatchError
 
@@ -36,6 +39,7 @@ __all__ = [
     "decimal_digits",
     "to_decimal",
     "render",
+    "weighted_sum",
     "from_decimal",
     "rational_to_str",
     "rational_from_str",
@@ -140,6 +144,31 @@ def render(fmt: str, obj: dict, meta_keys: Iterable[str], header: str) -> str:
         cells = item.values() if isinstance(item, dict) else (i, item)
         lines.append(",".join(map(cell, cells)))
     return "\n".join(lines) + "\n"
+
+
+def weighted_sum(terms: Iterable[tuple[int, BigReal]], bits: int) -> BigReal:
+    """``sum w * x`` over ``(int w, mpf x)`` pairs, rounded once.
+
+    Each ``w * x`` is formed and added exactly, as an integer on the
+    smallest exponent seen so far, and only the total is rounded to
+    ``bits`` bits (to nearest).  The result therefore does not depend on
+    the order of the terms.  Zero terms are skipped; no terms sum to 0.
+    """
+    acc = at = 0  # the exact sum so far is acc * 2^at
+    for w, x in terms:
+        sign, man, exp, _ = x._mpf_
+        if not man:
+            if exp:  # mpmath marks inf and nan by a zero mantissa
+                raise ValueError("non-finite term")
+            continue
+        if sign:
+            man = -man
+        if exp < at:
+            acc = (acc << (at - exp)) + w * man
+            at = exp
+        else:
+            acc += (w * man) << (exp - at)
+    return mp.mp.make_mpf(from_man_exp(acc, at, bits, round_nearest))
 
 
 def from_decimal(text: str, bits: int) -> BigReal:

@@ -22,7 +22,10 @@ The walk carries the running product of the caller's ``powers[j][k_j]``
 over the parts fixed so far, so each added part costs one multiplication
 instead of a loop over the whole vector; the table's entries set the
 ring (``mpf`` for the numeric sums, ``int`` for the exact expansions).
-:func:`enumerate_constrained` is the public, dense view of the walk.
+Given a least ``r``, the same walk also visits the partitions of every
+smaller ``r`` down to it, which serves the oscillation's sum over all
+``r <= n`` in one pass.  :func:`enumerate_constrained` is the public,
+dense view of the walk.
 """
 
 from __future__ import annotations
@@ -51,35 +54,56 @@ class MultiplicityVector(NamedTuple):
         return cls(kk, sum(kk), sum((i + 1) * m for i, m in enumerate(kk)))
 
 
-def _walk_partitions(n: int, powers) -> Iterator[tuple]:
+def _walk_partitions(n: int, powers, least: int | None = None) -> Iterator[tuple]:
     """Yield ``(parts, p, product)`` for every partition of ``n`` in
     canonical order: ``parts`` holds the ``(j, k_j)`` with ``k_j > 0`` in
     ascending ``j``, ``p`` counts the parts, and ``product`` is
     ``1 * powers[j][k_j] * ...`` multiplied left to right in that order.
+
+    With ``least`` the same walk yields ``(r, parts, p, product)`` for
+    every partition of every ``r`` in ``[least, n]``: a partition of a
+    smaller ``r`` is a prefix of those of larger ones, so each prefix
+    product is formed once for all of them.  The items of one ``r`` come
+    in canonical order; different ``r`` interleave.
     """
-    # Depth-first.  A frame (rem, lo, ...) splits rem into parts of size
-    # > lo (rem = 0: a finished partition); children are pushed in reverse
-    # canonical order so they pop in canonical order.  c parts of size s
-    # must leave 0 or a rest > s, so above s = (rem-1)/2 only the parts
-    # {rem} and {rem/2, rem/2} fit.
+    # Depth-first.  A frame (rem, lo, ...) has used n - rem and splits
+    # more into parts of size > lo; it is a partition of r = n - rem to
+    # yield when rem <= slack.  A child of c parts of size s is kept iff
+    # its rest left = rem - c*s is <= slack or > s (room for a larger
+    # part).  Children are pushed in reverse canonical order so they pop
+    # in canonical order.  Above s = (rem-1)/2 no rest > s fits, so only
+    # {rem/2, rem/2} and single parts s >= rem - slack remain.
+    every_r = least is not None
+    slack = n - least if every_r else 0
     stack = [(n, 0, (), 0, 1)]
     pop, push = stack.pop, stack.append
     while stack:
         rem, lo, parts, p, prod = pop()
-        if not rem:
-            yield parts, p, prod
-            continue
-        for size in range(lo + 1, (rem - 1) // 2 + 1):
+        if rem <= slack:
+            yield (n - rem, parts, p, prod) if every_r else (parts, p, prod)
+            if not rem:
+                continue
+        half = (rem - 1) // 2
+        for size in range(lo + 1, half + 1):
             row = powers[size - 1]
             for c in range(rem // size, 0, -1):
                 left = rem - c * size
-                if left == 0 or left > size:
+                if left <= slack or left > size:
                     push((left, size, parts + ((size - 1, c),), p + c,
                           prod * row[c]))
-        for c, size in ((2, rem // 2), (1, rem)):
-            if c * size == rem and size > lo:
-                push((0, size, parts + ((size - 1, c),), p + c,
-                      prod * powers[size - 1][c]))
+        if not rem % 2 and rem // 2 > lo:
+            size = rem // 2
+            push((0, size, parts + ((size - 1, 2),), p + 2,
+                  prod * powers[size - 1][2]))
+        size = rem - slack
+        if size <= half:
+            size = half + 1
+        if size <= lo:
+            size = lo + 1
+        while size <= rem:
+            push((rem - size, size, parts + ((size - 1, 1),), p + 1,
+                  prod * powers[size - 1][1]))
+            size += 1
 
 
 def _power_rows(n: int, entry) -> list[list]:

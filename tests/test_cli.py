@@ -372,7 +372,14 @@ class TestGoldenOutput:
     1e-49, printed to 58 significant digits) and both ``verify --n-max 5``
     (``max_discrepancy`` at the 1e-77 rounding level).  Each prints digits
     below the table's absolute 2^-(target+8) bound, so it records the
-    rounding order, not the values."""
+    rounding order, not the values.
+
+    Both ``verify --n-max 5`` digests were pinned once more when the
+    partition sums began to add their weighted products exactly and
+    round once: ``max_discrepancy`` of ``eta_explicit_vs_recurrence``
+    went from 1.08e-78 to 5.40e-79 and that of
+    ``lambda_binomial_vs_explicit`` from 2.5e-77 to 0.0, rounding-level
+    differences between two routes."""
 
     @pytest.mark.parametrize("command,digest", [
         ("eta --method explicit --n-max 12",
@@ -422,9 +429,9 @@ class TestGoldenOutput:
         ("expand --target lambda --n 12",
          "c8306563524b27ec905b6a4ba72960048a45bc50518e40662ee54cd620272901"),
         ("verify --n-max 5",
-         "5191b7a4d1eb17b63aa41b913ca4a30a89f69aef3abe79a7fae74e8a9d75bb58"),
+         "b0dbc800ea1929b11bf727080a53115ae0b259be31768a0e59a48a56fa55b0e9"),
         ("verify --n-max 5 --format json",
-         "1263c82e524200e4fe17d725a6dd3fd732731b9e66ee5bbc53321dfcbfba6661"),
+         "c178e5dd818b8540d42d5744948b3d8cffc8c9802047bda89b2ee173f1d078ce"),
     ])
     def test_output_digest(self, capsys, tmp_path, gamma40, command, digest):
         if "{table}" in command:

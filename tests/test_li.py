@@ -227,6 +227,39 @@ class TestHistogram:
             zero = next((c for lo, hi, c in rows if lo <= 0 < hi), rows[-1][2])
             assert zero == max(c for _, _, c in rows), n
 
+    @pytest.mark.parametrize("bins,i", [(5, 3), (9, 7), (12, 7)])
+    def test_exact_boundary_goes_up(self, bins, i):
+        # v = lo + i*width exactly, in 257, 256 and 258 bits; rounding
+        # (v - lo)/width in mpf put it in bin i - 1 at (9, 7) and (12, 7)
+        ctx = PrecisionContext(256, 0)
+        with ctx.workprec():
+            lo, hi = mp.mpf(-4.125), mp.mpf(9.875)
+            width = (hi - lo) / bins
+            v = mp.fadd(lo, mp.fmul(i, width, exact=True), exact=True)
+
+        def counts(values):
+            return [c for _, _, c in histogram(TermDistribution(1, values), bins, ctx)]
+
+        up = [1] + [0] * (i - 1) + [1] + [0] * (bins - i - 2) + [1]
+        assert counts((lo, v, hi)) == up
+        assert counts((v,) * 4) == [0] * (bins - 1) + [4]
+
+    def test_rows_unchanged_at_default_precision(self):
+        # no term here lies within rounding of a boundary, so binning by
+        # floor((v - lo)/width) in mpf arithmetic gives the same rows
+        for n in range(12, 25):
+            ctx = lambda_context(192, n)
+            dist = term_distribution(compute_gamma_table(n - 1, ctx), n, ctx)
+            for bins in (7, 9, 20, 40):
+                rows = histogram(dist, bins, ctx)
+                with ctx.workprec():
+                    lo, hi = rows[0][0], rows[-1][1]
+                    width = (hi - lo) / bins
+                    counts = [0] * bins
+                    for v in dist.term_values:
+                        counts[min(int(mp.floor((v - lo) / width)), bins - 1)] += 1
+                assert [c for _, _, c in rows] == counts, (n, bins)
+
     def test_empty_rejected(self, ctx256):
         with pytest.raises(ValueError):
             histogram(TermDistribution(1, ()), 3, ctx256)

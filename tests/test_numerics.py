@@ -25,6 +25,7 @@ from zetali import (
     series_recip,
     to_decimal,
 )
+from zetali.numerics import weighted_sum
 from helpers import eval_series
 
 CTX = PrecisionContext(128, 64)
@@ -118,6 +119,51 @@ class TestRender:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render("xml", {"values": []}, (), "n,value")
+
+
+class TestWeightedSum:
+    def test_rounds_once(self):
+        with mp.workprec(256):
+            big = mp.mpf(2) ** 300
+            terms = [big, mp.mpf(1), -big]
+            sequential = mp.mpf(0)
+            for x in terms:
+                sequential += x
+        assert sequential == 0
+        assert weighted_sum([(1, x) for x in terms], 256) == 1
+
+    def test_order_independent(self):
+        rng = random.Random(5)
+        with mp.workprec(256):
+            terms = [(rng.randrange(1, 10 ** 12), mp.mpf(rng.uniform(-1, 1))
+                      * mp.mpf(2) ** rng.randrange(-300, 300)) for _ in range(60)]
+        total = weighted_sum(terms, 256)
+        for _ in range(5):
+            rng.shuffle(terms)
+            assert weighted_sum(terms, 256) == total
+
+    def test_zeros_and_empty(self):
+        assert weighted_sum([], 256) == 0
+        with mp.workprec(256):
+            x = mp.mpf(1) / 7
+            assert weighted_sum([(7, mp.mpf(0)), (0, x), (3, mp.mpf(0))], 256) == 0
+            assert weighted_sum([(2, mp.mpf(0)), (3, x)], 256) == 3 * x
+
+    def test_non_finite_rejected(self):
+        for bad in (mp.inf, mp.nan):
+            with pytest.raises(ValueError):
+                weighted_sum([(1, mp.mpf(1)), (1, bad)], 256)
+
+    @pytest.mark.parametrize("bits", [53, 256, 1000])
+    def test_equals_fsum_rounded_once(self, bits):
+        rng = random.Random(bits)
+        with mp.workprec(bits):
+            terms = [(rng.randrange(-10 ** 30, 10 ** 30), mp.mpf(rng.uniform(-1, 1))
+                      / 3 * mp.mpf(2) ** rng.randrange(-200, 200)) for _ in range(200)]
+        with mp.workprec(4 * bits + 2000):  # holds the exact sum
+            exact = mp.fsum(mp.fmul(w, x, exact=True) for w, x in terms)
+        with mp.workprec(bits):
+            assert weighted_sum(terms, bits) == +exact
 
 
 class TestRationals:

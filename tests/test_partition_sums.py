@@ -1,10 +1,15 @@
 """The partition sums against the formulas they implement.
 
 The references below state each sum plainly: loop over
-``enumerate_constrained`` in canonical order, weight ``partition_product``
-by the integer factor, accumulate.  The library gets the same products
-from one partition walk that carries running prefix products, so its
-results must be identical to these, not merely close.
+``enumerate_constrained`` in canonical order and take each term's
+``partition_product`` at working precision.  A sum multiplies these by
+their integer weights exactly, adds them with ``mp.fsum`` at ample
+precision (exact here) and rounds once at working precision.  The
+library gets the same products from one partition walk that carries
+running prefix products, for the oscillation one walk over every r <= n,
+and adds the weighted products exactly in integers, so its results must
+be identical to these, not merely close.  ``term_distribution`` rounds
+each weighted term on its own, and its reference does the same.
 """
 
 import math
@@ -26,38 +31,47 @@ from zetali.coefficients import _signed_powers, partition_product
 from zetali.partitions import _power_rows, _walk_partitions
 
 N_MAX = 12
+AMPLE_BITS = 4096  # wide enough to hold every reference sum exactly
+
+
+def rounded_once(weighted, ctx):
+    """sum w * x over (int w, mpf x) pairs, exact, then rounded once."""
+    with mp.workprec(AMPLE_BITS):
+        total = mp.fsum(mp.fmul(w, x, exact=True) for w, x in weighted)
+    with ctx.workprec():
+        return +total
 
 
 def reference_eta(g, n, ctx):
     with ctx.workprec():
-        total = mp.mpf(0)
-        for vec in enumerate_constrained(n):
-            total += (n * modified_gamma(vec.p)) * partition_product(g.values, vec)
-        return total
+        weighted = [(n * modified_gamma(vec.p), partition_product(g.values, vec))
+                    for vec in enumerate_constrained(n)]
+    return rounded_once(weighted, ctx)
 
 
 def reference_gamma(e, n, ctx):
     with ctx.workprec():
         scaled = [e.values[i] / (1 + i) for i in range(n)]
-        total = mp.mpf(0)
-        for vec in enumerate_constrained(n):
-            total += partition_product(scaled, vec)
-        return total
+        weighted = [(1, partition_product(scaled, vec))
+                    for vec in enumerate_constrained(n)]
+    return rounded_once(weighted, ctx)
+
+
+def reference_weighted_terms(g, n, ctx):
+    with ctx.workprec():
+        return [(modified_gamma(vec.p) * math.comb(n, r) * r,
+                 partition_product(g.values, vec))
+                for r in range(1, n + 1) for vec in enumerate_constrained(r)]
 
 
 def reference_terms(g, n, ctx):
     with ctx.workprec():
-        return tuple(
-            modified_gamma(vec.p) * math.comb(n, r) * r * partition_product(g.values, vec)
-            for r in range(1, n + 1) for vec in enumerate_constrained(r))
+        return tuple(w * x for w, x in reference_weighted_terms(g, n, ctx))
 
 
 def reference_lambda(g, n, ctx):
-    with ctx.workprec():
-        total = mp.mpf(0)
-        for t in reference_terms(g, n, ctx):
-            total += t
-        return -total
+    negated = [(-w, x) for w, x in reference_weighted_terms(g, n, ctx)]
+    return rounded_once(negated, ctx)
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +108,21 @@ class TestWalk:
             assert product == math.prod(powers[j][c] for j, c in parts)
 
 
+class TestEveryRWalk:
+    @pytest.mark.parametrize("n", range(1, N_MAX + 1))
+    def test_each_r_matches_its_own_walk(self, gamma40, ctx256, n):
+        with ctx256.workprec():
+            powers = _signed_powers(gamma40.values, n)
+            items = list(_walk_partitions(n, powers, least=1))
+            for r in range(1, n + 1):
+                assert [item[1:] for item in items if item[0] == r] == \
+                    list(_walk_partitions(r, powers))
+            assert len(items) == sum(1 for r in range(1, n + 1)
+                                     for _ in enumerate_constrained(r))
+            assert list(_walk_partitions(n, powers, least=n)) == \
+                [(n, *item) for item in _walk_partitions(n, powers)]
+
+
 class TestSumsMatchReference:
     @pytest.mark.parametrize("n", range(1, N_MAX + 1))
     def test_eta_explicit(self, gamma40, ctx256, n):
@@ -116,3 +145,37 @@ class TestSumsMatchReference:
         assert term_distribution(g, n, ctx).term_values == \
             reference_terms(g, n, ctx)
 
+
+
+class TestSumAccuracy:
+    """Rounded once, a sum's error is its products' roundings plus one
+    final rounding: within 2^-(target+8) of the same sum with 256 more
+    guard bits."""
+
+    @pytest.fixture(scope="class")
+    def gamma20(self):
+        return compute_gamma_table(20, lambda_context(192, 20))
+
+    @staticmethod
+    def _close(value, better, ctx):
+        with ctx.with_extra_guard(256).workprec():
+            assert abs(value - better) < mp.mpf(2) ** -(ctx.target_bits + 8)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_eta_explicit(self, gamma40, ctx256, n):
+        self._close(eta_from_gamma_explicit(gamma40, n, ctx256),
+                    eta_from_gamma_explicit(gamma40, n, ctx256.with_extra_guard(256)),
+                    ctx256)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_gamma_from_eta(self, eta40, ctx256, n):
+        self._close(gamma_from_eta_explicit(eta40, n, ctx256),
+                    gamma_from_eta_explicit(eta40, n, ctx256.with_extra_guard(256)),
+                    ctx256)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_lambda_explicit(self, gamma20, n):
+        ctx = lambda_context(192, n)
+        self._close(lambda_tilde_explicit(gamma20, n, ctx),
+                    lambda_tilde_explicit(gamma20, n, ctx.with_extra_guard(256)),
+                    ctx)
