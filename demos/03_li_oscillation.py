@@ -25,16 +25,15 @@ TARGET = 192
 ctx = lambda_context(TARGET, N_MAX)  # guard policy for the largest index
 print(f"working precision {ctx.working_bits} bits "
       f"(target {TARGET} + guard {ctx.guard_bits})")
-print(f"trend constant c = {to_decimal(trend_constant(ctx), 130)}\n")
-
 gamma = compute_gamma_table(N_MAX - 1, ctx)
 eta = eta_from_gamma_recurrence(gamma, N_MAX - 1, ctx)
+print(f"trend constant c = {to_decimal(trend_constant(gamma[0], ctx), 130)}\n")
 
 print("n    lambda_tilde_n (binomial)            trend        |binomial-explicit|")
 for n in range(1, N_MAX + 1):
     binom = lambda_tilde_binomial(eta, n, ctx)
     explicit = lambda_tilde_explicit(gamma, n, ctx)
-    trend = lambda_trend(n, ctx)
+    trend = lambda_trend(n, gamma[0], ctx)
     with ctx.workprec():
         diff = abs(binom - explicit)
     print(f"{n:<4d} {to_decimal(binom, 110):<37s}"

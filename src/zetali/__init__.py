@@ -11,6 +11,9 @@ Riemann zeta function near its pole:
 * lambda_tilde_n — the binomial transform of the eta family: the
   oscillating part of the Li sequence (module :mod:`zetali.li`).
 
+Tables of gamma_n and of eta_n share one type,
+:class:`zetali.stieltjes.CoefficientTable`, tagged with their kind.
+
 Every quantity is computable by at least two independent routes, and
 :func:`zetali.verify.run_verification` (or the ``zetali verify``
 command) recomputes all of them against each other.
@@ -26,7 +29,6 @@ from .numerics import (
     DEFAULT_CONTEXT,
     BigRational,
     BigReal,
-    PowerSeries,
     PrecisionContext,
     bernoulli,
     decimal_digits,
@@ -49,7 +51,7 @@ from .partitions import (
 from .stieltjes import (
     CONVENTION_CLASSIC,
     CONVENTION_PAPER,
-    GammaTable,
+    CoefficientTable,
     compute_gamma_table,
     convert_convention,
     euler_maclaurin_parameters,
@@ -59,7 +61,6 @@ from .stieltjes import (
     save_table,
 )
 from .coefficients import (
-    EtaTable,
     SymbolicExpansion,
     eta_from_gamma_explicit,
     eta_from_gamma_recurrence,
@@ -96,18 +97,18 @@ __all__ = [
     # numerics
     "BigReal", "BigRational", "PrecisionContext", "DEFAULT_CONTEXT",
     "default_guard_bits", "decimal_digits", "to_decimal", "render", "from_decimal",
-    "rational_to_str", "rational_from_str", "bernoulli", "PowerSeries",
+    "rational_to_str", "rational_from_str", "bernoulli",
     "series_mul", "series_recip", "series_derivative",
     # partitions
     "MultiplicityVector", "enumerate_constrained", "partition_count",
     "summatory_partition_count",
     # stieltjes
-    "CONVENTION_PAPER", "CONVENTION_CLASSIC", "GammaTable",
+    "CONVENTION_PAPER", "CONVENTION_CLASSIC", "CoefficientTable",
     "compute_gamma_table", "euler_maclaurin_parameters",
     "gamma_limit_definition", "convert_convention", "render_table",
     "save_table", "load_table",
     # coefficients
-    "EtaTable", "SymbolicExpansion", "modified_gamma",
+    "SymbolicExpansion", "modified_gamma",
     "eta_from_gamma_recurrence", "eta_from_gamma_explicit",
     "gamma_from_eta_explicit", "eta_series_oracle", "eta_limit_definition",
     "expand_eta_symbolic", "expand_gamma_symbolic",

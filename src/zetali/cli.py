@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .coefficients import (
@@ -33,9 +34,6 @@ from .coefficients import (
     expand_eta_symbolic,
     expand_gamma_symbolic,
     gamma_from_eta_explicit,
-    EtaTable,
-    PROVENANCE_EXPLICIT,
-    PROVENANCE_LIMIT_DEFINITION,
 )
 from .errors import PrecisionInfeasibleError, TableFormatError
 from .li import (
@@ -48,7 +46,9 @@ from .li import (
 from .numerics import PrecisionContext, default_guard_bits, render, to_decimal
 from .stieltjes import (
     CONVENTION_PAPER,
-    GammaTable,
+    PROVENANCE_EXPLICIT,
+    PROVENANCE_LIMIT_DEFINITION,
+    CoefficientTable,
     compute_gamma_table,
     convert_convention,
     gamma_limit_definition,
@@ -130,7 +130,7 @@ def _emit_values(args, meta: dict, values, file_text: str | None = None) -> int:
     return _emit(args, obj, tuple(meta), "n,value", file_text)
 
 
-def _gamma_source(args, n_needed: int, ctx: PrecisionContext) -> GammaTable:
+def _gamma_source(args, n_needed: int, ctx: PrecisionContext) -> CoefficientTable:
     """Load the table given by --table (cut to index ``n_needed`` and
     converted to the working convention if needed) or compute one."""
     if args.table:
@@ -142,8 +142,7 @@ def _gamma_source(args, n_needed: int, ctx: PrecisionContext) -> GammaTable:
             raise PrecisionInfeasibleError(
                 f"table {args.table} carries {table.precision_bits} bits, "
                 f"less than --prec {args.prec}")
-        table = GammaTable(table.convention, n_needed,
-                           table.values[:n_needed + 1], table.precision_bits)
+        table = replace(table, values=table.values[:n_needed + 1])
         return convert_convention(table, CONVENTION_PAPER)
     return compute_gamma_table(n_needed, ctx)
 
@@ -156,9 +155,9 @@ def _gamma_source(args, n_needed: int, ctx: PrecisionContext) -> GammaTable:
 def _cmd_stieltjes(args) -> int:
     ctx = _context(args, default_guard_bits(args.n_max))
     if args.method == "limit":
-        table = GammaTable(CONVENTION_PAPER, args.n_max,
-                           _limit_values(gamma_limit_definition, args, ctx),
-                           ctx.working_bits)
+        table = CoefficientTable("gamma", CONVENTION_PAPER, PROVENANCE_LIMIT_DEFINITION,
+                                 _limit_values(gamma_limit_definition, args, ctx),
+                                 ctx.working_bits)
     else:
         table = _gamma_source(args, args.n_max, ctx)
     # the --out file is a full-precision, loadable table
@@ -171,8 +170,9 @@ def _cmd_stieltjes(args) -> int:
 def _cmd_eta(args) -> int:
     ctx = _context(args, default_guard_bits(args.n_max))
     if args.method == "limit":
-        table = EtaTable(args.n_max, _limit_values(eta_limit_definition, args, ctx),
-                         ctx.working_bits, PROVENANCE_LIMIT_DEFINITION)
+        table = CoefficientTable("eta", CONVENTION_PAPER, PROVENANCE_LIMIT_DEFINITION,
+                                 _limit_values(eta_limit_definition, args, ctx),
+                                 ctx.working_bits)
     else:
         gamma = _gamma_source(args, args.n_max, ctx)
         if args.method == "recurrence":
@@ -182,7 +182,8 @@ def _cmd_eta(args) -> int:
         else:
             values = tuple(eta_from_gamma_explicit(gamma, n + 1, ctx)
                            for n in range(args.n_max + 1))
-            table = EtaTable(args.n_max, values, ctx.working_bits, PROVENANCE_EXPLICIT)
+            table = CoefficientTable("eta", CONVENTION_PAPER, PROVENANCE_EXPLICIT,
+                                     values, ctx.working_bits)
     return _emit_values(args, {"provenance": table.provenance,
                                "precision_bits": table.precision_bits}, table.values)
 

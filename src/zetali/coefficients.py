@@ -28,6 +28,10 @@ In the partition sums, the integer weight (p-1)! is the "modified
 gamma": Gamma(p) for p >= 1 with Gamma(0) taken as 1.  Every vector
 with r = n >= 1 has p >= 1, so the p = 0 case only makes the n = 0 edge
 total; it is never reached in production paths.
+
+Every route reads its input from a
+:class:`~zetali.stieltjes.CoefficientTable` and refuses a table of the
+wrong kind with ValueError; the table-building routes return one.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .numerics import (
     DEFAULT_CONTEXT,
     BigRational,
     BigReal,
-    PowerSeries,
     PrecisionContext,
     rational_to_str,
     series_derivative,
@@ -52,14 +55,15 @@ from .numerics import (
     weighted_sum,
 )
 from .partitions import MultiplicityVector, _dense, _power_rows, _walk_partitions
-from .stieltjes import CONVENTION_PAPER, GammaTable
+from .stieltjes import (
+    CONVENTION_PAPER,
+    PROVENANCE_RECURRENCE,
+    PROVENANCE_SERIES_ORACLE,
+    CoefficientTable,
+    _require,
+)
 
 __all__ = [
-    "PROVENANCE_RECURRENCE",
-    "PROVENANCE_EXPLICIT",
-    "PROVENANCE_SERIES_ORACLE",
-    "PROVENANCE_LIMIT_DEFINITION",
-    "EtaTable",
     "SymbolicExpansion",
     "modified_gamma",
     "partition_product",
@@ -72,59 +76,12 @@ __all__ = [
     "expand_gamma_symbolic",
 ]
 
-PROVENANCE_RECURRENCE = "recurrence"
-PROVENANCE_EXPLICIT = "explicit"
-PROVENANCE_SERIES_ORACLE = "series_oracle"
-PROVENANCE_LIMIT_DEFINITION = "limit_definition"
-_PROVENANCES = (PROVENANCE_RECURRENCE, PROVENANCE_EXPLICIT,
-                PROVENANCE_SERIES_ORACLE, PROVENANCE_LIMIT_DEFINITION)
-
-
-@dataclass(frozen=True)
-class EtaTable:
-    """Immutable table of eta_0 .. eta_n_max with the route that built it."""
-
-    n_max: int
-    values: tuple[BigReal, ...]
-    precision_bits: int
-    provenance: str
-
-    def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != self.n_max + 1:
-            raise ValueError(
-                f"expected {self.n_max + 1} values, got {len(self.values)}")
-        if self.precision_bits < 1:
-            raise ValueError("precision_bits must be positive")
-        if self.provenance not in _PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-
-    def __getitem__(self, n: int) -> BigReal:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return self.n_max + 1
-
 
 def modified_gamma(p: int) -> int:
     """Integer Gamma(p) = (p-1)! with the p = 0 edge defined as 1."""
     if p < 0:
         raise ValueError("p must be nonnegative")
     return 1 if p == 0 else math.factorial(p - 1)
-
-
-def _require_paper(g: GammaTable):
-    if g.convention != CONVENTION_PAPER:
-        raise ValueError(
-            f"need a {CONVENTION_PAPER!r}-convention table, got {g.convention!r}")
-
-
-def _require_length(table, n_needed: int, what: str):
-    if table.n_max < n_needed:
-        raise ValueError(
-            f"{what} table too short: need index {n_needed}, have {table.n_max}")
 
 
 def partition_product(values, vec: MultiplicityVector) -> BigReal:
@@ -145,11 +102,10 @@ def _signed_powers(values, n: int) -> list[list]:
     return _power_rows(n, lambda j, c: (-values[j]) ** c / math.factorial(c))
 
 
-def eta_from_gamma_recurrence(g: GammaTable, n_max: int,
-                              ctx: PrecisionContext = DEFAULT_CONTEXT) -> EtaTable:
+def eta_from_gamma_recurrence(g: CoefficientTable, n_max: int,
+                              ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:
     """eta_n = -(n+1) gamma_n - sum_{k=0}^{n-1} eta_k gamma_{n-k-1}."""
-    _require_paper(g)
-    _require_length(g, n_max, "gamma")
+    _require(g, "gamma", n_max)
     with ctx.workprec():
         out: list[BigReal] = []
         for n in range(n_max + 1):
@@ -157,10 +113,11 @@ def eta_from_gamma_recurrence(g: GammaTable, n_max: int,
             for k in range(n):
                 acc += out[k] * g.values[n - k - 1]
             out.append(-(n + 1) * g.values[n] - acc)
-    return EtaTable(n_max, tuple(out), ctx.working_bits, PROVENANCE_RECURRENCE)
+    return CoefficientTable("eta", CONVENTION_PAPER, PROVENANCE_RECURRENCE,
+                            tuple(out), ctx.working_bits)
 
 
-def eta_from_gamma_explicit(g: GammaTable, n: int,
+def eta_from_gamma_explicit(g: CoefficientTable, n: int,
                             ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     """eta_{n-1} by the closed partition sum
 
@@ -172,8 +129,7 @@ def eta_from_gamma_explicit(g: GammaTable, n: int,
     """
     if n < 1:
         raise ValueError("n must be positive")
-    _require_paper(g)
-    _require_length(g, n - 1, "gamma")
+    _require(g, "gamma", n - 1)
     weights = [n * modified_gamma(p) for p in range(n + 1)]
     with ctx.workprec():
         walk = _walk_partitions(n, _signed_powers(g.values, n))
@@ -181,7 +137,7 @@ def eta_from_gamma_explicit(g: GammaTable, n: int,
                             ctx.working_bits)
 
 
-def gamma_from_eta_explicit(e: EtaTable, n: int,
+def gamma_from_eta_explicit(e: CoefficientTable, n: int,
                             ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     """gamma_{n-1} by inverting the partition sum:
 
@@ -192,7 +148,7 @@ def gamma_from_eta_explicit(e: EtaTable, n: int,
     """
     if n < 1:
         raise ValueError("n must be positive")
-    _require_length(e, n - 1, "eta")
+    _require(e, "eta", n - 1)
     with ctx.workprec():
         scaled = [e.values[i] / (1 + i) for i in range(n)]
         walk = _walk_partitions(n, _signed_powers(scaled, n))
@@ -200,27 +156,27 @@ def gamma_from_eta_explicit(e: EtaTable, n: int,
                             ctx.working_bits)
 
 
-def eta_series_oracle(g: GammaTable, n_max: Optional[int] = None,
-                      ctx: PrecisionContext = DEFAULT_CONTEXT) -> EtaTable:
+def eta_series_oracle(g: CoefficientTable, n_max: Optional[int] = None,
+                      ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:
     """eta_0 .. eta_n_max as the coefficients of -A'(s)/A(s) where
     A(s) = 1 + sum gamma_n s^(n+1).
 
-    Built entirely from truncated-series arithmetic, so it shares no
-    code path with the recurrence or the partition sum.
+    Built entirely from truncated-series arithmetic on coefficient
+    tuples, so it shares no code path with the recurrence or the
+    partition sum.
     """
-    _require_paper(g)
     if n_max is None:
         n_max = g.n_max
-    _require_length(g, n_max, "gamma")
+    _require(g, "gamma", n_max)
     order = n_max + 1
-    a = PowerSeries([1] + [g.values[i] for i in range(order)], ctx)
+    a = (mp.mpf(1),) + g.values[:order]
     da = series_derivative(a, ctx)                      # order n_max
     inv = series_recip(a, ctx)                          # order n_max + 1
-    inv_cut = PowerSeries(inv.coefficients[:order], ctx)
-    quot = series_mul(da, inv_cut, ctx)
+    quot = series_mul(da, inv[:order], ctx)
     with ctx.workprec():
-        values = tuple(-c for c in quot.coefficients)
-    return EtaTable(n_max, values, ctx.working_bits, PROVENANCE_SERIES_ORACLE)
+        values = tuple(-c for c in quot)
+    return CoefficientTable("eta", CONVENTION_PAPER, PROVENANCE_SERIES_ORACLE,
+                            values, ctx.working_bits)
 
 
 # --------------------------------------------------------------------------

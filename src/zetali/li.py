@@ -29,30 +29,28 @@ famous open problem; this module only computes it, two independent ways:
 value per vector, sum_{m<=n} p(m) of them — whose near-symmetric pileup
 around zero is what makes the oscillation so much smaller than its
 largest terms; ``histogram`` bins them for plotting, placing each value
-by exact integer arithmetic.
+by exact integer comparison with the bin bounds it returns.
+
+The trend takes gamma_0 from the caller: ``lambda_estimate`` reads it
+off the table it sums over (eta_0 = -gamma_0 exactly), so no second
+table is built for it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
-from .coefficients import (
-    EtaTable,
-    SymbolicExpansion,
-    _require_length,
-    _require_paper,
-    _signed_powers,
-    modified_gamma,
-)
+from .coefficients import SymbolicExpansion, _signed_powers, modified_gamma
 from .errors import PrecisionInfeasibleError
 from .numerics import DEFAULT_CONTEXT, BigReal, PrecisionContext, weighted_sum
 from .partitions import _dense, _power_rows, _walk_partitions
-from .stieltjes import GammaTable, compute_gamma_table
+from .stieltjes import CoefficientTable, _require
 
 __all__ = [
     "LambdaRecord",
@@ -118,7 +116,7 @@ def _binomial_sum(values, n: int, bits: int) -> BigReal:
         return -acc
 
 
-def lambda_tilde_binomial(e: EtaTable, n: int,
+def lambda_tilde_binomial(e: CoefficientTable, n: int,
                           ctx: PrecisionContext = DEFAULT_CONTEXT, *,
                           check_cancellation: bool = True) -> BigReal:
     """lambda_tilde_n = - sum_{j=1}^{n} C(n, j) eta_{j-1}.
@@ -131,7 +129,7 @@ def lambda_tilde_binomial(e: EtaTable, n: int,
     """
     if n < 1:
         raise ValueError("n must be positive")
-    _require_length(e, n - 1, "eta")
+    _require(e, "eta", n - 1)
     value = _binomial_sum(e.values, n, ctx.working_bits)
     if check_cancellation:
         recheck = _binomial_sum(e.values, n, ctx.working_bits + 64)
@@ -151,7 +149,7 @@ def _lambda_weights(n: int) -> list[list[int]]:
             for r in range(n + 1)]
 
 
-def lambda_tilde_explicit(g: GammaTable, n: int,
+def lambda_tilde_explicit(g: CoefficientTable, n: int,
                           ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     """The oscillation by direct partition sum over the Stieltjes
     constants; needs only gamma_0 .. gamma_{n-1}.
@@ -162,8 +160,7 @@ def lambda_tilde_explicit(g: GammaTable, n: int,
     """
     if n < 1:
         raise ValueError("n must be positive")
-    _require_paper(g)
-    _require_length(g, n - 1, "gamma")
+    _require(g, "gamma", n - 1)
     weights = _lambda_weights(n)
     with ctx.workprec():
         walk = _walk_partitions(n, _signed_powers(g.values, n), least=1)
@@ -171,7 +168,7 @@ def lambda_tilde_explicit(g: GammaTable, n: int,
                               for r, _, p, product in walk), ctx.working_bits)
 
 
-def term_distribution(g: GammaTable, n: int,
+def term_distribution(g: CoefficientTable, n: int,
                       ctx: PrecisionContext = DEFAULT_CONTEXT) -> TermDistribution:
     """Every nonzero partition-sum term for index n, in canonical order:
     r ascending, then the canonical order of the partitions of r.
@@ -182,8 +179,7 @@ def term_distribution(g: GammaTable, n: int,
     """
     if n < 1:
         raise ValueError("n must be positive")
-    _require_paper(g)
-    _require_length(g, n - 1, "gamma")
+    _require(g, "gamma", n - 1)
     weights = _lambda_weights(n)
     by_r: list[list[BigReal]] = [[] for _ in range(n + 1)]
     with ctx.workprec():
@@ -217,25 +213,19 @@ def expand_lambda_symbolic(n: int) -> SymbolicExpansion:
 # Trend
 # --------------------------------------------------------------------------
 
-_gamma0_cache: dict[tuple[int, int], BigReal] = {}
-
-
-def trend_constant(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    """c = (gamma_0 - 1 - log(2 pi)) / 2, about -1.1303307."""
-    key = (ctx.target_bits, ctx.guard_bits)
-    gamma0 = _gamma0_cache.get(key)
-    if gamma0 is None:
-        gamma0 = compute_gamma_table(0, ctx).values[0]
-        _gamma0_cache[key] = gamma0
+def trend_constant(gamma0: BigReal, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
+    """c = (gamma_0 - 1 - log(2 pi)) / 2, about -1.1303307, from the
+    caller's gamma_0."""
     with ctx.workprec():
         return (gamma0 - 1 - mp.log(2 * mp.pi)) / 2
 
 
-def lambda_trend(n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
+def lambda_trend(n: int, gamma0: BigReal,
+                 ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     """Asymptotic trend (1 + n log n)/2 + c n of the smooth part."""
     if n < 1:
         raise ValueError("n must be positive")
-    c = trend_constant(ctx)
+    c = trend_constant(gamma0, ctx)
     with ctx.workprec():
         return (1 + n * mp.log(n)) / 2 + c * n
 
@@ -249,14 +239,13 @@ def histogram(d: TermDistribution, bins: int,
               ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[tuple[BigReal, BigReal, int]]:
     """Equal-width binning of the term values over [min, max].
 
-    With ``width = (max - min) / bins`` rounded at working precision, a
-    value v goes to bin ``min(floor((v - min) / width), bins - 1)``,
-    computed exactly by integer division of the mantissas aligned on one
-    exponent.  So a value sitting exactly on a bin boundary
-    ``min + i * width`` counts in the upper bin, and the maximum counts
-    in the last bin (if all values coincide, everything lands there).
-    Returns (lower, upper, count) rows, the bounds rounded at working
-    precision, whose counts sum to len(d).
+    With ``width = (max - min) / bins``, the lower bounds
+    ``min + i * width`` are rounded at working precision, and a value
+    goes to the last bin whose returned lower bound it reaches, compared
+    exactly as integers on one exponent.  So a value equal to a returned
+    bound counts in the bin that bound opens, and the maximum counts in
+    the last bin (if all values coincide, everything lands there).
+    Returns (lower, upper, count) rows whose counts sum to len(d).
     """
     if bins < 1:
         raise ValueError("bins must be positive")
@@ -267,43 +256,44 @@ def histogram(d: TermDistribution, bins: int,
         lo = min(vals)
         hi = max(vals)
         width = (hi - lo) / bins
-        counts = [0] * bins
-        if not width:
-            counts[-1] = len(vals)
-        else:
-            at = min(width._mpf_[2], min(v._mpf_[2] for v in vals))
+        lowers = [lo + i * width for i in range(bins)]
+    counts = [0] * bins
+    if not width:
+        counts[-1] = len(vals)
+    else:
+        at = min(x._mpf_[2] for x in itertools.chain(lowers, vals))
 
-            def scaled(x):  # x / 2^at, an integer
-                sign, man, exp, _ = x._mpf_
-                return -(man << (exp - at)) if sign else man << (exp - at)
+        def scaled(x):  # x / 2^at, an integer
+            sign, man, exp, _ = x._mpf_
+            return -(man << (exp - at)) if sign else man << (exp - at)
 
-            base, step = scaled(lo), scaled(width)
-            for v in vals:
-                counts[min((scaled(v) - base) // step, bins - 1)] += 1
-        rows = []
-        for i in range(bins):
-            lower = lo + i * width
-            upper = hi if i == bins - 1 else lo + (i + 1) * width
-            rows.append((lower, upper, counts[i]))
-    return rows
+        # interior bounds only: bin 0 also takes a value of more than
+        # working precision that lies below its rounded lower bound
+        edges = [scaled(x) for x in lowers[1:]]
+        for v in vals:
+            counts[bisect_right(edges, scaled(v))] += 1
+    return list(zip(lowers, lowers[1:] + [hi], counts))
 
 
-def lambda_estimate(table: EtaTable | GammaTable, n: int,
+def lambda_estimate(table: CoefficientTable, n: int,
                     ctx: PrecisionContext = DEFAULT_CONTEXT) -> LambdaRecord:
     """Bundle oscillation, trend, and their exact sum for one index.
 
-    The table picks the oscillation route: an eta table is summed by the
-    binomial transform, a gamma table by the explicit partition sum.
-    Passing one eta table for every index builds it only once.
+    The table's kind picks the oscillation route: an eta table is summed
+    by the binomial transform, a gamma table by the explicit partition
+    sum.  The trend's gamma_0 is read off the same table.  Passing one
+    eta table for every index builds it only once.
     """
-    if isinstance(table, EtaTable):
+    if not isinstance(table, CoefficientTable):
+        raise TypeError(f"expected a CoefficientTable, got {type(table).__name__}")
+    if table.kind == "eta":
         method, osc = "binomial", lambda_tilde_binomial(table, n, ctx)
-    elif isinstance(table, GammaTable):
-        method, osc = "explicit", lambda_tilde_explicit(table, n, ctx)
+        with ctx.workprec():  # outside it, mpmath would round to 53 bits
+            gamma0 = -table[0]
     else:
-        raise TypeError("expected an EtaTable or a GammaTable, "
-                        f"got {type(table).__name__}")
-    trend = lambda_trend(n, ctx)
+        method, osc = "explicit", lambda_tilde_explicit(table, n, ctx)
+        gamma0 = table[0]
+    trend = lambda_trend(n, gamma0, ctx)
     estimate = mp.fadd(trend, osc, exact=True)
     return LambdaRecord(n=n, lambda_tilde=osc, trend=trend,
                         estimate=estimate, method=method)

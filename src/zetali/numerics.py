@@ -12,8 +12,9 @@ adds integer-weighted terms exactly and rounds once, so its result does
 not depend on the order at all; the partition sums use it.
 
 The module also provides exact Bernoulli numbers and arithmetic on
-truncated formal power series, both of which back the series-based
-coefficient computations elsewhere in the package.
+truncated formal power series, held as plain tuples of coefficients;
+both back the series-based coefficient computations elsewhere in the
+package.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "rational_to_str",
     "rational_from_str",
     "bernoulli",
-    "PowerSeries",
     "series_mul",
     "series_recip",
     "series_derivative",
@@ -227,102 +227,55 @@ def bernoulli(m: int) -> BigRational:
 # --------------------------------------------------------------------------
 # Truncated formal power series
 # --------------------------------------------------------------------------
+#
+# A series sum_{i<=N} c_i s^i truncated at order N is the tuple
+# (c_0, ..., c_N) of its mpf coefficients.  Arithmetic keeps the
+# truncation order and is exact modulo s^(N+1) up to rounding at the
+# working precision of the supplied context.
 
 
-class PowerSeries:
-    """A formal power series ``sum_{i<=N} c_i s^i`` truncated at order N.
-
-    Coefficients are BigReal; instances are immutable.  Arithmetic keeps
-    the truncation order and is exact modulo ``s^(N+1)`` up to rounding
-    at the working precision of the supplied context.
-    """
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: Iterable, ctx: PrecisionContext = DEFAULT_CONTEXT):
-        with ctx.workprec():
-            coeffs = tuple(
-                c if isinstance(c, mp.mpf) else mp.mpf(c) for c in coefficients
-            )
-        if not coeffs:
-            raise ValueError("a series needs at least its constant coefficient")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PowerSeries is immutable")
-
-    @property
-    def order(self) -> int:
-        """Truncation order N (highest retained power)."""
-        return len(self.coefficients) - 1
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash(self.coefficients)
-
-    def __repr__(self):
-        shown = ", ".join(mp.nstr(c, 8) for c in self.coefficients[:5])
-        tail = ", ..." if len(self.coefficients) > 5 else ""
-        return f"PowerSeries([{shown}{tail}], order={self.order})"
-
-    def __call__(self, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-        """Evaluate the truncated polynomial at ``x`` (Horner)."""
-        with ctx.workprec():
-            acc = mp.mpf(0)
-            for c in reversed(self.coefficients):
-                acc = acc * x + c
-            return acc
-
-
-def series_mul(a: PowerSeries, b: PowerSeries,
-               ctx: PrecisionContext = DEFAULT_CONTEXT) -> PowerSeries:
+def series_mul(a: tuple, b: tuple,
+               ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple:
     """Cauchy product of two series of equal order, truncated at that order."""
-    if a.order != b.order:
+    if len(a) != len(b):
         raise OrderMismatchError(
-            f"truncation orders differ: {a.order} != {b.order}")
-    ac, bc = a.coefficients, b.coefficients
+            f"truncation orders differ: {len(a) - 1} != {len(b) - 1}")
     out = []
     with ctx.workprec():
-        for k in range(a.order + 1):
+        for k in range(len(a)):
             acc = mp.mpf(0)
             for i in range(k + 1):
-                acc += ac[i] * bc[k - i]
+                acc += a[i] * b[k - i]
             out.append(acc)
-    return PowerSeries(out, ctx)
+    return tuple(out)
 
 
-def series_recip(a: PowerSeries, ctx: PrecisionContext = DEFAULT_CONTEXT) -> PowerSeries:
+def series_recip(a: tuple, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple:
     """Series b with ``a * b = 1`` modulo ``s^(N+1)``.
 
     Requires a nonzero constant term; coefficients follow the standard
     forward recursion b_k = -(1/a_0) * sum_{i=1..k} a_i b_{k-i}.
     """
-    ac = a.coefficients
-    if ac[0] == 0:
+    if a[0] == 0:
         raise NonInvertibleSeriesError("constant term is zero")
     out = []
     with ctx.workprec():
-        inv0 = mp.mpf(1) / ac[0]
+        inv0 = mp.mpf(1) / a[0]
         out.append(inv0)
-        for k in range(1, a.order + 1):
+        for k in range(1, len(a)):
             acc = mp.mpf(0)
             for i in range(1, k + 1):
-                acc += ac[i] * out[k - i]
+                acc += a[i] * out[k - i]
             out.append(-inv0 * acc)
-    return PowerSeries(out, ctx)
+    return tuple(out)
 
 
-def series_derivative(a: PowerSeries, ctx: PrecisionContext = DEFAULT_CONTEXT) -> PowerSeries:
+def series_derivative(a: tuple, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple:
     """Termwise derivative, truncated at order N-1.
 
     The derivative of an order-0 series is the zero series of order 0.
     """
-    if a.order == 0:
-        return PowerSeries([0], ctx)
+    if len(a) == 1:
+        return (mp.mpf(0),)
     with ctx.workprec():
-        out = [(i + 1) * c for i, c in enumerate(a.coefficients[1:])]
-    return PowerSeries(out, ctx)
+        return tuple((i + 1) * c for i, c in enumerate(a[1:]))

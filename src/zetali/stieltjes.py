@@ -1,4 +1,8 @@
-"""Stieltjes-constant tables.
+"""Stieltjes-constant tables, and the one table type for every family.
+
+:class:`CoefficientTable` holds a table of gamma_n or of eta_n, tagged
+with its kind, its convention and the route that built it; every route
+checks the kind and length it needs with :func:`_require`.
 
 The values tabulated here are the coefficients gamma_n of the regular
 part of the Laurent expansion of the Riemann zeta function about its
@@ -41,7 +45,7 @@ import json
 import math
 import operator
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import mpmath as mp
@@ -60,7 +64,13 @@ from .numerics import (
 __all__ = [
     "CONVENTION_PAPER",
     "CONVENTION_CLASSIC",
-    "GammaTable",
+    "PROVENANCE_EULER_MACLAURIN",
+    "PROVENANCE_FILE",
+    "PROVENANCE_RECURRENCE",
+    "PROVENANCE_EXPLICIT",
+    "PROVENANCE_SERIES_ORACLE",
+    "PROVENANCE_LIMIT_DEFINITION",
+    "CoefficientTable",
     "compute_gamma_table",
     "euler_maclaurin_parameters",
     "gamma_limit_definition",
@@ -74,36 +84,70 @@ CONVENTION_PAPER = "paper"
 CONVENTION_CLASSIC = "classic"
 _CONVENTIONS = (CONVENTION_PAPER, CONVENTION_CLASSIC)
 
+PROVENANCE_EULER_MACLAURIN = "euler_maclaurin"
+PROVENANCE_FILE = "file"
+PROVENANCE_RECURRENCE = "recurrence"
+PROVENANCE_EXPLICIT = "explicit"
+PROVENANCE_SERIES_ORACLE = "series_oracle"
+PROVENANCE_LIMIT_DEFINITION = "limit_definition"
+_PROVENANCES = (PROVENANCE_EULER_MACLAURIN, PROVENANCE_FILE,
+                PROVENANCE_RECURRENCE, PROVENANCE_EXPLICIT,
+                PROVENANCE_SERIES_ORACLE, PROVENANCE_LIMIT_DEFINITION)
+_KINDS = ("gamma", "eta")
+
 
 @dataclass(frozen=True)
-class GammaTable:
-    """Immutable table of Stieltjes constants gamma_0 .. gamma_n_max.
+class CoefficientTable:
+    """Immutable table of gamma_0 .. gamma_n_max or eta_0 .. eta_n_max.
 
-    ``precision_bits`` records the working precision the values carry.
+    ``kind`` is ``"gamma"`` or ``"eta"``; eta tables are always in the
+    ``"paper"`` convention.  ``provenance`` names the route that built
+    the values, and ``precision_bits`` the working precision they carry.
     """
 
+    kind: str
     convention: str
-    n_max: int
+    provenance: str
     values: tuple[BigReal, ...]
     precision_bits: int
 
     def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown kind {self.kind!r}")
         if self.convention not in _CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}")
-        if self.n_max < 0:
-            raise ValueError("n_max must be nonnegative")
+        if self.kind == "eta" and self.convention != CONVENTION_PAPER:
+            raise ValueError("eta tables use the paper convention only")
+        if self.provenance not in _PROVENANCES:
+            raise ValueError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != self.n_max + 1:
-            raise ValueError(
-                f"expected {self.n_max + 1} values, got {len(self.values)}")
+        if not self.values:
+            raise ValueError("a table needs at least its index-0 value")
         if self.precision_bits < 1:
             raise ValueError("precision_bits must be positive")
+
+    @property
+    def n_max(self) -> int:
+        return len(self.values) - 1
 
     def __getitem__(self, n: int) -> BigReal:
         return self.values[n]
 
     def __len__(self) -> int:
-        return self.n_max + 1
+        return len(self.values)
+
+
+def _require(table: CoefficientTable, kind: str, n_needed: int) -> None:
+    """Raise ValueError unless ``table`` is a paper-convention ``kind``
+    table reaching index ``n_needed``."""
+    if table.kind != kind:
+        raise ValueError(f"need a table of kind {kind!r}, got kind {table.kind!r}")
+    if table.convention != CONVENTION_PAPER:
+        raise ValueError(
+            f"need a {CONVENTION_PAPER!r}-convention table, got {table.convention!r}")
+    if table.n_max < n_needed:
+        raise ValueError(
+            f"{kind} table too short: need index {n_needed}, have {table.n_max}")
 
 
 # --------------------------------------------------------------------------
@@ -177,7 +221,7 @@ def euler_maclaurin_parameters(n_max: int, ctx: PrecisionContext = DEFAULT_CONTE
 
 def compute_gamma_table(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
                         cutoff: int | None = None,
-                        tail_terms: int | None = None) -> GammaTable:
+                        tail_terms: int | None = None) -> CoefficientTable:
     """Build the table gamma_0 .. gamma_n_max (convention "paper").
 
     Truncation error is below 2^-(target_bits + 8) per coefficient by
@@ -237,7 +281,8 @@ def compute_gamma_table(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
             for m in range(min(n + 1, len(folded))):
                 acc += folded[m] * expc[n - m]
             coef[n] += acc
-    return GammaTable(CONVENTION_PAPER, n_max, tuple(coef), ctx.working_bits)
+    return CoefficientTable("gamma", CONVENTION_PAPER, PROVENANCE_EULER_MACLAURIN,
+                            tuple(coef), ctx.working_bits)
 
 
 def gamma_limit_definition(n: int, x_max: int,
@@ -281,14 +326,16 @@ def _exact_int_scale(x: BigReal, factor: int) -> BigReal:
         return x * factor
 
 
-def convert_convention(table: GammaTable, target: str) -> GammaTable:
-    """Re-normalize a table between the "paper" and "classic" tags.
+def convert_convention(table: CoefficientTable, target: str) -> CoefficientTable:
+    """Re-normalize a gamma table between the "paper" and "classic" tags.
 
     classic[n] = (-1)^n * n! * paper[n].  Multiplying by n! is performed
     exactly (mantissas may grow past the stated precision), division
     rounds once at the table's precision — so paper -> classic -> paper
     returns the original values bit for bit.
     """
+    if table.kind != "gamma":
+        raise ValueError(f"only gamma tables have conventions, got kind {table.kind!r}")
     if target not in _CONVENTIONS:
         raise ValueError(f"unknown convention {target!r}")
     if table.convention == target:
@@ -304,7 +351,7 @@ def convert_convention(table: GammaTable, target: str) -> GammaTable:
                 if sign < 0:
                     w = -w  # exact: the quotient already fits the precision
         out.append(w)
-    return GammaTable(target, table.n_max, tuple(out), table.precision_bits)
+    return replace(table, convention=target, values=tuple(out))
 
 
 # --------------------------------------------------------------------------
@@ -312,27 +359,30 @@ def convert_convention(table: GammaTable, target: str) -> GammaTable:
 # --------------------------------------------------------------------------
 
 
-def render_table(table: GammaTable, fmt: str = "json") -> str:
-    """Serialize a table to its JSON or CSV file format.
+def render_table(table: CoefficientTable, fmt: str = "json") -> str:
+    """Serialize a gamma table to its JSON or CSV file format.
 
     JSON: ``{"convention", "precision_bits", "n_max", "values"}`` with
     values as decimal strings.  CSV: ``# key=value`` metadata comments,
     a ``n,value`` header, one row per index.  Both forms are exact
     inverses of :func:`load_table` up to 1 ulp at the stated precision.
+    The file format has no kind field, so an eta table is refused.
     """
+    if table.kind != "gamma":
+        raise ValueError(f"table files hold gamma tables, got kind {table.kind!r}")
     obj = {"convention": table.convention, "precision_bits": table.precision_bits,
            "n_max": table.n_max,
            "values": [to_decimal(v, table.precision_bits) for v in table.values]}
     return render(fmt, obj, ("convention", "precision_bits"), "n,value")
 
 
-def save_table(table: GammaTable, path) -> None:
+def save_table(table: CoefficientTable, path) -> None:
     """Write a table file; a ``.csv`` suffix selects CSV, anything else JSON."""
     fmt = "csv" if str(path).endswith(".csv") else "json"
     Path(path).write_text(render_table(table, fmt), encoding="utf-8")
 
 
-def _table_from_parts(convention, precision_bits, n_max, raw_values) -> GammaTable:
+def _table_from_parts(convention, precision_bits, n_max, raw_values) -> CoefficientTable:
     if convention not in _CONVENTIONS:
         raise TableFormatError(f"unknown convention tag {convention!r}")
     try:
@@ -352,10 +402,10 @@ def _table_from_parts(convention, precision_bits, n_max, raw_values) -> GammaTab
     for n, v in enumerate(values):
         if not mp.isfinite(v):
             raise TableFormatError(f"non-finite value {raw_values[n]!r} at index {n}")
-    return GammaTable(convention, n_max, values, precision_bits)
+    return CoefficientTable("gamma", convention, PROVENANCE_FILE, values, precision_bits)
 
 
-def load_table(path) -> GammaTable:
+def load_table(path) -> CoefficientTable:
     """Read a table file written by :func:`save_table` (format sniffed
     from the content, so extensions do not matter on input)."""
     text = Path(path).read_text(encoding="utf-8")

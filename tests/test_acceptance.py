@@ -136,15 +136,15 @@ def test_criterion_6_stieltjes_self_consistency(gamma40, eta40, ctx256):
             assert abs(el - eta40[0]) < mp.mpf("1e-2")
 
 
-def test_criterion_7_trend_constant(ctx256):
+def test_criterion_7_trend_constant(gamma40, ctx256):
     with report(7, "trend constant to 30 digits; trend(1) = 1/2 + c"):
-        c = trend_constant(ctx256)
+        c = trend_constant(gamma40[0], ctx256)
         with mp.workprec(400):
             independent = (mp.euler - 1 - mp.log(2 * mp.pi)) / 2
             assert abs(c - independent) < mp.mpf(10) ** -30
         with ctx256.workprec():
             want = (1 + 1 * mp.log(1)) / 2 + c * 1
-        assert lambda_trend(1, ctx256) == want
+        assert lambda_trend(1, gamma40[0], ctx256) == want
 
 
 def test_criterion_8_figure_reproduction(gamma40, eta40, ctx256):

@@ -84,11 +84,12 @@ class TestStieltjesCommand:
     def test_classic_table_input_is_converted(self, capsys, tmp_path):
         # a classic-normalization table on --table is converted on the fly
         import mpmath as mp
-        from zetali import CONVENTION_CLASSIC, GammaTable, save_table
+        from zetali import CONVENTION_CLASSIC, CoefficientTable, save_table
         with mp.workprec(150):
             values = tuple(mp.stieltjes(n) for n in range(4))
         path = tmp_path / "classic.json"
-        save_table(GammaTable(CONVENTION_CLASSIC, 3, values, 150), path)
+        save_table(CoefficientTable("gamma", CONVENTION_CLASSIC, "file", values, 150),
+                   path)
         code, out, _ = run_cli(capsys, "eta", "--n-max", "3",
                                "--table", str(path), "--prec", "96")
         assert code == 0

@@ -5,8 +5,7 @@ import pytest
 
 from zetali import (
     CONVENTION_CLASSIC,
-    EtaTable,
-    GammaTable,
+    CoefficientTable,
     PrecisionContext,
     convert_convention,
     eta_from_gamma_explicit,
@@ -26,16 +25,6 @@ from helpers import (
     poly_normalize,
     rel_diff,
 )
-
-
-class TestEtaTableType:
-    def test_validation(self):
-        with mp.workprec(64):
-            vals = (mp.mpf(1),)
-        with pytest.raises(ValueError):
-            EtaTable(1, vals, 64, "recurrence")
-        with pytest.raises(ValueError):
-            EtaTable(0, vals, 64, "guesswork")
 
 
 class TestModifiedGamma:
@@ -117,7 +106,7 @@ class TestSeriesOracle:
         # negated logarithmic derivative is -1/(1+s) = -1 + s - s^2 + ...
         with ctx256.workprec():
             vals = tuple(mp.mpf(1 if i == 0 else 0) for i in range(7))
-        synth = GammaTable("paper", 6, vals, ctx256.working_bits)
+        synth = CoefficientTable("gamma", "paper", "file", vals, ctx256.working_bits)
         ser = eta_series_oracle(synth, 6, ctx256)
         with ctx256.workprec():
             for n in range(7):

@@ -131,30 +131,31 @@ class TestSymbolicLambda:
 
 
 class TestTrend:
-    def test_constant_fixture(self, ctx256):
+    def test_constant_fixture(self, gamma40, ctx256):
         ref = from_decimal(TREND_C_REF, 200)
         with ctx256.workprec():
-            assert abs(trend_constant(ctx256) - ref) < mp.mpf(10) ** -45
+            assert abs(trend_constant(gamma40[0], ctx256) - ref) < mp.mpf(10) ** -45
 
-    def test_independent_evaluation(self, ctx256):
+    def test_independent_evaluation(self, gamma40, ctx256):
         # same expression from mpmath's own Euler constant at higher precision
         with mp.workprec(400):
             ref = (mp.euler - 1 - mp.log(2 * mp.pi)) / 2
         with ctx256.workprec():
-            assert abs(trend_constant(ctx256) - ref) < mp.mpf(10) ** -45
+            assert abs(trend_constant(gamma40[0], ctx256) - ref) < mp.mpf(10) ** -45
 
-    def test_n1_is_half_plus_c(self, ctx256):
-        c = trend_constant(ctx256)
+    def test_n1_is_half_plus_c(self, gamma40, ctx256):
+        c = trend_constant(gamma40[0], ctx256)
         with ctx256.workprec():
             want = (1 + 1 * mp.log(1)) / 2 + c * 1
-        assert lambda_trend(1, ctx256) == want
+        assert lambda_trend(1, gamma40[0], ctx256) == want
 
-    def test_eventual_growth(self, ctx256):
-        assert lambda_trend(128, ctx256) > lambda_trend(64, ctx256)
+    def test_eventual_growth(self, gamma40, ctx256):
+        g0 = gamma40[0]
+        assert lambda_trend(128, g0, ctx256) > lambda_trend(64, g0, ctx256)
 
-    def test_validation(self, ctx256):
+    def test_validation(self, gamma40, ctx256):
         with pytest.raises(ValueError):
-            lambda_trend(0, ctx256)
+            lambda_trend(0, gamma40[0], ctx256)
 
 
 class TestTermDistribution:
@@ -230,19 +231,26 @@ class TestHistogram:
     @pytest.mark.parametrize("bins,i", [(5, 3), (9, 7), (12, 7)])
     def test_exact_boundary_goes_up(self, bins, i):
         # v = lo + i*width exactly, in 257, 256 and 258 bits; rounding
-        # (v - lo)/width in mpf put it in bin i - 1 at (9, 7) and (12, 7)
+        # (v - lo)/width in mpf put it in bin i - 1 at (9, 7) and (12, 7).
+        # Row i's returned lower bound, lo + i*width rounded, sits just
+        # below v; placing values by the exact boundary put it in bin i - 1.
         ctx = PrecisionContext(256, 0)
         with ctx.workprec():
             lo, hi = mp.mpf(-4.125), mp.mpf(9.875)
             width = (hi - lo) / bins
             v = mp.fadd(lo, mp.fmul(i, width, exact=True), exact=True)
 
-        def counts(values):
-            return [c for _, _, c in histogram(TermDistribution(1, values), bins, ctx)]
+        def rows(values):
+            return histogram(TermDistribution(1, values), bins, ctx)
 
+        def counts(values):
+            return [c for _, _, c in rows(values)]
+
+        bound = rows((lo, hi))[i][0]
         up = [1] + [0] * (i - 1) + [1] + [0] * (bins - i - 2) + [1]
-        assert counts((lo, v, hi)) == up
-        assert counts((v,) * 4) == [0] * (bins - 1) + [4]
+        for x in (v, bound):
+            assert counts((lo, x, hi)) == up
+            assert counts((x,) * 4) == [0] * (bins - 1) + [4]
 
     def test_rows_unchanged_at_default_precision(self):
         # no term here lies within rounding of a boundary, so binning by
@@ -290,6 +298,17 @@ class TestLambdaEstimate:
         assert b.lambda_tilde == lambda_tilde_explicit(gamma40, 9, ctx256)
         with ctx256.workprec():
             assert rel_diff(a.lambda_tilde, b.lambda_tilde) < mp.mpf(2) ** -80
+
+    def test_trend_same_from_either_table(self):
+        # eta_0 = -gamma_0 exactly, as long as the negation runs at
+        # working precision (mpmath's default would round it to 53 bits)
+        ctx = lambda_context(192, 12)
+        g = compute_gamma_table(11, ctx)
+        e = eta_from_gamma_recurrence(g, 11, ctx)
+        for n in range(1, 13):
+            trend = lambda_estimate(g, n, ctx).trend
+            assert lambda_estimate(e, n, ctx).trend == trend, n
+            assert trend == lambda_trend(n, g[0], ctx), n
 
     def test_unknown_method(self, gamma40, ctx256):
         # only an eta or a gamma table names a route

@@ -6,36 +6,72 @@ import pytest
 from zetali import (
     CONVENTION_CLASSIC,
     CONVENTION_PAPER,
-    GammaTable,
+    CoefficientTable,
     PrecisionContext,
     PrecisionInfeasibleError,
     TableFormatError,
     compute_gamma_table,
     convert_convention,
+    eta_from_gamma_explicit,
+    eta_from_gamma_recurrence,
+    eta_series_oracle,
     euler_maclaurin_parameters,
     from_decimal,
+    gamma_from_eta_explicit,
     gamma_limit_definition,
+    lambda_tilde_binomial,
+    lambda_tilde_explicit,
     load_table,
+    render_table,
     save_table,
+    term_distribution,
     to_decimal,
 )
 from helpers import GAMMA0_REF, GAMMA1_CLASSIC_REF
 
 
-class TestGammaTableType:
-    def test_count_validation(self):
+class TestCoefficientTable:
+    @pytest.mark.parametrize("fields", [
+        ("delta", CONVENTION_PAPER, "file", (1,), 64),
+        ("gamma", "modern", "file", (1,), 64),
+        ("eta", CONVENTION_CLASSIC, "recurrence", (1,), 64),
+        ("eta", CONVENTION_PAPER, "guesswork", (1,), 64),
+        ("gamma", CONVENTION_PAPER, "file", (), 64),
+        ("gamma", CONVENTION_PAPER, "file", (1,), 0),
+    ], ids=["kind", "convention", "eta_classic", "provenance", "empty", "precision"])
+    def test_validation(self, fields):
+        kind, convention, provenance, values, bits = fields
         with mp.workprec(64):
-            vals = (mp.mpf(1), mp.mpf(2))
+            values = tuple(map(mp.mpf, values))
         with pytest.raises(ValueError):
-            GammaTable(CONVENTION_PAPER, 4, vals, 64)
+            CoefficientTable(kind, convention, provenance, values, bits)
 
-    def test_convention_validation(self):
-        with pytest.raises(ValueError):
-            GammaTable("modern", 0, (mp.mpf(1),), 64)
-
-    def test_indexing(self, gamma40):
+    def test_indexing(self, gamma40, eta40):
         assert gamma40[0] == gamma40.values[0]
-        assert len(gamma40) == 41
+        assert len(gamma40) == 41 and gamma40.n_max == 40
+        assert (gamma40.kind, gamma40.provenance) == ("gamma", "euler_maclaurin")
+        assert (eta40.kind, eta40.convention) == ("eta", CONVENTION_PAPER)
+
+    @pytest.mark.parametrize("route,kind", [
+        (lambda g, e, p: eta_from_gamma_recurrence(e, 4), "eta"),
+        (lambda g, e, p: eta_from_gamma_explicit(e, 4), "eta"),
+        (lambda g, e, p: eta_series_oracle(e, 4), "eta"),
+        (lambda g, e, p: lambda_tilde_explicit(e, 4), "eta"),
+        (lambda g, e, p: term_distribution(e, 4), "eta"),
+        (lambda g, e, p: lambda_tilde_binomial(g, 4), "gamma"),
+        (lambda g, e, p: gamma_from_eta_explicit(g, 4), "gamma"),
+        (lambda g, e, p: render_table(e), "eta"),
+        (lambda g, e, p: save_table(e, p), "eta"),
+        (lambda g, e, p: convert_convention(e, CONVENTION_CLASSIC), "eta"),
+    ], ids=["recurrence", "eta_explicit", "series_oracle", "lambda_explicit",
+            "term_distribution", "lambda_binomial", "gamma_from_eta",
+            "render_table", "save_table", "convert_convention"])
+    def test_wrong_kind_rejected(self, route, kind, gamma40, eta40, tmp_path):
+        # each route names the table it was handed, and writes no file
+        path = tmp_path / "table.json"
+        with pytest.raises(ValueError, match=f"got kind '{kind}'"):
+            route(gamma40, eta40, path)
+        assert not path.exists()
 
 
 class TestComputeGammaTable:
@@ -191,6 +227,7 @@ class TestTableFiles:
         path = tmp_path / "table.json"
         save_table(gamma40, path)
         loaded = load_table(path)
+        assert (loaded.kind, loaded.provenance) == ("gamma", "file")
         assert loaded.convention == gamma40.convention
         assert loaded.n_max == gamma40.n_max
         assert loaded.precision_bits == gamma40.precision_bits
@@ -282,7 +319,7 @@ class TestTableFiles:
         # (mpmath's own Stieltjes computation), saved, loaded, converted
         with mp.workprec(150):
             values = tuple(mp.stieltjes(n) for n in range(9))
-        lit = GammaTable(CONVENTION_CLASSIC, 8, values, 150)
+        lit = CoefficientTable("gamma", CONVENTION_CLASSIC, "file", values, 150)
         path = tmp_path / "literature.json"
         save_table(lit, path)
         paper = convert_convention(load_table(path), CONVENTION_PAPER)
