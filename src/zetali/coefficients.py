@@ -49,9 +49,11 @@ from .numerics import (
     BigReal,
     PrecisionContext,
     rational_to_str,
+    rounded_product,
     series_derivative,
     series_mul,
     series_recip,
+    to_raw,
     weighted_sum,
 )
 from .partitions import MultiplicityVector, _dense, _power_rows, _walk_partitions
@@ -96,10 +98,19 @@ def partition_product(values, vec: MultiplicityVector) -> BigReal:
     return acc
 
 
-def _signed_powers(values, n: int) -> list[list]:
-    """Walk table of the factors of :func:`partition_product`, computed
-    the same way; call under the working precision."""
-    return _power_rows(n, lambda j, c: (-values[j]) ** c / math.factorial(c))
+def _signed_walk(values, n: int, ctx: PrecisionContext, least: int | None = None):
+    """The partition walk over the factors of :func:`partition_product`.
+
+    Each factor is formed in ``mpf`` as there, at the working precision,
+    and then held raw; the walk rounds every prefix product as ``mpf``
+    multiplication at that precision would, so each yielded
+    ``(man, exp)`` product has the value of :func:`partition_product`.
+    """
+    with ctx.workprec():
+        powers = _power_rows(
+            n, lambda j, c: to_raw((-values[j]) ** c / math.factorial(c)))
+    return _walk_partitions(n, powers, least,
+                            mul=rounded_product(ctx.working_bits), one=(1, 0))
 
 
 def eta_from_gamma_recurrence(g: CoefficientTable, n_max: int,
@@ -131,10 +142,9 @@ def eta_from_gamma_explicit(g: CoefficientTable, n: int,
         raise ValueError("n must be positive")
     _require(g, "gamma", n - 1)
     weights = [n * modified_gamma(p) for p in range(n + 1)]
-    with ctx.workprec():
-        walk = _walk_partitions(n, _signed_powers(g.values, n))
-        return weighted_sum(((weights[p], product) for _, p, product in walk),
-                            ctx.working_bits)
+    walk = _signed_walk(g.values, n, ctx)
+    return weighted_sum(((weights[p], product) for _, p, product in walk),
+                        ctx.working_bits)
 
 
 def gamma_from_eta_explicit(e: CoefficientTable, n: int,
@@ -151,9 +161,9 @@ def gamma_from_eta_explicit(e: CoefficientTable, n: int,
     _require(e, "eta", n - 1)
     with ctx.workprec():
         scaled = [e.values[i] / (1 + i) for i in range(n)]
-        walk = _walk_partitions(n, _signed_powers(scaled, n))
-        return weighted_sum(((1, product) for _, _, product in walk),
-                            ctx.working_bits)
+    walk = _signed_walk(scaled, n, ctx)
+    return weighted_sum(((1, product) for _, _, product in walk),
+                        ctx.working_bits)
 
 
 def eta_series_oracle(g: CoefficientTable, n_max: Optional[int] = None,

@@ -45,10 +45,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, round_nearest
 
-from .coefficients import SymbolicExpansion, _signed_powers, modified_gamma
+from .coefficients import SymbolicExpansion, _signed_walk, modified_gamma
 from .errors import PrecisionInfeasibleError
-from .numerics import DEFAULT_CONTEXT, BigReal, PrecisionContext, weighted_sum
+from .numerics import DEFAULT_CONTEXT, BigReal, PrecisionContext, to_raw, weighted_sum
 from .partitions import _dense, _power_rows, _walk_partitions
 from .stieltjes import CoefficientTable, _require
 
@@ -162,10 +163,10 @@ def lambda_tilde_explicit(g: CoefficientTable, n: int,
         raise ValueError("n must be positive")
     _require(g, "gamma", n - 1)
     weights = _lambda_weights(n)
-    with ctx.workprec():
-        walk = _walk_partitions(n, _signed_powers(g.values, n), least=1)
-        return -weighted_sum(((weights[r][p], product)
-                              for r, _, p, product in walk), ctx.working_bits)
+    walk = _signed_walk(g.values, n, ctx, least=1)
+    # negated in the exact weights: rounding to nearest is symmetric
+    return weighted_sum(((-weights[r][p], product)
+                         for r, _, p, product in walk), ctx.working_bits)
 
 
 def term_distribution(g: CoefficientTable, n: int,
@@ -173,19 +174,20 @@ def term_distribution(g: CoefficientTable, n: int,
     """Every nonzero partition-sum term for index n, in canonical order:
     r ascending, then the canonical order of the partitions of r.
 
-    Each term is its integer weight times its product, rounded once at
-    working precision.  The length is sum_{m<=n} p(m) and the negated
-    sum equals lambda_tilde_n up to rounding.
+    Each term is its integer weight times its product (rounded as in
+    the sum), rounded once at working precision.  The length is
+    sum_{m<=n} p(m) and the negated sum equals lambda_tilde_n up to
+    rounding.
     """
     if n < 1:
         raise ValueError("n must be positive")
     _require(g, "gamma", n - 1)
     weights = _lambda_weights(n)
+    bits, make = ctx.working_bits, mp.mp.make_mpf
     by_r: list[list[BigReal]] = [[] for _ in range(n + 1)]
-    with ctx.workprec():
-        for r, _, p, product in _walk_partitions(
-                n, _signed_powers(g.values, n), least=1):
-            by_r[r].append(weights[r][p] * product)
+    for r, _, p, (man, exp) in _signed_walk(g.values, n, ctx, least=1):
+        by_r[r].append(make(from_man_exp(weights[r][p] * man, exp, bits,
+                                         round_nearest)))
     return TermDistribution(n, tuple(itertools.chain.from_iterable(by_r)))
 
 
@@ -239,39 +241,49 @@ def histogram(d: TermDistribution, bins: int,
               ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[tuple[BigReal, BigReal, int]]:
     """Equal-width binning of the term values over [min, max].
 
-    With ``width = (max - min) / bins``, the lower bounds
-    ``min + i * width`` are rounded at working precision, and a value
-    goes to the last bin whose returned lower bound it reaches, compared
-    exactly as integers on one exponent.  So a value equal to a returned
-    bound counts in the bin that bound opens, and the maximum counts in
-    the last bin (if all values coincide, everything lands there).
-    Returns (lower, upper, count) rows whose counts sum to len(d).
+    With ``width = (max - min) / bins``, row 0 opens at the minimum
+    itself and row i > 0 at ``min + i * width`` rounded at working
+    precision (at the minimum too when ``width`` is 0).  A value goes to
+    the last bin whose returned lower bound it reaches, compared exactly
+    as integers on one exponent, so every counted value lies within its
+    row's bounds: a value equal to a returned bound counts in the bin
+    that bound opens, and the maximum counts in the last bin (if all
+    values coincide, everything lands there).  Returns (lower, upper,
+    count) rows whose counts sum to len(d).
     """
     if bins < 1:
         raise ValueError("bins must be positive")
     vals = d.term_values
     if not vals:
         raise ValueError("empty distribution")
+    # compared exactly as integers v / 2^at; the first extreme wins, as in
+    # min() and max(), and no list of them is kept
+    at = min(exp for _, exp in map(to_raw, vals))
+    lo = hi = vals[0]
+    man, exp = to_raw(lo)
+    lo_s = hi_s = man << (exp - at)
+    for v, (man, exp) in zip(vals, map(to_raw, vals)):
+        s = man << (exp - at)
+        if s < lo_s:
+            lo, lo_s = v, s
+        elif s > hi_s:
+            hi, hi_s = v, s
     with ctx.workprec():
-        lo = min(vals)
-        hi = max(vals)
         width = (hi - lo) / bins
-        lowers = [lo + i * width for i in range(bins)]
+        lowers = [lo] + [lo + i * width if width else lo for i in range(1, bins)]
     counts = [0] * bins
     if not width:
         counts[-1] = len(vals)
     else:
-        at = min(x._mpf_[2] for x in itertools.chain(lowers, vals))
+        def ceil_scaled(x):  # smallest integer >= x / 2^at
+            man, exp = to_raw(x)
+            return man << (exp - at) if exp >= at else -(-man >> (at - exp))
 
-        def scaled(x):  # x / 2^at, an integer
-            sign, man, exp, _ = x._mpf_
-            return -(man << (exp - at)) if sign else man << (exp - at)
-
-        # interior bounds only: bin 0 also takes a value of more than
-        # working precision that lies below its rounded lower bound
-        edges = [scaled(x) for x in lowers[1:]]
-        for v in vals:
-            counts[bisect_right(edges, scaled(v))] += 1
+        # interior bounds only, as integers on the values' exponent: v
+        # reaches a bound exactly when it reaches the bound's ceiling
+        edges = [ceil_scaled(x) for x in lowers[1:]]
+        for man, exp in map(to_raw, vals):
+            counts[bisect_right(edges, man << (exp - at))] += 1
     return list(zip(lowers, lowers[1:] + [hi], counts))
 
 

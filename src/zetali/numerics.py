@@ -7,9 +7,15 @@ Real values are mpmath floats (``BigReal``), exact coefficients are
 :class:`fractions.Fraction` (``BigRational``).  All operations use
 round-to-nearest and a fixed evaluation order, so identical inputs under
 an identical context produce bit-identical results and are safe to run
-concurrently (every value here is immutable).  :func:`weighted_sum`
-adds integer-weighted terms exactly and rounds once, so its result does
-not depend on the order at all; the partition sums use it.
+concurrently (every value here is immutable).
+
+The partition sums run on raw ``(signed mantissa, exponent)`` integer
+pairs instead: :func:`to_raw` turns a finite ``mpf`` into one, and
+:func:`rounded_product` multiplies two of them rounded to nearest-even
+at a given precision by exactly mpmath's rule, so every product is the
+value ``mpf * mpf`` would give, without an ``mpf`` object per product.
+:func:`weighted_sum` adds integer-weighted pairs exactly and rounds
+once, so its result does not depend on the order at all.
 
 The module also provides exact Bernoulli numbers and arithmetic on
 truncated formal power series, held as plain tuples of coefficients;
@@ -24,7 +30,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest
@@ -40,6 +46,8 @@ __all__ = [
     "decimal_digits",
     "to_decimal",
     "render",
+    "to_raw",
+    "rounded_product",
     "weighted_sum",
     "from_decimal",
     "rational_to_str",
@@ -146,23 +154,58 @@ def render(fmt: str, obj: dict, meta_keys: Iterable[str], header: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def weighted_sum(terms: Iterable[tuple[int, BigReal]], bits: int) -> BigReal:
-    """``sum w * x`` over ``(int w, mpf x)`` pairs, rounded once.
+def to_raw(x: BigReal) -> tuple[int, int]:
+    """``x`` as ``(man, exp)`` with ``x = man * 2^exp``; zero is ``(0, 0)``.
 
-    Each ``w * x`` is formed and added exactly, as an integer on the
-    smallest exponent seen so far, and only the total is rounded to
-    ``bits`` bits (to nearest).  The result therefore does not depend on
-    the order of the terms.  Zero terms are skipped; no terms sum to 0.
+    Raises ValueError for inf and nan, so a non-finite value is refused
+    where it enters a raw computation.
+    """
+    sign, man, exp, _ = x._mpf_
+    if not man:
+        if exp:  # mpmath marks inf and nan by a zero mantissa
+            raise ValueError("non-finite value")
+        return 0, 0
+    return (-man if sign else man), exp
+
+
+def rounded_product(bits: int) -> Callable:
+    """The product of two ``(man, exp)`` pairs, rounded to nearest-even
+    at ``bits`` bits by the rule of mpmath's ``normalize``.
+
+    The result has the value of the ``mpf`` product under
+    ``workprec(bits)``; its mantissa may keep trailing zero bits (a
+    carry can give ``2^bits``), which changes no later rounding.
+    """
+    def mul(x, y):
+        man = x[0] * y[0]
+        exp = x[1] + y[1]
+        shift = man.bit_length() - bits
+        if shift <= 0:
+            return man, exp
+        mag = -man if man < 0 else man
+        t = mag >> (shift - 1)  # the kept bits and the first dropped one
+        if t & 1 and (t & 2 or mag & ((1 << (shift - 1)) - 1)):
+            t = (t >> 1) + 1
+        else:
+            t >>= 1
+        return (-t if man < 0 else t), exp + shift
+    return mul
+
+
+def weighted_sum(terms: Iterable[tuple[int, tuple[int, int]]], bits: int) -> BigReal:
+    """``sum w * man * 2^exp`` over ``(int w, (man, exp))`` pairs, rounded
+    once.
+
+    Each term is formed and added exactly, as an integer on the smallest
+    exponent seen so far, and only the total is rounded to ``bits`` bits
+    (to nearest).  The result therefore does not depend on the order of
+    the terms.  Zero terms are skipped; no terms sum to 0.  Values enter
+    through :func:`to_raw`, which refuses inf and nan.
     """
     acc = at = 0  # the exact sum so far is acc * 2^at
-    for w, x in terms:
-        sign, man, exp, _ = x._mpf_
+    for w, (man, exp) in terms:
         if not man:
-            if exp:  # mpmath marks inf and nan by a zero mantissa
-                raise ValueError("non-finite term")
             continue
-        if sign:
-            man = -man
         if exp < at:
             acc = (acc << (at - exp)) + w * man
             at = exp

@@ -20,8 +20,12 @@ O'Sullivan, arXiv:0909.2331).  That is ascending lexicographic order on
 canonical (sums, expansions, distributions and histograms all use it).
 The walk carries the running product of the caller's ``powers[j][k_j]``
 over the parts fixed so far, so each added part costs one multiplication
-instead of a loop over the whole vector; the table's entries set the
-ring (``mpf`` for the numeric sums, ``int`` for the exact expansions).
+instead of a loop over the whole vector.  The ring is the table's
+entries together with ``(one, mul)``: plain ``int`` with ``1`` and
+``operator.mul`` for the exact expansions, and for the numeric sums raw
+``(mantissa, exponent)`` pairs with ``(1, 0)`` and
+:func:`~zetali.numerics.rounded_product`, which rounds each product as
+``mpf`` multiplication would without creating an ``mpf`` per term.
 Given a least ``r``, the same walk also visits the partitions of every
 smaller ``r`` down to it, which serves the oscillation's sum over all
 ``r <= n`` in one pass.  :func:`enumerate_constrained` is the public,
@@ -30,6 +34,7 @@ dense view of the walk.
 
 from __future__ import annotations
 
+import operator
 import threading
 from typing import Iterator, NamedTuple, Sequence
 
@@ -54,11 +59,13 @@ class MultiplicityVector(NamedTuple):
         return cls(kk, sum(kk), sum((i + 1) * m for i, m in enumerate(kk)))
 
 
-def _walk_partitions(n: int, powers, least: int | None = None) -> Iterator[tuple]:
+def _walk_partitions(n: int, powers, least: int | None = None,
+                     mul=operator.mul, one=1) -> Iterator[tuple]:
     """Yield ``(parts, p, product)`` for every partition of ``n`` in
     canonical order: ``parts`` holds the ``(j, k_j)`` with ``k_j > 0`` in
     ascending ``j``, ``p`` counts the parts, and ``product`` is
-    ``1 * powers[j][k_j] * ...`` multiplied left to right in that order.
+    ``mul(...mul(one, powers[j][k_j])..., ...)``, multiplied left to
+    right in that order.
 
     With ``least`` the same walk yields ``(r, parts, p, product)`` for
     every partition of every ``r`` in ``[least, n]``: a partition of a
@@ -75,7 +82,7 @@ def _walk_partitions(n: int, powers, least: int | None = None) -> Iterator[tuple
     # {rem/2, rem/2} and single parts s >= rem - slack remain.
     every_r = least is not None
     slack = n - least if every_r else 0
-    stack = [(n, 0, (), 0, 1)]
+    stack = [(n, 0, (), 0, one)]
     pop, push = stack.pop, stack.append
     while stack:
         rem, lo, parts, p, prod = pop()
@@ -90,11 +97,11 @@ def _walk_partitions(n: int, powers, least: int | None = None) -> Iterator[tuple
                 left = rem - c * size
                 if left <= slack or left > size:
                     push((left, size, parts + ((size - 1, c),), p + c,
-                          prod * row[c]))
+                          mul(prod, row[c])))
         if not rem % 2 and rem // 2 > lo:
             size = rem // 2
             push((0, size, parts + ((size - 1, 2),), p + 2,
-                  prod * powers[size - 1][2]))
+                  mul(prod, powers[size - 1][2])))
         size = rem - slack
         if size <= half:
             size = half + 1
@@ -102,7 +109,7 @@ def _walk_partitions(n: int, powers, least: int | None = None) -> Iterator[tuple
             size = lo + 1
         while size <= rem:
             push((rem - size, size, parts + ((size - 1, 1),), p + 1,
-                  prod * powers[size - 1][1]))
+                  mul(prod, powers[size - 1][1])))
             size += 1
 
 

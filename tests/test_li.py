@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -251,6 +252,39 @@ class TestHistogram:
         for x in (v, bound):
             assert counts((lo, x, hi)) == up
             assert counts((x,) * 4) == [0] * (bins - 1) + [4]
+
+    @staticmethod
+    def _assert_rows_contain(rows, values):
+        # placement is monotone in the value, so the rows count the
+        # sorted values in runs, row by row
+        values = sorted(values)
+        assert sum(c for _, _, c in rows) == len(values)
+        it = iter(values)
+        for lower, upper, count in rows:
+            for v in itertools.islice(it, count):
+                assert lower <= v <= upper
+        assert rows[0][0] == values[0] and rows[-1][1] == values[-1]
+
+    def test_bounds_contain_values_finer_than_working_precision(self):
+        # values of 258 bits binned at 256: the rounded minimum lay
+        # above the minimum it counted, and with width 0 every bound
+        # did; the interior bounds stay rounded
+        ctx = PrecisionContext(256, 0)
+        with mp.workprec(258):
+            v = mp.mpf(-43) / 24  # -33/8 + 7/3, rounded once
+            spread = tuple(v + mp.mpf(k) / 3 for k in range(40))
+        with ctx.workprec():
+            assert +v > v  # rounded to working precision, v moves up
+        for values, bins in (((v,) * 4, 12), (spread, 12), (spread, 7)):
+            rows = histogram(TermDistribution(1, values), bins, ctx)
+            self._assert_rows_contain(rows, values)
+
+    def test_bounds_contain_values_at_working_precision(self, gamma40, ctx256):
+        for n in (6, 10):
+            dist = term_distribution(gamma40, n, ctx256)
+            for bins in (1, 9, 40):
+                self._assert_rows_contain(histogram(dist, bins, ctx256),
+                                          dist.term_values)
 
     def test_rows_unchanged_at_default_precision(self):
         # no term here lies within rounding of a boundary, so binning by

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_man_exp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from zetali import (
     series_recip,
     to_decimal,
 )
-from zetali.numerics import weighted_sum
+from zetali.numerics import rounded_product, to_raw, weighted_sum
 from helpers import eval_series
 
 CTX = PrecisionContext(128, 64)
@@ -129,13 +130,13 @@ class TestWeightedSum:
             for x in terms:
                 sequential += x
         assert sequential == 0
-        assert weighted_sum([(1, x) for x in terms], 256) == 1
+        assert weighted_sum([(1, to_raw(x)) for x in terms], 256) == 1
 
     def test_order_independent(self):
         rng = random.Random(5)
         with mp.workprec(256):
-            terms = [(rng.randrange(1, 10 ** 12), mp.mpf(rng.uniform(-1, 1))
-                      * mp.mpf(2) ** rng.randrange(-300, 300)) for _ in range(60)]
+            terms = [(rng.randrange(1, 10 ** 12), to_raw(mp.mpf(rng.uniform(-1, 1))
+                      * mp.mpf(2) ** rng.randrange(-300, 300))) for _ in range(60)]
         total = weighted_sum(terms, 256)
         for _ in range(5):
             rng.shuffle(terms)
@@ -143,15 +144,17 @@ class TestWeightedSum:
 
     def test_zeros_and_empty(self):
         assert weighted_sum([], 256) == 0
+        zero = to_raw(mp.mpf(0))
+        assert zero[0] == 0
         with mp.workprec(256):
             x = mp.mpf(1) / 7
-            assert weighted_sum([(7, mp.mpf(0)), (0, x), (3, mp.mpf(0))], 256) == 0
-            assert weighted_sum([(2, mp.mpf(0)), (3, x)], 256) == 3 * x
+            assert weighted_sum([(7, zero), (0, to_raw(x)), (3, zero)], 256) == 0
+            assert weighted_sum([(2, zero), (3, to_raw(x))], 256) == 3 * x
 
     def test_non_finite_rejected(self):
-        for bad in (mp.inf, mp.nan):
+        for bad in (mp.inf, -mp.inf, mp.nan):
             with pytest.raises(ValueError):
-                weighted_sum([(1, mp.mpf(1)), (1, bad)], 256)
+                weighted_sum(((1, to_raw(x)) for x in (mp.mpf(1), bad)), 256)
 
     @pytest.mark.parametrize("bits", [53, 256, 1000])
     def test_equals_fsum_rounded_once(self, bits):
@@ -162,7 +165,73 @@ class TestWeightedSum:
         with mp.workprec(4 * bits + 2000):  # holds the exact sum
             exact = mp.fsum(mp.fmul(w, x, exact=True) for w, x in terms)
         with mp.workprec(bits):
-            assert weighted_sum(terms, bits) == +exact
+            assert weighted_sum([(w, to_raw(x)) for w, x in terms], bits) == +exact
+
+
+class TestRoundedProduct:
+    """The raw product against ``mpf * mpf`` at the same precision, bit
+    for bit."""
+
+    @staticmethod
+    def _check(x, y, bits):
+        """``x``, ``y`` raw pairs; returns the raw product."""
+        got = rounded_product(bits)(x, y)
+        with mp.workprec(bits):
+            want = mp.mpf(x) * mp.mpf(y)
+        assert from_man_exp(*got) == want._mpf_
+        return got
+
+    @pytest.mark.parametrize("bits", [53, 256, 1000])
+    def test_random(self, bits):
+        rng = random.Random(bits)
+        for _ in range(500):
+            x, y = ((rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, bits + 1)),
+                     rng.randrange(-3 * bits, 3 * bits)) for _ in range(2))
+            self._check(x, y, bits)
+
+    @pytest.mark.parametrize("bits", [53, 256, 1000])
+    def test_exact_ties_round_to_even(self, bits):
+        # 3 * y for odd y of bits bits below 2^(bits+1)/3 has bits + 1
+        # bits and ends in 1: the dropped part is exactly one half.  As
+        # (3 << 7, -7) the same tie drops 1 followed by seven zeros.
+        rng = random.Random(bits)
+        parities = set()
+        while len(parities) < 2:
+            y = rng.randrange(1 << (bits - 1), (1 << (bits + 1)) // 3) | 1
+            kept = 3 * y >> 1
+            even = kept + (kept & 1)
+            for x, want in (((3, 0), (even, 1)), ((3 << 7, -7), (even, 1)),
+                            ((-3, 5), (-even, 6))):
+                got = self._check(x, (y, 0), bits)
+                assert from_man_exp(*got) == from_man_exp(*want)
+            parities.add(kept & 1)
+
+    @pytest.mark.parametrize("bits", [53, 256, 1000])
+    def test_carry_to_power_of_two(self, bits):
+        # (2^a + 1)(2^a - 1) = 2^(2a) - 1, all ones, rounds up to 2^(2a)
+        a = bits - 1
+        man, exp = self._check(((1 << a) + 1, 4), (-(1 << a) + 1, -9), bits)
+        assert man == -(1 << bits) and exp == 2 * a - bits - 5
+
+    @pytest.mark.parametrize("bits", [53, 256, 1000])
+    def test_exact_product_unchanged(self, bits):
+        assert self._check((3, 1), (-5, 2), bits) == (-15, 3)
+        half = (1 << (bits // 2)) - 1
+        assert self._check((half, 0), (half, -1), bits) == (half * half, -1)
+
+
+class TestToRaw:
+    def test_value(self):
+        with mp.workprec(256):
+            x = -mp.mpf(1) / 3
+        man, exp = to_raw(x)
+        assert man < 0 and from_man_exp(man, exp) == x._mpf_
+        assert to_raw(mp.mpf(0)) == (0, 0)
+
+    def test_non_finite_rejected(self):
+        for bad in (mp.inf, -mp.inf, mp.nan):
+            with pytest.raises(ValueError):
+                to_raw(bad)
 
 
 class TestRationals:

@@ -6,9 +6,10 @@ The references below state each sum plainly: loop over
 their integer weights exactly, adds them with ``mp.fsum`` at ample
 precision (exact here) and rounds once at working precision.  The
 library gets the same products from one partition walk that carries
-running prefix products, for the oscillation one walk over every r <= n,
-and adds the weighted products exactly in integers, so its results must
-be identical to these, not merely close.  ``term_distribution`` rounds
+running prefix products as raw integer pairs rounded by mpf's rule, for
+the oscillation one walk over every r <= n, and adds the weighted
+products exactly in integers, so its results must be identical to
+these, not merely close.  ``term_distribution`` rounds
 each weighted term on its own, and its reference does the same.
 """
 
@@ -16,6 +17,7 @@ import math
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_man_exp
 
 from zetali import (
     compute_gamma_table,
@@ -27,11 +29,17 @@ from zetali import (
     modified_gamma,
     term_distribution,
 )
-from zetali.coefficients import _signed_powers, partition_product
+from zetali.coefficients import _signed_walk, partition_product
 from zetali.partitions import _power_rows, _walk_partitions
 
 N_MAX = 12
+BENCH_N = 24  # in the band of the partition_sums benchmark workload
 AMPLE_BITS = 4096  # wide enough to hold every reference sum exactly
+
+
+def from_raw(pair):
+    """The mpf of a raw ``(man, exp)`` pair, exactly."""
+    return mp.mp.make_mpf(from_man_exp(*pair))
 
 
 def rounded_once(weighted, ctx):
@@ -75,9 +83,14 @@ def reference_lambda(g, n, ctx):
 
 
 @pytest.fixture(scope="module")
-def lambda_setup():
-    ctx = lambda_context(192, N_MAX)
-    return compute_gamma_table(N_MAX, ctx), ctx
+def lambda_setups():
+    """A gamma table and the oscillation context, for n <= N_MAX and for
+    BENCH_N."""
+    setups = {}
+    for m in (N_MAX, BENCH_N):
+        ctx = lambda_context(192, m)
+        setups[m] = compute_gamma_table(m, ctx), ctx
+    return setups
 
 
 class TestWalk:
@@ -94,11 +107,10 @@ class TestWalk:
 
     @pytest.mark.parametrize("n", range(1, N_MAX + 1))
     def test_prefix_products_equal_partition_product(self, gamma40, ctx256, n):
+        walk = _signed_walk(gamma40.values, n, ctx256)
         with ctx256.workprec():
-            powers = _signed_powers(gamma40.values, n)
-            for (_, _, product), vec in zip(_walk_partitions(n, powers),
-                                            enumerate_constrained(n)):
-                assert product == partition_product(gamma40.values, vec)
+            for (_, _, product), vec in zip(walk, enumerate_constrained(n)):
+                assert from_raw(product) == partition_product(gamma40.values, vec)
 
     def test_integer_ring(self):
         # distinct primes per (j, c), so a wrong or missing factor shows
@@ -111,20 +123,19 @@ class TestWalk:
 class TestEveryRWalk:
     @pytest.mark.parametrize("n", range(1, N_MAX + 1))
     def test_each_r_matches_its_own_walk(self, gamma40, ctx256, n):
-        with ctx256.workprec():
-            powers = _signed_powers(gamma40.values, n)
-            items = list(_walk_partitions(n, powers, least=1))
-            for r in range(1, n + 1):
-                assert [item[1:] for item in items if item[0] == r] == \
-                    list(_walk_partitions(r, powers))
-            assert len(items) == sum(1 for r in range(1, n + 1)
-                                     for _ in enumerate_constrained(r))
-            assert list(_walk_partitions(n, powers, least=n)) == \
-                [(n, *item) for item in _walk_partitions(n, powers)]
+        values = gamma40.values
+        items = list(_signed_walk(values, n, ctx256, least=1))
+        for r in range(1, n + 1):
+            assert [item[1:] for item in items if item[0] == r] == \
+                list(_signed_walk(values, r, ctx256))
+        assert len(items) == sum(1 for r in range(1, n + 1)
+                                 for _ in enumerate_constrained(r))
+        assert list(_signed_walk(values, n, ctx256, least=n)) == \
+            [(n, *item) for item in _signed_walk(values, n, ctx256)]
 
 
 class TestSumsMatchReference:
-    @pytest.mark.parametrize("n", range(1, N_MAX + 1))
+    @pytest.mark.parametrize("n", [*range(1, N_MAX + 1), BENCH_N])
     def test_eta_explicit(self, gamma40, ctx256, n):
         assert eta_from_gamma_explicit(gamma40, n, ctx256) == \
             reference_eta(gamma40, n, ctx256)
@@ -134,14 +145,14 @@ class TestSumsMatchReference:
         assert gamma_from_eta_explicit(eta40, n, ctx256) == \
             reference_gamma(eta40, n, ctx256)
 
-    @pytest.mark.parametrize("n", range(1, N_MAX + 1))
-    def test_lambda_explicit(self, lambda_setup, n):
-        g, ctx = lambda_setup
+    @pytest.mark.parametrize("n", [*range(1, N_MAX + 1), BENCH_N])
+    def test_lambda_explicit(self, lambda_setups, n):
+        g, ctx = lambda_setups[max(n, N_MAX)]
         assert lambda_tilde_explicit(g, n, ctx) == reference_lambda(g, n, ctx)
 
-    @pytest.mark.parametrize("n", range(1, N_MAX + 1))
-    def test_term_distribution(self, lambda_setup, n):
-        g, ctx = lambda_setup
+    @pytest.mark.parametrize("n", [*range(1, N_MAX + 1), BENCH_N])
+    def test_term_distribution(self, lambda_setups, n):
+        g, ctx = lambda_setups[max(n, N_MAX)]
         assert term_distribution(g, n, ctx).term_values == \
             reference_terms(g, n, ctx)
 
