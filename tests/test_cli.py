@@ -380,7 +380,12 @@ class TestGoldenOutput:
     round once: ``max_discrepancy`` of ``eta_explicit_vs_recurrence``
     went from 1.08e-78 to 5.40e-79 and that of
     ``lambda_binomial_vs_explicit`` from 2.5e-77 to 0.0, rounding-level
-    differences between two routes."""
+    differences between two routes.
+
+    ``verify --n-max 2`` (no distribution checks) and ``verify --n-max
+    20`` (stability scope cut to 16, lambda term count capped at 15) were
+    pinned before ``run_verification`` was rewritten, to hold its report
+    byte for byte across the rewrite."""
 
     @pytest.mark.parametrize("command,digest", [
         ("eta --method explicit --n-max 12",
@@ -433,6 +438,10 @@ class TestGoldenOutput:
          "b0dbc800ea1929b11bf727080a53115ae0b259be31768a0e59a48a56fa55b0e9"),
         ("verify --n-max 5 --format json",
          "c178e5dd818b8540d42d5744948b3d8cffc8c9802047bda89b2ee173f1d078ce"),
+        ("verify --n-max 2",
+         "5e2fcaef92553b61ca1786417b660e3f99af1de01c4e182f52e2722d5fddfde4"),
+        ("verify --n-max 20",
+         "b86cb30ea56348f00408894dd11fd7aedf8dc4c2201643b01923afd6e2589e4c"),
     ])
     def test_output_digest(self, capsys, tmp_path, gamma40, command, digest):
         if "{table}" in command:
