@@ -8,9 +8,10 @@ writer of CSV and JSON text (the JSON shapes are described by
 output is deterministic: byte-identical across runs with identical flags.
 
 Exit codes: 0 success, 1 usage or I/O error (including failed
-verification and flags that do not go together, such as ``--x-max``
-without ``--method limit`` or ``--table`` with it), 2 precision
-infeasible.
+verification, a flag the subcommand does not use, such as ``--prec`` on
+``expand`` or ``--guard`` on ``verify``, and flags that do not go
+together, such as ``--x-max`` without ``--method limit`` or ``--table``
+with it), 2 precision infeasible.
 
 Values print at ceil(target_bits * 0.302) significant digits.  The one
 exception is ``stieltjes --out``: the file written there is a
@@ -108,8 +109,13 @@ def _check_limit_flags(args) -> None:
         raise ValueError("--table cannot be combined with --method limit")
 
 
-def _limit_values(definition, args, ctx: PrecisionContext) -> tuple:
-    return tuple(definition(n, args.x_max, ctx) for n in range(args.n_max + 1))
+def _limit_table(kind: str, args, ctx: PrecisionContext) -> CoefficientTable:
+    """The ``kind`` table of ``--method limit``: each index from its
+    truncated limit definition at ``--x-max``."""
+    definition = {"gamma": gamma_limit_definition, "eta": eta_limit_definition}[kind]
+    values = tuple(definition(n, args.x_max, ctx) for n in range(args.n_max + 1))
+    return CoefficientTable(kind, CONVENTION_PAPER, PROVENANCE_LIMIT_DEFINITION,
+                            values, ctx.working_bits)
 
 
 def _emit(args, obj: dict, meta_keys, header: str, file_text: str | None = None) -> int:
@@ -155,9 +161,7 @@ def _gamma_source(args, n_needed: int, ctx: PrecisionContext) -> CoefficientTabl
 def _cmd_stieltjes(args) -> int:
     ctx = _context(args, default_guard_bits(args.n_max))
     if args.method == "limit":
-        table = CoefficientTable("gamma", CONVENTION_PAPER, PROVENANCE_LIMIT_DEFINITION,
-                                 _limit_values(gamma_limit_definition, args, ctx),
-                                 ctx.working_bits)
+        table = _limit_table("gamma", args, ctx)
     else:
         table = _gamma_source(args, args.n_max, ctx)
     # the --out file is a full-precision, loadable table
@@ -170,9 +174,7 @@ def _cmd_stieltjes(args) -> int:
 def _cmd_eta(args) -> int:
     ctx = _context(args, default_guard_bits(args.n_max))
     if args.method == "limit":
-        table = CoefficientTable("eta", CONVENTION_PAPER, PROVENANCE_LIMIT_DEFINITION,
-                                 _limit_values(eta_limit_definition, args, ctx),
-                                 ctx.working_bits)
+        table = _limit_table("eta", args, ctx)
     else:
         gamma = _gamma_source(args, args.n_max, ctx)
         if args.method == "recurrence":
@@ -264,16 +266,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "cross-verified, reproducible output.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # flags shared between subcommands, each declared once
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prec", type=_positive_int, default=192,
-                        help="target precision in bits (default 192)")
-    common.add_argument("--guard", type=_guard, default="auto",
-                        help="guard bits, or 'auto' for the per-command policy")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
+    # flags shared between subcommands, each declared once and given only
+    # to the subcommands that use it: expand is exact and takes no
+    # precision, and verify fixes its own 64-bit guard
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default csv)")
-    common.add_argument("--out", metavar="PATH", default=None,
+    output.add_argument("--out", metavar="PATH", default=None,
                         help="also write the output to PATH")
+    prec = argparse.ArgumentParser(add_help=False)
+    prec.add_argument("--prec", type=_positive_int, default=192,
+                      help="target precision in bits (default 192)")
+    guard = argparse.ArgumentParser(add_help=False)
+    guard.add_argument("--guard", type=_guard, default="auto",
+                       help="guard bits, or 'auto' for the per-command policy")
     n_max = argparse.ArgumentParser(add_help=False)
     n_max.add_argument("--n-max", dest="n_max", type=_nonneg_int, default=8,
                        help="highest index to compute (default 8)")
@@ -284,14 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     x_max.add_argument("--x-max", dest="x_max", type=_positive_int, default=None,
                        help="truncation point for --method limit (required by it)")
 
-    p = sub.add_parser("stieltjes", parents=[common, n_max, table, x_max],
+    p = sub.add_parser("stieltjes", parents=[output, prec, guard, n_max, table, x_max],
                        help="table of Stieltjes constants")
     p.add_argument("--method", choices=("em", "limit"), default="em",
                    help="'em' (production Euler-Maclaurin) or 'limit' "
                         "(direct truncated limit; slow, sanity check only)")
     p.set_defaults(func=_cmd_stieltjes)
 
-    p = sub.add_parser("eta", parents=[common, n_max, table, x_max],
+    p = sub.add_parser("eta", parents=[output, prec, guard, n_max, table, x_max],
                        help="table of eta coefficients")
     p.add_argument("--method",
                    choices=("recurrence", "explicit", "series", "limit"),
@@ -300,12 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "(sanity check only)")
     p.set_defaults(func=_cmd_eta)
 
-    p = sub.add_parser("gamma-invert", parents=[common, n_max, table],
+    p = sub.add_parser("gamma-invert", parents=[output, prec, guard, n_max, table],
                        help="round-trip gamma -> eta -> gamma via the "
                             "explicit inversion")
     p.set_defaults(func=_cmd_gamma_invert)
 
-    p = sub.add_parser("li", parents=[common, n_max, table],
+    p = sub.add_parser("li", parents=[output, prec, guard, n_max, table],
                        help="oscillating part of the Li sequence")
     p.add_argument("--method", choices=("binomial", "explicit"),
                    default="binomial", help="oscillation route")
@@ -313,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print the asymptotic trend and trend+oscillation")
     p.set_defaults(func=_cmd_li)
 
-    p = sub.add_parser("histogram", parents=[common, table],
+    p = sub.add_parser("histogram", parents=[output, prec, guard, table],
                        help="distribution of the oscillation's partition-sum terms")
     p.add_argument("--n", type=_positive_int, required=True,
                    help="oscillation index")
@@ -323,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the raw term values instead of binning")
     p.set_defaults(func=_cmd_histogram)
 
-    p = sub.add_parser("expand", parents=[common],
+    p = sub.add_parser("expand", parents=[output],
                        help="exact symbolic expansion of one coefficient")
     p.add_argument("--target", choices=("eta", "gamma", "lambda"),
                    required=True, help="which family to expand")
@@ -331,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="expansion index")
     p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("verify", parents=[common, n_max],
+    p = sub.add_parser("verify", parents=[output, prec, n_max],
                        help="run the cross-method invariant suite "
                             "(exit 0 iff every check passes)")
     p.set_defaults(func=_cmd_verify)

@@ -143,7 +143,7 @@ def eta_from_gamma_explicit(g: CoefficientTable, n: int,
     _require(g, "gamma", n - 1)
     weights = [n * modified_gamma(p) for p in range(n + 1)]
     walk = _signed_walk(g.values, n, ctx)
-    return weighted_sum(((weights[p], product) for _, p, product in walk),
+    return weighted_sum(((weights[p], product) for _, _, p, product in walk),
                         ctx.working_bits)
 
 
@@ -162,7 +162,7 @@ def gamma_from_eta_explicit(e: CoefficientTable, n: int,
     with ctx.workprec():
         scaled = [e.values[i] / (1 + i) for i in range(n)]
     walk = _signed_walk(scaled, n, ctx)
-    return weighted_sum(((1, product) for _, _, product in walk),
+    return weighted_sum(((1, product) for _, _, _, product in walk),
                         ctx.working_bits)
 
 
@@ -278,7 +278,7 @@ def expand_eta_symbolic(n: int) -> SymbolicExpansion:
         raise ValueError("n must be positive")
     terms: dict[tuple[int, ...], Fraction] = {}
     denoms = _power_rows(n, lambda j, c: math.factorial(c))
-    for parts, p, denom in _walk_partitions(n, denoms):
+    for _, parts, p, denom in _walk_partitions(n, denoms):
         coeff = Fraction(n * modified_gamma(p), denom)
         terms[_dense(parts, n + 1)] = -coeff if p % 2 else coeff
     return SymbolicExpansion("eta", n, terms)
@@ -292,6 +292,6 @@ def expand_gamma_symbolic(n: int) -> SymbolicExpansion:
         raise ValueError("n must be positive")
     denoms = _power_rows(n, lambda j, c: math.factorial(c) * (j + 1) ** c)
     terms: dict[tuple[int, ...], Fraction] = {}
-    for parts, p, denom in _walk_partitions(n, denoms):
+    for _, parts, p, denom in _walk_partitions(n, denoms):
         terms[_dense(parts, n + 1)] = Fraction(-1 if p % 2 else 1, denom)
     return SymbolicExpansion("gamma", n, terms)

@@ -118,28 +118,25 @@ def _binomial_sum(values, n: int, bits: int) -> BigReal:
 
 
 def lambda_tilde_binomial(e: CoefficientTable, n: int,
-                          ctx: PrecisionContext = DEFAULT_CONTEXT, *,
-                          check_cancellation: bool = True) -> BigReal:
+                          ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     """lambda_tilde_n = - sum_{j=1}^{n} C(n, j) eta_{j-1}.
 
     Binomials are exact integers; the eta values come from the table
-    as-is.  With ``check_cancellation`` on (the default), the sum is
-    recomputed at 64 extra guard bits, and a drift of 2^-target_bits or
-    more raises PrecisionInfeasibleError: digits that move under extra
-    guard were never trustworthy.
+    as-is.  The sum is always recomputed at 64 extra guard bits, and a
+    drift of 2^-target_bits or more raises PrecisionInfeasibleError:
+    digits that move under extra guard were never trustworthy.
     """
     if n < 1:
         raise ValueError("n must be positive")
     _require(e, "eta", n - 1)
     value = _binomial_sum(e.values, n, ctx.working_bits)
-    if check_cancellation:
-        recheck = _binomial_sum(e.values, n, ctx.working_bits + 64)
-        with ctx.workprec():
-            if abs(value - recheck) >= mp.mpf(2) ** -ctx.target_bits:
-                raise PrecisionInfeasibleError(
-                    f"binomial sum for n={n} is not stable at "
-                    f"{ctx.working_bits} working bits (cancellation); "
-                    f"raise guard_bits — policy suggests {lambda_guard_bits(n)}")
+    recheck = _binomial_sum(e.values, n, ctx.working_bits + 64)
+    with ctx.workprec():
+        if abs(value - recheck) >= mp.mpf(2) ** -ctx.target_bits:
+            raise PrecisionInfeasibleError(
+                f"binomial sum for n={n} is not stable at "
+                f"{ctx.working_bits} working bits (cancellation); "
+                f"raise guard_bits — policy suggests {lambda_guard_bits(n)}")
     return value
 
 
@@ -205,7 +202,7 @@ def expand_lambda_symbolic(n: int) -> SymbolicExpansion:
     weights = _lambda_weights(n)
     terms: dict[tuple[int, ...], Fraction] = {}
     for r in range(1, n + 1):
-        for parts, p, denom in _walk_partitions(r, denoms):
+        for _, parts, p, denom in _walk_partitions(r, denoms):
             coeff = Fraction(weights[r][p], denom)
             terms[_dense(parts, n + 1)] = coeff if p % 2 else -coeff
     return SymbolicExpansion("lambda_tilde", n, terms)

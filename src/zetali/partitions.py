@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import operator
 import threading
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "MultiplicityVector",
@@ -53,25 +53,18 @@ class MultiplicityVector(NamedTuple):
     p: int  #: total number of parts, sum k_i
     r: int  #: partitioned integer, sum (1+i) k_i
 
-    @classmethod
-    def from_multiplicities(cls, k: Sequence[int]) -> "MultiplicityVector":
-        kk = tuple(k)
-        return cls(kk, sum(kk), sum((i + 1) * m for i, m in enumerate(kk)))
-
 
 def _walk_partitions(n: int, powers, least: int | None = None,
                      mul=operator.mul, one=1) -> Iterator[tuple]:
-    """Yield ``(parts, p, product)`` for every partition of ``n`` in
-    canonical order: ``parts`` holds the ``(j, k_j)`` with ``k_j > 0`` in
-    ascending ``j``, ``p`` counts the parts, and ``product`` is
-    ``mul(...mul(one, powers[j][k_j])..., ...)``, multiplied left to
-    right in that order.
+    """Yield ``(r, parts, p, product)`` for every partition of every
+    ``r`` in ``[least, n]`` (``least`` defaults to ``n``): ``parts`` holds
+    the ``(j, k_j)`` with ``k_j > 0`` in ascending ``j``, ``p`` counts the
+    parts, and ``product`` is ``mul(...mul(one, powers[j][k_j])..., ...)``,
+    multiplied left to right in that order.
 
-    With ``least`` the same walk yields ``(r, parts, p, product)`` for
-    every partition of every ``r`` in ``[least, n]``: a partition of a
-    smaller ``r`` is a prefix of those of larger ones, so each prefix
-    product is formed once for all of them.  The items of one ``r`` come
-    in canonical order; different ``r`` interleave.
+    A partition of a smaller ``r`` is a prefix of those of larger ones, so
+    each prefix product is formed once for all of them.  The items of one
+    ``r`` come in canonical order; different ``r`` interleave.
     """
     # Depth-first.  A frame (rem, lo, ...) has used n - rem and splits
     # more into parts of size > lo; it is a partition of r = n - rem to
@@ -80,14 +73,13 @@ def _walk_partitions(n: int, powers, least: int | None = None,
     # part).  Children are pushed in reverse canonical order so they pop
     # in canonical order.  Above s = (rem-1)/2 no rest > s fits, so only
     # {rem/2, rem/2} and single parts s >= rem - slack remain.
-    every_r = least is not None
-    slack = n - least if every_r else 0
+    slack = 0 if least is None else n - least
     stack = [(n, 0, (), 0, one)]
     pop, push = stack.pop, stack.append
     while stack:
         rem, lo, parts, p, prod = pop()
         if rem <= slack:
-            yield (n - rem, parts, p, prod) if every_r else (parts, p, prod)
+            yield n - rem, parts, p, prod
             if not rem:
                 continue
         half = (rem - 1) // 2
@@ -137,7 +129,7 @@ def enumerate_constrained(n: int) -> Iterator[MultiplicityVector]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for parts, p, _ in _walk_partitions(n, _power_rows(n, lambda j, c: 1)):
+    for _, parts, p, _ in _walk_partitions(n, _power_rows(n, lambda j, c: 1)):
         yield MultiplicityVector(_dense(parts, n + 1), p, n)
 
 

@@ -1,9 +1,10 @@
 """Cross-method verification suite.
 
 Every quantity in this package is computable by at least two independent
-routes; this module recomputes each one every way and reports the worst
-observed discrepancy next to its tolerance, as data (the CLI renders it
-one machine-readable line per check).  A check passes iff its
+routes; this module recomputes each one every way, once, and reports as
+data (the CLI renders it one machine-readable line per check) the worst
+relative discrepancy (:func:`_worst`) or, for an exact law, the count of
+failing cases, next to its threshold.  A check passes iff its
 discrepancy is strictly below its threshold.
 
 The low-order expansions are also pinned against exact integer/rational
@@ -99,18 +100,23 @@ class CheckResult:
     passed: bool
 
 
-def _rel(a, b) -> mp.mpf:
-    return abs(a - b) / max(1, abs(a))
+def _worst(ctx: PrecisionContext, pairs) -> mp.mpf:
+    """The largest relative discrepancy over ``(reference, value)`` pairs
+    (0 if none), each pair drawn and compared at ``ctx``'s precision."""
+    with ctx.workprec():
+        return max((abs(a - b) / max(1, abs(a)) for a, b in pairs), default=mp.mpf(0))
 
 
-def _result(name, scope, disc, threshold, bits=64) -> CheckResult:
-    with mp.workprec(bits):
-        if not isinstance(disc, mp.mpf):
-            disc = mp.mpf(disc)
-        if not isinstance(threshold, mp.mpf):
-            threshold = mp.mpf(threshold)
-    return CheckResult(name, scope, to_decimal(disc, bits),
-                       to_decimal(threshold, bits), bool(disc < threshold))
+def _negated_sum(values, ctx: PrecisionContext) -> mp.mpf:
+    """Minus the plain left-to-right sum of ``values`` (not ``mp.fsum``) at
+    ``ctx``'s working precision, the summation the tolerance allows for."""
+    with ctx.workprec():
+        return -sum(values, mp.mpf(0))
+
+
+def _result(name, scope, disc, threshold) -> CheckResult:
+    return CheckResult(name, scope, to_decimal(disc, 64), to_decimal(threshold, 64),
+                       bool(disc < threshold))
 
 
 def run_verification(n_max: int = 20, target_bits: int = 192) -> list[CheckResult]:
@@ -126,53 +132,38 @@ def run_verification(n_max: int = 20, target_bits: int = 192) -> list[CheckResul
     if target_bits < 128:
         raise ValueError("verification needs target_bits >= 128")
     ctx = PrecisionContext(target_bits, 64)
-    work = ctx.working_bits
     checks: list[CheckResult] = []
 
     # -- combinatorial law ----------------------------------------------
-    bad = 0
-    for n in range(n_max + 1):
-        if sum(1 for _ in enumerate_constrained(n)) != partition_count(n):
-            bad += 1
+    bad = sum(sum(1 for _ in enumerate_constrained(n)) != partition_count(n)
+              for n in range(n_max + 1))
     checks.append(_result("partition_count_law", f"n<={n_max}", bad, 1))
 
     # -- eta three ways ---------------------------------------------------
     gam = compute_gamma_table(n_max, ctx)
     eta = eta_from_gamma_recurrence(gam, n_max, ctx)
-    eta_ser = eta_series_oracle(gam, n_max, ctx)
     tol = mp.mpf(2) ** -128
-    with ctx.workprec():
-        worst = mp.mpf(0)
-        for n in range(n_max + 1):
-            ex = eta_from_gamma_explicit(gam, n + 1, ctx)
-            worst = max(worst, _rel(eta.values[n], ex))
+    worst = _worst(ctx, ((eta.values[n], eta_from_gamma_explicit(gam, n + 1, ctx))
+                         for n in range(n_max + 1)))
     checks.append(_result("eta_explicit_vs_recurrence", f"n<={n_max}", worst, tol))
-    with ctx.workprec():
-        worst = mp.mpf(0)
-        for n in range(n_max + 1):
-            worst = max(worst, _rel(eta.values[n], eta_ser.values[n]))
+    worst = _worst(ctx, zip(eta.values, eta_series_oracle(gam, n_max, ctx).values))
     checks.append(_result("eta_series_vs_recurrence", f"n<={n_max}", worst, tol))
 
     # -- gamma -> eta -> gamma round trip --------------------------------
-    with ctx.workprec():
-        worst = mp.mpf(0)
-        for n in range(n_max + 1):
-            back = gamma_from_eta_explicit(eta, n + 1, ctx)
-            worst = max(worst, _rel(gam.values[n], back))
+    worst = _worst(ctx, ((gam.values[n], gamma_from_eta_explicit(eta, n + 1, ctx))
+                         for n in range(n_max + 1)))
     checks.append(_result("gamma_eta_roundtrip", f"n<={n_max}",
                           worst, mp.mpf(2) ** -100))
 
     # -- oscillation two ways, guard policy -------------------------------
     ctx_big = lambda_context(target_bits, n_max)
-    gam_big = compute_gamma_table(max(0, n_max - 1), ctx_big)
-    eta_big = eta_from_gamma_recurrence(gam_big, max(0, n_max - 1), ctx_big)
-    with ctx_big.workprec():
-        worst = mp.mpf(0)
-        for n in range(1, n_max + 1):
-            ctx_n = lambda_context(target_bits, n)
-            a = lambda_tilde_binomial(eta_big, n, ctx_n)
-            b = lambda_tilde_explicit(gam_big, n, ctx_n)
-            worst = max(worst, _rel(a, b))
+    gam_big = compute_gamma_table(n_max - 1, ctx_big)
+    eta_big = eta_from_gamma_recurrence(gam_big, n_max - 1, ctx_big)
+    ctx_n = {n: lambda_context(target_bits, n) for n in range(1, n_max + 1)}
+    # each binomial value serves this check and the distribution sums
+    lam = {n: lambda_tilde_binomial(eta_big, n, ctx_n[n]) for n in ctx_n}
+    worst = _worst(ctx_big, ((lam[n], lambda_tilde_explicit(gam_big, n, ctx_n[n]))
+                             for n in ctx_n))
     checks.append(_result("lambda_binomial_vs_explicit", f"n<={n_max}",
                           worst, mp.mpf(2) ** -80))
 
@@ -182,80 +173,49 @@ def run_verification(n_max: int = 20, target_bits: int = 192) -> list[CheckResul
     m_cut, _ = euler_maclaurin_parameters(n_stab, ctx)
     double_m = compute_gamma_table(n_stab, ctx, cutoff=2 * m_cut)
     double_g = compute_gamma_table(n_stab, ctx.with_extra_guard(ctx.guard_bits))
-    with mp.workprec(work + ctx.guard_bits):
-        worst = mp.mpf(0)
-        for n in range(n_stab + 1):
-            worst = max(worst, abs(base.values[n] - double_m.values[n]))
-            worst = max(worst, abs(base.values[n] - double_g.values[n]))
+    with mp.workprec(ctx.working_bits + ctx.guard_bits):
+        worst = max(abs(a - b) for other in (double_m, double_g)
+                    for a, b in zip(base.values, other.values))
     checks.append(_result("gamma_table_stability", f"n<={n_stab}",
                           worst, mp.mpf(2) ** -target_bits))
 
     # -- exact symbolic fixtures ------------------------------------------
-    bad = 0
-    for n, want in ETA_FIXTURES.items():
-        if expand_eta_symbolic(n).terms != want:
-            bad += 1
-    for n, want in GAMMA_FIXTURES.items():
-        if expand_gamma_symbolic(n).terms != want:
-            bad += 1
-    for n, want in LAMBDA_FIXTURES.items():
-        if expand_lambda_symbolic(n).terms != want:
-            bad += 1
+    bad = sum(expand(n).terms != want
+              for expand, fixtures in ((expand_eta_symbolic, ETA_FIXTURES),
+                                       (expand_gamma_symbolic, GAMMA_FIXTURES),
+                                       (expand_lambda_symbolic, LAMBDA_FIXTURES))
+              for n, want in fixtures.items())
     checks.append(_result("symbolic_fixtures", "eta/gamma n<=5; lambda n<=4",
                           bad, 1))
 
     # -- sign and term-count laws -----------------------------------------
+    # per index: a wrong term count, and any non-integer or mis-signed term
     n_sign = min(n_max, 25)
-    bad = 0
-    for n in range(1, n_sign + 1):
-        exp = expand_eta_symbolic(n)
-        if len(exp.terms) != partition_count(n):
-            bad += 1
-        for k, coeff in exp.terms.items():
-            sign = -1 if sum(k) % 2 else 1
-            if coeff.denominator != 1 or (coeff > 0) != (sign > 0):
-                bad += 1
-                break
+    bad = sum((len(exp.terms) != partition_count(exp.n))
+              + any(coeff.denominator != 1 or (coeff > 0) == bool(sum(k) % 2)
+                    for k, coeff in exp.terms.items())
+              for exp in map(expand_eta_symbolic, range(1, n_sign + 1)))
     checks.append(_result("eta_sign_and_term_count", f"n<={n_sign}", bad, 1))
 
     n_cnt = min(n_max, 15)
-    bad = 0
-    for n in range(1, n_cnt + 1):
-        if len(expand_lambda_symbolic(n).terms) != summatory_partition_count(n):
-            bad += 1
+    bad = sum(len(expand_lambda_symbolic(n).terms) != summatory_partition_count(n)
+              for n in range(1, n_cnt + 1))
     checks.append(_result("lambda_term_count", f"n<={n_cnt}", bad, 1))
 
     # -- term distributions: sums and zero-centered mode ------------------
     n_hi = min(n_max, 10)
-    with ctx_big.workprec():
-        worst = mp.mpf(0)
-        tightest = None
-        bad_modal = 0
-        for n in range(3, n_hi + 1):
-            ctx_n = lambda_context(target_bits, n)
-            dist = term_distribution(gam_big, n, ctx_n)
-            with ctx_n.workprec():
-                total = mp.mpf(0)
-                for t in dist.term_values:
-                    total += t
-                lam = lambda_tilde_binomial(eta_big, n, ctx_n)
-                tol_n = mp.mpf(2) ** -(ctx_n.working_bits - 10 * n)
-                worst = max(worst, _rel(lam, -total))
-                tightest = tol_n if tightest is None else min(tightest, tol_n)
-            rows = histogram(dist, 9, ctx_n)
-            zero_count = None
-            for lower, upper, count in rows:
-                if lower <= 0 < upper:
-                    zero_count = count
-                    break
-            if zero_count is None:  # zero at/beyond the last edge
-                zero_count = rows[-1][2]
-            if zero_count != max(c for _, _, c in rows):
-                bad_modal += 1
     if n_hi >= 3:
+        dists = {n: term_distribution(gam_big, n, ctx_n[n]) for n in range(3, n_hi + 1)}
+        worst = max(_worst(ctx_n[n], [(lam[n], _negated_sum(d.term_values, ctx_n[n]))])
+                    for n, d in dists.items())
+        tightest = min(mp.mpf(2) ** -(ctx_n[n].working_bits - 10 * n) for n in dists)
         checks.append(_result("distribution_sum", f"3<=n<={n_hi}",
                               worst, tightest))
+        # zero's bin is the last one when zero lies at or beyond its edge
+        hists = [histogram(d, 9, ctx_n[n]) for n, d in dists.items()]
+        bad = sum(next((c for lo, hi, c in rows if lo <= 0 < hi), rows[-1][2])
+                  != max(c for _, _, c in rows) for rows in hists)
         checks.append(_result("histogram_zero_bin_modal",
-                              f"3<=n<={n_hi}; bins=9", bad_modal, 1))
+                              f"3<=n<={n_hi}; bins=9", bad, 1))
 
     return checks

@@ -357,6 +357,22 @@ class TestParser:
         args = parser.parse_args(["stieltjes", "--n-max", "3"])
         assert args.n_max == 3 and args.prec == 192 and args.guard == "auto"
 
+    @pytest.mark.parametrize("command", [
+        # expand is exact, so no precision flag can change its output
+        "expand --target eta --n 4 --prec 7",
+        "expand --target eta --n 4 --guard 3",
+        # verify fixes its own 64-bit guard
+        "verify --n-max 3 --guard 0",
+        "verify --n-max 3 --guard 500",
+    ])
+    def test_flag_the_command_ignores_exits_1(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main(command.split())
+        assert err.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unrecognized arguments" in out.err
+
 
 class TestGoldenOutput:
     """SHA-256 digests of CLI output, each run exiting 0.  The first seven

@@ -60,13 +60,6 @@ class TestBinomialRoute:
         eta = eta_from_gamma_recurrence(gamma, 19, ctx)
         lambda_tilde_binomial(eta, 20, ctx)  # must not raise
 
-    def test_sentinel_can_be_disabled(self):
-        bare = PrecisionContext(192, 0)
-        gamma = compute_gamma_table(19, PrecisionContext(192, 64))
-        eta = eta_from_gamma_recurrence(gamma, 19, bare)
-        value = lambda_tilde_binomial(eta, 20, bare, check_cancellation=False)
-        assert abs(value) > 0
-
 
 class TestExplicitRoute:
     def test_n1(self, gamma40, ctx256):

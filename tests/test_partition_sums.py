@@ -95,13 +95,13 @@ def lambda_setups():
 
 class TestWalk:
     def test_empty_partition(self):
-        assert list(_walk_partitions(0, [])) == [((), 0, 1)]
+        assert list(_walk_partitions(0, [])) == [(0, (), 0, 1)]
 
     @pytest.mark.parametrize("n", range(1, N_MAX + 1))
     def test_matches_dense_enumeration(self, n):
-        walked = [(parts, p) for parts, p, _ in
+        walked = [(r, parts, p) for r, parts, p, _ in
                   _walk_partitions(n, _power_rows(n, lambda j, c: 1))]
-        dense = [(tuple((j, c) for j, c in enumerate(v.k) if c), v.p)
+        dense = [(n, tuple((j, c) for j, c in enumerate(v.k) if c), v.p)
                  for v in enumerate_constrained(n)]
         assert walked == dense
 
@@ -109,14 +109,14 @@ class TestWalk:
     def test_prefix_products_equal_partition_product(self, gamma40, ctx256, n):
         walk = _signed_walk(gamma40.values, n, ctx256)
         with ctx256.workprec():
-            for (_, _, product), vec in zip(walk, enumerate_constrained(n)):
+            for (_, _, _, product), vec in zip(walk, enumerate_constrained(n)):
                 assert from_raw(product) == partition_product(gamma40.values, vec)
 
     def test_integer_ring(self):
         # distinct primes per (j, c), so a wrong or missing factor shows
         primes = iter([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
         powers = _power_rows(6, lambda j, c: next(primes) if c else None)
-        for parts, _, product in _walk_partitions(6, powers):
+        for _, parts, _, product in _walk_partitions(6, powers):
             assert product == math.prod(powers[j][c] for j, c in parts)
 
 
@@ -126,12 +126,13 @@ class TestEveryRWalk:
         values = gamma40.values
         items = list(_signed_walk(values, n, ctx256, least=1))
         for r in range(1, n + 1):
-            assert [item[1:] for item in items if item[0] == r] == \
+            assert [item for item in items if item[0] == r] == \
                 list(_signed_walk(values, r, ctx256))
         assert len(items) == sum(1 for r in range(1, n + 1)
                                  for _ in enumerate_constrained(r))
+        # least defaults to n: the partitions of n alone
         assert list(_signed_walk(values, n, ctx256, least=n)) == \
-            [(n, *item) for item in _signed_walk(values, n, ctx256)]
+            list(_signed_walk(values, n, ctx256))
 
 
 class TestSumsMatchReference:

@@ -80,7 +80,8 @@ class TestEnumeration:
             count += 1
             assert len(v.k) == n + 1
             assert v.r == n
-            assert v == MultiplicityVector.from_multiplicities(v.k)
+            assert v.p == sum(v.k)
+            assert v.r == sum((i + 1) * m for i, m in enumerate(v.k))
             if n >= 1:
                 assert v.p >= 1
         assert count == partition_count(n)
