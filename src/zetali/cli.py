@@ -269,17 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
     # flags shared between subcommands, each declared once and given only
     # to the subcommands that use it: expand is exact and takes no
     # precision, and verify fixes its own 64-bit guard
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
-    output.add_argument("--out", metavar="PATH", default=None,
-                        help="also write the output to PATH")
     prec = argparse.ArgumentParser(add_help=False)
     prec.add_argument("--prec", type=_positive_int, default=192,
                       help="target precision in bits (default 192)")
     guard = argparse.ArgumentParser(add_help=False)
     guard.add_argument("--guard", type=_guard, default="auto",
                        help="guard bits, or 'auto' for the per-command policy")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="output format (default csv)")
+    output.add_argument("--out", metavar="PATH", default=None,
+                        help="also write the output to PATH")
     n_max = argparse.ArgumentParser(add_help=False)
     n_max.add_argument("--n-max", dest="n_max", type=_nonneg_int, default=8,
                        help="highest index to compute (default 8)")
@@ -290,14 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     x_max.add_argument("--x-max", dest="x_max", type=_positive_int, default=None,
                        help="truncation point for --method limit (required by it)")
 
-    p = sub.add_parser("stieltjes", parents=[output, prec, guard, n_max, table, x_max],
+    p = sub.add_parser("stieltjes", parents=[prec, guard, output, n_max, table, x_max],
                        help="table of Stieltjes constants")
     p.add_argument("--method", choices=("em", "limit"), default="em",
                    help="'em' (production Euler-Maclaurin) or 'limit' "
                         "(direct truncated limit; slow, sanity check only)")
     p.set_defaults(func=_cmd_stieltjes)
 
-    p = sub.add_parser("eta", parents=[output, prec, guard, n_max, table, x_max],
+    p = sub.add_parser("eta", parents=[prec, guard, output, n_max, table, x_max],
                        help="table of eta coefficients")
     p.add_argument("--method",
                    choices=("recurrence", "explicit", "series", "limit"),
@@ -306,12 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "(sanity check only)")
     p.set_defaults(func=_cmd_eta)
 
-    p = sub.add_parser("gamma-invert", parents=[output, prec, guard, n_max, table],
+    p = sub.add_parser("gamma-invert", parents=[prec, guard, output, n_max, table],
                        help="round-trip gamma -> eta -> gamma via the "
                             "explicit inversion")
     p.set_defaults(func=_cmd_gamma_invert)
 
-    p = sub.add_parser("li", parents=[output, prec, guard, n_max, table],
+    p = sub.add_parser("li", parents=[prec, guard, output, n_max, table],
                        help="oscillating part of the Li sequence")
     p.add_argument("--method", choices=("binomial", "explicit"),
                    default="binomial", help="oscillation route")
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print the asymptotic trend and trend+oscillation")
     p.set_defaults(func=_cmd_li)
 
-    p = sub.add_parser("histogram", parents=[output, prec, guard, table],
+    p = sub.add_parser("histogram", parents=[prec, guard, output, table],
                        help="distribution of the oscillation's partition-sum terms")
     p.add_argument("--n", type=_positive_int, required=True,
                    help="oscillation index")
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="expansion index")
     p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("verify", parents=[output, prec, n_max],
+    p = sub.add_parser("verify", parents=[prec, output, n_max],
                        help="run the cross-method invariant suite "
                             "(exit 0 iff every check passes)")
     p.set_defaults(func=_cmd_verify)
