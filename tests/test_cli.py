@@ -401,7 +401,13 @@ class TestGoldenOutput:
     ``verify --n-max 2`` (no distribution checks) and ``verify --n-max
     20`` (stability scope cut to 16, lambda term count capped at 15) were
     pinned before ``run_verification`` was rewritten, to hold its report
-    byte for byte across the rewrite."""
+    byte for byte across the rewrite.
+
+    ``li --n-max 12 --with-trend --format json`` (the binomial route in
+    JSON) and ``li --n-max 8 --with-trend --table {table} --prec 128
+    --guard 16`` were pinned before the trend's gamma_0 was read off the
+    gamma table instead of negating eta_0: with a 256-bit table under 144
+    working bits, this is where the two could round apart."""
 
     @pytest.mark.parametrize("command,digest", [
         ("eta --method explicit --n-max 12",
@@ -458,6 +464,10 @@ class TestGoldenOutput:
          "5e2fcaef92553b61ca1786417b660e3f99af1de01c4e182f52e2722d5fddfde4"),
         ("verify --n-max 20",
          "b86cb30ea56348f00408894dd11fd7aedf8dc4c2201643b01923afd6e2589e4c"),
+        ("li --n-max 12 --with-trend --format json",
+         "d48b439e44645c888a07817a6424de5e91eb3acd80810e17cd45e0235411a2ab"),
+        ("li --n-max 8 --with-trend --table {table} --prec 128 --guard 16",
+         "c0e49206081fe011bfe5936d2975182b535cd5cc07bdd47d4d5fc5619af5fe54"),
     ])
     def test_output_digest(self, capsys, tmp_path, gamma40, command, digest):
         if "{table}" in command:
