@@ -34,7 +34,6 @@ from .numerics import (
     decimal_digits,
     default_guard_bits,
     from_decimal,
-    rational_from_str,
     rational_to_str,
     series_derivative,
     series_mul,
@@ -43,7 +42,6 @@ from .numerics import (
     to_decimal,
 )
 from .partitions import (
-    MultiplicityVector,
     enumerate_constrained,
     partition_count,
     summatory_partition_count,
@@ -72,12 +70,10 @@ from .coefficients import (
     modified_gamma,
 )
 from .li import (
-    LambdaRecord,
     TermDistribution,
     expand_lambda_symbolic,
     histogram,
     lambda_context,
-    lambda_estimate,
     lambda_guard_bits,
     lambda_tilde_binomial,
     lambda_tilde_explicit,
@@ -97,11 +93,10 @@ __all__ = [
     # numerics
     "BigReal", "BigRational", "PrecisionContext", "DEFAULT_CONTEXT",
     "default_guard_bits", "decimal_digits", "to_decimal", "render", "from_decimal",
-    "rational_to_str", "rational_from_str", "bernoulli",
+    "rational_to_str", "bernoulli",
     "series_mul", "series_recip", "series_derivative",
     # partitions
-    "MultiplicityVector", "enumerate_constrained", "partition_count",
-    "summatory_partition_count",
+    "enumerate_constrained", "partition_count", "summatory_partition_count",
     # stieltjes
     "CONVENTION_PAPER", "CONVENTION_CLASSIC", "CoefficientTable",
     "compute_gamma_table", "euler_maclaurin_parameters",
@@ -113,10 +108,10 @@ __all__ = [
     "gamma_from_eta_explicit", "eta_series_oracle", "eta_limit_definition",
     "expand_eta_symbolic", "expand_gamma_symbolic",
     # li
-    "LambdaRecord", "TermDistribution", "lambda_guard_bits",
-    "lambda_context", "lambda_tilde_binomial", "lambda_tilde_explicit",
+    "TermDistribution", "lambda_guard_bits", "lambda_context",
+    "lambda_tilde_binomial", "lambda_tilde_explicit",
     "expand_lambda_symbolic", "trend_constant", "lambda_trend",
-    "term_distribution", "histogram", "lambda_estimate",
+    "term_distribution", "histogram",
     # verify
     "CheckResult", "run_verification",
 ]

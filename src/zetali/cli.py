@@ -27,6 +27,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath as mp
+
 from .coefficients import (
     eta_from_gamma_explicit,
     eta_from_gamma_recurrence,
@@ -40,8 +42,10 @@ from .errors import PrecisionInfeasibleError, TableFormatError
 from .li import (
     expand_lambda_symbolic,
     histogram,
-    lambda_estimate,
     lambda_guard_bits,
+    lambda_tilde_binomial,
+    lambda_tilde_explicit,
+    lambda_trend,
     term_distribution,
 )
 from .numerics import PrecisionContext, default_guard_bits, render, to_decimal
@@ -202,18 +206,22 @@ def _cmd_gamma_invert(args) -> int:
 def _cmd_li(args) -> int:
     n_max = args.n_max
     ctx = _context(args, lambda_guard_bits(n_max))
-    # a gamma table selects the explicit route, an eta table the binomial
-    # one; the eta table for the top index serves every smaller index
-    table = _gamma_source(args, max(0, n_max - 1), ctx)
+    gamma = _gamma_source(args, max(0, n_max - 1), ctx)
     if args.method == "binomial" and n_max > 0:
-        table = eta_from_gamma_recurrence(table, n_max - 1, ctx)
+        # the eta table for the top index serves every smaller index
+        eta = eta_from_gamma_recurrence(gamma, n_max - 1, ctx)
+        route, table = lambda_tilde_binomial, eta
+    else:
+        route, table = lambda_tilde_explicit, gamma
     records = []
     for n in range(1, n_max + 1):
-        rec = lambda_estimate(table, n, ctx)
-        row = {"n": n, "lambda_tilde": to_decimal(rec.lambda_tilde, args.prec)}
+        osc = route(table, n, ctx)
+        row = {"n": n, "lambda_tilde": to_decimal(osc, args.prec)}
         if args.with_trend:
-            row["trend"] = to_decimal(rec.trend, args.prec)
-            row["estimate"] = to_decimal(rec.estimate, args.prec)
+            # the estimate is the exact sum; it rounds only when printed
+            trend = lambda_trend(n, gamma[0], ctx)
+            row["trend"] = to_decimal(trend, args.prec)
+            row["estimate"] = to_decimal(mp.fadd(trend, osc, exact=True), args.prec)
         records.append(row)
     obj = {"method": args.method, "precision_bits": ctx.working_bits,
            "n_max": n_max, "with_trend": bool(args.with_trend), "records": records}

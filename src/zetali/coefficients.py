@@ -56,7 +56,7 @@ from .numerics import (
     to_raw,
     weighted_sum,
 )
-from .partitions import MultiplicityVector, _dense, _power_rows, _walk_partitions
+from .partitions import _dense, _power_rows, _walk_partitions
 from .stieltjes import (
     CONVENTION_PAPER,
     PROVENANCE_RECURRENCE,
@@ -86,13 +86,14 @@ def modified_gamma(p: int) -> int:
     return 1 if p == 0 else math.factorial(p - 1)
 
 
-def partition_product(values, vec: MultiplicityVector) -> BigReal:
-    """prod_i (-values[i])^(k_i) / k_i! over the nonzero multiplicities.
+def partition_product(values, k: tuple[int, ...]) -> BigReal:
+    """prod_i (-values[i])^(k_i) / k_i! over the nonzero multiplicities
+    of the vector ``k``.
 
     Must be called under the working precision of the caller's context.
     """
     acc = mp.mpf(1)
-    for i, m in enumerate(vec.k):
+    for i, m in enumerate(k):
         if m:
             acc *= (-values[i]) ** m / math.factorial(m)
     return acc

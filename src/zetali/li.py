@@ -31,9 +31,8 @@ around zero is what makes the oscillation so much smaller than its
 largest terms; ``histogram`` bins them for plotting, placing each value
 by exact integer comparison with the bin bounds it returns.
 
-The trend takes gamma_0 from the caller: ``lambda_estimate`` reads it
-off the table it sums over (eta_0 = -gamma_0 exactly), so no second
-table is built for it.
+The trend takes gamma_0 from the caller, who already holds the gamma
+table, so no second table is built for it.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from .partitions import _dense, _power_rows, _walk_partitions
 from .stieltjes import CoefficientTable, _require
 
 __all__ = [
-    "LambdaRecord",
     "TermDistribution",
     "lambda_guard_bits",
     "lambda_context",
@@ -65,23 +63,7 @@ __all__ = [
     "lambda_trend",
     "term_distribution",
     "histogram",
-    "lambda_estimate",
 ]
-
-@dataclass(frozen=True)
-class LambdaRecord:
-    """Oscillation, trend, and their sum for one index.
-
-    ``estimate`` is trend + lambda_tilde computed exactly (no rounding in
-    the addition); since the trend is only asymptotic, the estimate is an
-    asymptotic stand-in for the underlying Li number, not its value.
-    """
-
-    n: int
-    lambda_tilde: BigReal
-    trend: BigReal
-    estimate: BigReal
-    method: str
 
 
 @dataclass(frozen=True)
@@ -282,27 +264,3 @@ def histogram(d: TermDistribution, bins: int,
         for man, exp in map(to_raw, vals):
             counts[bisect_right(edges, man << (exp - at))] += 1
     return list(zip(lowers, lowers[1:] + [hi], counts))
-
-
-def lambda_estimate(table: CoefficientTable, n: int,
-                    ctx: PrecisionContext = DEFAULT_CONTEXT) -> LambdaRecord:
-    """Bundle oscillation, trend, and their exact sum for one index.
-
-    The table's kind picks the oscillation route: an eta table is summed
-    by the binomial transform, a gamma table by the explicit partition
-    sum.  The trend's gamma_0 is read off the same table.  Passing one
-    eta table for every index builds it only once.
-    """
-    if not isinstance(table, CoefficientTable):
-        raise TypeError(f"expected a CoefficientTable, got {type(table).__name__}")
-    if table.kind == "eta":
-        method, osc = "binomial", lambda_tilde_binomial(table, n, ctx)
-        with ctx.workprec():  # outside it, mpmath would round to 53 bits
-            gamma0 = -table[0]
-    else:
-        method, osc = "explicit", lambda_tilde_explicit(table, n, ctx)
-        gamma0 = table[0]
-    trend = lambda_trend(n, gamma0, ctx)
-    estimate = mp.fadd(trend, osc, exact=True)
-    return LambdaRecord(n=n, lambda_tilde=osc, trend=trend,
-                        estimate=estimate, method=method)

@@ -51,7 +51,6 @@ __all__ = [
     "weighted_sum",
     "from_decimal",
     "rational_to_str",
-    "rational_from_str",
     "bernoulli",
     "series_mul",
     "series_recip",
@@ -224,11 +223,6 @@ def rational_to_str(q: BigRational) -> str:
     """Render a rational as ``num/den`` in lowest terms, denominator
     always explicit and positive."""
     return f"{q.numerator}/{q.denominator}"
-
-
-def rational_from_str(text: str) -> BigRational:
-    num, _, den = text.strip().partition("/")
-    return Fraction(int(num), int(den) if den else 1)
 
 
 # --------------------------------------------------------------------------

@@ -36,22 +36,13 @@ from __future__ import annotations
 
 import operator
 import threading
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 __all__ = [
-    "MultiplicityVector",
     "enumerate_constrained",
     "partition_count",
     "summatory_partition_count",
 ]
-
-
-class MultiplicityVector(NamedTuple):
-    """A tuple of part multiplicities with its derived statistics."""
-
-    k: tuple[int, ...]
-    p: int  #: total number of parts, sum k_i
-    r: int  #: partitioned integer, sum (1+i) k_i
 
 
 def _walk_partitions(n: int, powers, least: int | None = None,
@@ -119,9 +110,9 @@ def _dense(parts, length: int) -> tuple[int, ...]:
     return tuple(k)
 
 
-def enumerate_constrained(n: int) -> Iterator[MultiplicityVector]:
-    """Yield every multiplicity vector of length ``n + 1`` with ``r = n``,
-    exactly once, in ascending lexicographic order on ``k``.
+def enumerate_constrained(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield every multiplicity vector ``k`` of length ``n + 1`` with
+    ``r = n``, as a tuple, exactly once, in ascending lexicographic order.
 
     For ``n = 0`` this is the single all-zero vector; for ``n >= 1``
     every emitted vector has ``p >= 1``.  The stream is lazy: the count
@@ -129,8 +120,8 @@ def enumerate_constrained(n: int) -> Iterator[MultiplicityVector]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for _, parts, p, _ in _walk_partitions(n, _power_rows(n, lambda j, c: 1)):
-        yield MultiplicityVector(_dense(parts, n + 1), p, n)
+    for _, parts, _, _ in _walk_partitions(n, _power_rows(n, lambda j, c: 1)):
+        yield _dense(parts, n + 1)
 
 
 _pcount_lock = threading.Lock()

@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -317,15 +318,6 @@ def gamma_limit_definition(n: int, x_max: int,
 # --------------------------------------------------------------------------
 
 
-def _exact_int_scale(x: BigReal, factor: int) -> BigReal:
-    # x * factor with no rounding: allow the mantissa to grow
-    # (mpmath rounds every operation, negation included, to the ambient
-    # precision, so the signed multiply must happen inside the block)
-    bits = max(x.man.bit_length() + factor.bit_length() + 4, 8)
-    with mp.workprec(bits):
-        return x * factor
-
-
 def convert_convention(table: CoefficientTable, target: str) -> CoefficientTable:
     """Re-normalize a gamma table between the "paper" and "classic" tags.
 
@@ -344,7 +336,7 @@ def convert_convention(table: CoefficientTable, target: str) -> CoefficientTable
     for n, v in enumerate(table.values):
         sign = -1 if n % 2 else 1
         if target == CONVENTION_CLASSIC:
-            w = _exact_int_scale(v, sign * math.factorial(n))
+            w = mp.fmul(v, sign * math.factorial(n), exact=True)
         else:
             with mp.workprec(table.precision_bits):
                 w = v / math.factorial(n)  # one rounding
@@ -382,19 +374,31 @@ def save_table(table: CoefficientTable, path) -> None:
     Path(path).write_text(render_table(table, fmt), encoding="utf-8")
 
 
+def _metadata_int(name: str, value) -> int:
+    """An integer field: a JSON integer, or a decimal-integer string as a
+    CSV comment gives it; floats, booleans and the rest are refused."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", value):
+        return int(value)
+    raise TableFormatError(f"bad table metadata: {name} must be an integer, "
+                           f"got {value!r}")
+
+
 def _table_from_parts(convention, precision_bits, n_max, raw_values) -> CoefficientTable:
     if convention not in _CONVENTIONS:
         raise TableFormatError(f"unknown convention tag {convention!r}")
-    try:
-        precision_bits = int(precision_bits)
-        n_max = int(n_max)
-    except (TypeError, ValueError) as exc:
-        raise TableFormatError(f"bad table metadata: {exc}") from exc
+    precision_bits = _metadata_int("precision_bits", precision_bits)
+    n_max = _metadata_int("n_max", n_max)
     if precision_bits < 1 or n_max < 0:
         raise TableFormatError("precision_bits/n_max out of range")
     if len(raw_values) != n_max + 1:
         raise TableFormatError(
             f"entry count mismatch: n_max={n_max} but {len(raw_values)} values")
+    for n, v in enumerate(raw_values):
+        if not isinstance(v, str):
+            raise TableFormatError(
+                f"values[{n}] must be a decimal string, got {v!r}")
     try:
         values = tuple(from_decimal(v, precision_bits) for v in raw_values)
     except (ValueError, TypeError) as exc:

@@ -169,7 +169,7 @@ def run_verification(n_max: int = 20, target_bits: int = 192) -> list[CheckResul
 
     # -- table stability under parameter doubling -------------------------
     n_stab = min(n_max, 16)
-    base = compute_gamma_table(n_stab, ctx)
+    base = gam if n_stab == n_max else compute_gamma_table(n_stab, ctx)
     m_cut, _ = euler_maclaurin_parameters(n_stab, ctx)
     double_m = compute_gamma_table(n_stab, ctx, cutoff=2 * m_cut)
     double_g = compute_gamma_table(n_stab, ctx.with_extra_guard(ctx.guard_bits))

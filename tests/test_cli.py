@@ -5,7 +5,8 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from zetali import load_table, rational_from_str, save_table
+import zetali.verify
+from zetali import compute_gamma_table, load_table, run_verification, save_table
 from zetali.cli import build_parser, main, output_schema
 
 
@@ -126,6 +127,28 @@ class TestStieltjesCommand:
         assert code == 1
         assert out == ""
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("field,raw,values", [
+        # each of these used to escape as a traceback or be truncated
+        ("values", None, '[0.5, "0.07", "-0.0097"]'),   # a JSON number
+        ("values", None, '["0.5", null, "-0.0097"]'),
+        ("precision_bits", "1e999", None),               # overflows int()
+        ("precision_bits", "256.5", None),               # read as 256
+        ("precision_bits", "true", None),                # read as 1
+        ("n_max", "2.0", None),
+        ("n_max", "false", '["0.5"]'),                   # read as 0
+    ])
+    def test_malformed_json_table_exits_1(self, capsys, tmp_path, field, raw, values):
+        fields = {"convention": '"paper"', "precision_bits": "256", "n_max": "2",
+                  "values": values or '["0.5", "0.07", "-0.0097"]'}
+        if raw is not None:
+            fields[field] = raw
+        path = tmp_path / "bad.json"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        code, out, err = run_cli(capsys, "li", "--n-max", "1", "--table", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("zetali: error: ") and field in err
 
     def test_table_below_prec_exits_2(self, capsys, tmp_path):
         # a 64-bit table cannot back 192-bit output
@@ -294,7 +317,7 @@ class TestExpandCommand:
         obj = json.loads(out)
         validate(obj, "expansion")
         assert obj["target"] == "lambda_tilde"
-        got = {tuple(t["k"]): rational_from_str(t["coeff"]) for t in obj["terms"]}
+        got = {tuple(t["k"]): Fraction(t["coeff"]) for t in obj["terms"]}
         assert got == {(1, 0, 0): Fraction(2), (0, 1, 0): Fraction(2),
                        (2, 0, 0): Fraction(-1)}
 
@@ -311,7 +334,7 @@ class TestExpandCommand:
                                "--n", "3", "--format", "json")
         assert code == 0
         obj = json.loads(out)
-        got = {tuple(t["k"]): rational_from_str(t["coeff"]) for t in obj["terms"]}
+        got = {tuple(t["k"]): Fraction(t["coeff"]) for t in obj["terms"]}
         assert got == {(0, 0, 1, 0): Fraction(-1, 3), (1, 1, 0, 0): Fraction(1, 2),
                        (3, 0, 0, 0): Fraction(-1, 6)}
 
@@ -337,6 +360,19 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--n-max", "4", "--prec", "64")
         assert code == 1
         assert "target_bits" in err
+
+    def test_gamma_table_built_once_per_context(self, monkeypatch):
+        # gam, gam_big, and the doubled cutoff and doubled guard: at n_max
+        # <= 16 the stability base is the table gam already is
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return compute_gamma_table(*args, **kwargs)
+
+        monkeypatch.setattr(zetali.verify, "compute_gamma_table", counting)
+        assert all(c.passed for c in run_verification(5))
+        assert calls == [5, 4, 5, 5]
 
 
 class TestParser:

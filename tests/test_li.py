@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -17,15 +18,16 @@ from zetali import (
     from_decimal,
     histogram,
     lambda_context,
-    lambda_estimate,
     lambda_guard_bits,
     lambda_tilde_binomial,
     lambda_tilde_explicit,
     lambda_trend,
     summatory_partition_count,
     term_distribution,
+    to_decimal,
     trend_constant,
 )
+from zetali.cli import main
 from zetali.li import TermDistribution
 from helpers import LAMBDA_EXPANSIONS, TREND_C_REF, poly_add, poly_normalize, poly_scale, rel_diff
 
@@ -306,41 +308,55 @@ class TestHistogram:
 
 
 class TestLambdaEstimate:
-    def test_exact_decomposition(self, gamma40, ctx256):
-        rec = lambda_estimate(gamma40, 5, ctx256)
-        # the sum is stored exactly, so the identity holds bit for bit
-        assert mp.fsub(rec.estimate, rec.trend, exact=True) == rec.lambda_tilde
+    """The pieces of the estimate column of ``li --with-trend``: the
+    oscillation by the route ``--method`` names, and the trend from the
+    gamma table's gamma_0."""
+
+    def test_exact_decomposition(self, capsys):
+        # the CLI adds trend and oscillation exactly; only printing rounds
+        ctx = PrecisionContext(192, 64)
+        g = compute_gamma_table(4, ctx)
+        osc = lambda_tilde_explicit(g, 5, ctx)
+        trend = lambda_trend(5, g[0], ctx)
+        estimate = mp.fadd(trend, osc, exact=True)
+        assert mp.fsub(estimate, trend, exact=True) == osc
+        assert main(["li", "--method", "explicit", "--n-max", "5", "--with-trend",
+                     "--guard", "64", "--format", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)["records"][-1]
+        assert row == {"n": 5, "lambda_tilde": to_decimal(osc, 192),
+                       "trend": to_decimal(trend, 192),
+                       "estimate": to_decimal(estimate, 192)}
 
     def test_n1(self, gamma40, eta40, ctx256):
         # lambda_tilde_1 = -eta_0 = gamma_0 on both routes
-        for table in (gamma40, eta40):
-            assert lambda_estimate(table, 1, ctx256).lambda_tilde == gamma40[0]
+        assert lambda_tilde_binomial(eta40, 1, ctx256) == gamma40[0]
+        assert lambda_tilde_explicit(gamma40, 1, ctx256) == gamma40[0]
 
     def test_methods_agree(self, gamma40, eta40, ctx256):
-        # the table type picks the route
-        a = lambda_estimate(eta40, 9, ctx256)
-        b = lambda_estimate(gamma40, 9, ctx256)
-        assert a.method == "binomial" and b.method == "explicit"
-        assert a.lambda_tilde == lambda_tilde_binomial(eta40, 9, ctx256)
-        assert b.lambda_tilde == lambda_tilde_explicit(gamma40, 9, ctx256)
+        a = lambda_tilde_binomial(eta40, 9, ctx256)
+        b = lambda_tilde_explicit(gamma40, 9, ctx256)
         with ctx256.workprec():
-            assert rel_diff(a.lambda_tilde, b.lambda_tilde) < mp.mpf(2) ** -80
+            assert rel_diff(a, b) < mp.mpf(2) ** -80
 
     def test_trend_same_from_either_table(self):
         # eta_0 = -gamma_0 exactly, as long as the negation runs at
-        # working precision (mpmath's default would round it to 53 bits)
+        # working precision (mpmath's default would round it to 53 bits),
+        # so reading gamma_0 off the gamma table changes no trend
         ctx = lambda_context(192, 12)
         g = compute_gamma_table(11, ctx)
         e = eta_from_gamma_recurrence(g, 11, ctx)
+        with ctx.workprec():
+            gamma0 = -e[0]
+        assert gamma0 == g[0]
         for n in range(1, 13):
-            trend = lambda_estimate(g, n, ctx).trend
-            assert lambda_estimate(e, n, ctx).trend == trend, n
-            assert trend == lambda_trend(n, g[0], ctx), n
+            assert lambda_trend(n, gamma0, ctx) == lambda_trend(n, g[0], ctx), n
 
-    def test_unknown_method(self, gamma40, ctx256):
-        # only an eta or a gamma table names a route
-        with pytest.raises(TypeError):
-            lambda_estimate(gamma40.values, 3, ctx256)
+    def test_unknown_method(self, gamma40, eta40, ctx256):
+        # each route sums one kind of table and refuses the other
+        with pytest.raises(ValueError, match="kind"):
+            lambda_tilde_binomial(gamma40, 3, ctx256)
+        with pytest.raises(ValueError, match="kind"):
+            lambda_tilde_explicit(eta40, 3, ctx256)
 
     def test_guard_policy_values(self):
         assert lambda_guard_bits(1) == 64

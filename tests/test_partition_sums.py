@@ -52,24 +52,24 @@ def rounded_once(weighted, ctx):
 
 def reference_eta(g, n, ctx):
     with ctx.workprec():
-        weighted = [(n * modified_gamma(vec.p), partition_product(g.values, vec))
-                    for vec in enumerate_constrained(n)]
+        weighted = [(n * modified_gamma(sum(k)), partition_product(g.values, k))
+                    for k in enumerate_constrained(n)]
     return rounded_once(weighted, ctx)
 
 
 def reference_gamma(e, n, ctx):
     with ctx.workprec():
         scaled = [e.values[i] / (1 + i) for i in range(n)]
-        weighted = [(1, partition_product(scaled, vec))
-                    for vec in enumerate_constrained(n)]
+        weighted = [(1, partition_product(scaled, k))
+                    for k in enumerate_constrained(n)]
     return rounded_once(weighted, ctx)
 
 
 def reference_weighted_terms(g, n, ctx):
     with ctx.workprec():
-        return [(modified_gamma(vec.p) * math.comb(n, r) * r,
-                 partition_product(g.values, vec))
-                for r in range(1, n + 1) for vec in enumerate_constrained(r)]
+        return [(modified_gamma(sum(k)) * math.comb(n, r) * r,
+                 partition_product(g.values, k))
+                for r in range(1, n + 1) for k in enumerate_constrained(r)]
 
 
 def reference_terms(g, n, ctx):
@@ -101,16 +101,16 @@ class TestWalk:
     def test_matches_dense_enumeration(self, n):
         walked = [(r, parts, p) for r, parts, p, _ in
                   _walk_partitions(n, _power_rows(n, lambda j, c: 1))]
-        dense = [(n, tuple((j, c) for j, c in enumerate(v.k) if c), v.p)
-                 for v in enumerate_constrained(n)]
+        dense = [(n, tuple((j, c) for j, c in enumerate(k) if c), sum(k))
+                 for k in enumerate_constrained(n)]
         assert walked == dense
 
     @pytest.mark.parametrize("n", range(1, N_MAX + 1))
     def test_prefix_products_equal_partition_product(self, gamma40, ctx256, n):
         walk = _signed_walk(gamma40.values, n, ctx256)
         with ctx256.workprec():
-            for (_, _, _, product), vec in zip(walk, enumerate_constrained(n)):
-                assert from_raw(product) == partition_product(gamma40.values, vec)
+            for (_, _, _, product), k in zip(walk, enumerate_constrained(n)):
+                assert from_raw(product) == partition_product(gamma40.values, k)
 
     def test_integer_ring(self):
         # distinct primes per (j, c), so a wrong or missing factor shows

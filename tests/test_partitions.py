@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetali import (
-    MultiplicityVector,
     enumerate_constrained,
     partition_count,
     summatory_partition_count,
@@ -36,16 +35,16 @@ def brute_force_box(n, cap_axes=False):
 class TestEnumeration:
     def test_n0_single_zero_vector(self):
         vecs = list(enumerate_constrained(0))
-        assert vecs == [MultiplicityVector((0,), 0, 0)]
+        assert vecs == [(0,)]
 
     def test_n1_single_vector(self):
         vecs = list(enumerate_constrained(1))
         assert len(vecs) == 1
-        assert vecs[0].k == (1, 0)
-        assert vecs[0].p == 1 and vecs[0].r == 1
+        assert vecs[0] == (1, 0)
+        assert sum(vecs[0]) == 1
 
     def test_n3_exact_set(self):
-        assert [v.k for v in enumerate_constrained(3)] == [
+        assert list(enumerate_constrained(3)) == [
             (0, 0, 1, 0), (1, 1, 0, 0), (3, 0, 0, 0)]
 
     def test_n5_has_seven_vectors(self):
@@ -53,17 +52,17 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", list(range(7)))
     def test_matches_full_box_scan(self, n):
-        got = {v.k for v in enumerate_constrained(n)}
+        got = set(enumerate_constrained(n))
         assert got == brute_force_box(n)
 
     @pytest.mark.parametrize("n", [8, 10, 12])
     def test_matches_capped_box_scan(self, n):
-        got = {v.k for v in enumerate_constrained(n)}
+        got = set(enumerate_constrained(n))
         assert got == brute_force_box(n, cap_axes=True)
 
     def test_canonical_order_is_sorted_lex(self):
         for n in (4, 9, 15):
-            ks = [v.k for v in enumerate_constrained(n)]
+            ks = list(enumerate_constrained(n))
             assert ks == sorted(ks)
             assert len(set(ks)) == len(ks)
 
@@ -76,14 +75,12 @@ class TestEnumeration:
     @given(st.integers(min_value=0, max_value=24))
     def test_vector_statistics(self, n):
         count = 0
-        for v in enumerate_constrained(n):
+        for k in enumerate_constrained(n):
             count += 1
-            assert len(v.k) == n + 1
-            assert v.r == n
-            assert v.p == sum(v.k)
-            assert v.r == sum((i + 1) * m for i, m in enumerate(v.k))
+            assert len(k) == n + 1
+            assert sum((i + 1) * m for i, m in enumerate(k)) == n
             if n >= 1:
-                assert v.p >= 1
+                assert sum(k) >= 1
         assert count == partition_count(n)
 
     def test_negative_rejected(self):
