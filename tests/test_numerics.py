@@ -255,8 +255,9 @@ class TestBernoulli:
             assert bernoulli(m) == 0
 
     def test_defining_recurrence(self):
-        # sum_{j=0}^{m} C(m+1, j) B_j == 0, exactly
-        for m in range(2, 41):
+        # sum_{j=0}^{m} C(m+1, j) B_j == 0, exactly, for every m up to
+        # past B_212, the highest the (100, 1000+200) table build asks for
+        for m in range(2, 241):
             total = sum(math.comb(m + 1, j) * bernoulli(j) for j in range(m + 1))
             assert total == 0, m
 
