@@ -6,8 +6,10 @@ Everything numeric in this package runs under an explicit
 Real values are mpmath floats (``BigReal``), exact coefficients are
 :class:`fractions.Fraction` (``BigRational``).  All operations use
 round-to-nearest and a fixed evaluation order, so identical inputs under
-an identical context produce bit-identical results and are safe to run
-concurrently (every value here is immutable).
+an identical context produce bit-identical results, call by call, within
+one thread.  The working precision is mpmath's one process-wide setting,
+so threads at different precisions change each other's results; run
+parallel work in separate processes.
 
 The partition sums run on raw ``(signed mantissa, exponent)`` integer
 pairs instead: :func:`to_raw` turns a finite ``mpf`` into one, and
@@ -17,17 +19,16 @@ value ``mpf * mpf`` would give, without an ``mpf`` object per product.
 :func:`weighted_sum` adds integer-weighted pairs exactly and rounds
 once, so its result does not depend on the order at all.
 
-The module also provides exact Bernoulli numbers and arithmetic on
-truncated formal power series, held as plain tuples of coefficients;
-both back the series-based coefficient computations elsewhere in the
-package.
+The module also provides exact Bernoulli numbers (mpmath's ``bernfrac``
+as a :class:`~fractions.Fraction`) and arithmetic on truncated formal
+power series, held as plain tuples of coefficients; both back the
+series-based coefficient computations elsewhere in the package.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -229,36 +230,16 @@ def rational_to_str(q: BigRational) -> str:
 # Bernoulli numbers
 # --------------------------------------------------------------------------
 
-_bernoulli_lock = threading.Lock()
-_bernoulli_even: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
-
-
+@functools.cache
 def bernoulli(m: int) -> BigRational:
-    """Exact Bernoulli number B_m.
+    """Exact Bernoulli number B_m, from mpmath's ``bernfrac``.
 
     Convention: B_1 = -1/2; odd m > 1 gives exact zero (which keeps
-    summation loops over even tail weights free of special cases).  Even
-    values follow from the defining recurrence
-    ``sum_{j=0}^{m} C(m+1, j) B_j = 0`` restricted to even indices with
-    the B_1 term folded in, so results are exact rationals.
+    summation loops over even tail weights free of special cases).
     """
     if m < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    if m == 1:
-        return Fraction(-1, 2)
-    if m % 2 == 1:
-        return Fraction(0)
-    half = m // 2
-    with _bernoulli_lock:
-        cache = _bernoulli_even
-        while len(cache) <= half:
-            j = len(cache)
-            n = 2 * j
-            acc = Fraction(-(n + 1), 2)  # C(n+1, 1) * B_1
-            for i in range(j):
-                acc += math.comb(n + 1, 2 * i) * cache[i]
-            cache.append(-acc / (n + 1))
-        return cache[half]
+    return Fraction(*mp.bernfrac(m))
 
 
 # --------------------------------------------------------------------------

@@ -35,7 +35,6 @@ dense view of the walk.
 from __future__ import annotations
 
 import operator
-import threading
 from typing import Iterator
 
 __all__ = [
@@ -124,35 +123,31 @@ def enumerate_constrained(n: int) -> Iterator[tuple[int, ...]]:
         yield _dense(parts, n + 1)
 
 
-_pcount_lock = threading.Lock()
-_pcount: list[int] = [1]  # p(0)
+def _partition_counts(n: int) -> list[int]:
+    """``[p(0), ..., p(n)]`` by Euler's pentagonal recurrence
+
+        p(m) = sum_{k>=1} (-1)^(k+1) [ p(m - k(3k-1)/2) + p(m - k(3k+1)/2) ].
+    """
+    counts = [1]
+    for m in range(1, n + 1):
+        total = 0
+        k = 1
+        while (g1 := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * counts[m - g1]
+            g2 = g1 + k  # k(3k+1)/2
+            if g2 <= m:
+                total += sign * counts[m - g2]
+            k += 1
+        counts.append(total)
+    return counts
 
 
 def partition_count(n: int) -> int:
-    """Exact partition function p(n) via Euler's pentagonal recurrence
-
-        p(n) = sum_{k>=1} (-1)^(k+1) [ p(n - k(3k-1)/2) + p(n - k(3k+1)/2) ].
-    """
+    """Exact partition function p(n), by Euler's pentagonal recurrence."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    with _pcount_lock:
-        cache = _pcount
-        while len(cache) <= n:
-            m = len(cache)
-            total = 0
-            j = 1
-            while True:
-                g1 = j * (3 * j - 1) // 2
-                if g1 > m:
-                    break
-                sign = 1 if j % 2 else -1
-                total += sign * cache[m - g1]
-                g2 = j * (3 * j + 1) // 2
-                if g2 <= m:
-                    total += sign * cache[m - g2]
-                j += 1
-            cache.append(total)
-        return cache[n]
+    return _partition_counts(n)[n]
 
 
 def summatory_partition_count(n: int) -> int:
@@ -160,4 +155,4 @@ def summatory_partition_count(n: int) -> int:
     oscillation partition sum of index n."""
     if n < 1:
         raise ValueError("n must be positive")
-    return sum(partition_count(m) for m in range(1, n + 1))
+    return sum(_partition_counts(n)) - 1

@@ -45,9 +45,9 @@ import json
 import math
 import operator
 import re
-import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 import mpmath as mp
 
@@ -155,24 +155,19 @@ def _require(table: CoefficientTable, kind: str, n_needed: int) -> None:
 # Euler-Maclaurin extraction
 # --------------------------------------------------------------------------
 
-_poch_lock = threading.Lock()
-_poch_polys: list[list[int]] = [[1, 1]]  # j=1: (s + 1)
-
-
-def _pochhammer_poly(j: int) -> list[int]:
-    """Integer coefficients (ascending powers) of prod_{i=1}^{2j-1} (s+i)."""
-    with _poch_lock:
-        while len(_poch_polys) < j:
-            poly = _poch_polys[-1]
-            jj = len(_poch_polys) + 1
-            for root in (2 * jj - 2, 2 * jj - 1):
-                grown = [0] * (len(poly) + 1)
-                for i, a in enumerate(poly):
-                    grown[i] += a * root
-                    grown[i + 1] += a
-                poly = grown
-            _poch_polys.append(poly)
-        return _poch_polys[j - 1]
+def _pochhammer_polys() -> Iterator[list[int]]:
+    """Yield the integer coefficients (ascending powers) of
+    prod_{i=1}^{2j-1} (s+i) for j = 1, 2, ..."""
+    poly = [1, 1]  # j = 1: (s + 1)
+    root = 1
+    while True:
+        yield poly
+        for root in (root + 1, root + 2):
+            grown = [0] * (len(poly) + 1)
+            for i, a in enumerate(poly):
+                grown[i] += a * root
+                grown[i + 1] += a
+            poly = grown
 
 
 def euler_maclaurin_parameters(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT,
@@ -201,9 +196,9 @@ def euler_maclaurin_parameters(n_max: int, ctx: PrecisionContext = DEFAULT_CONTE
         for t in range(1, n_max + 1):
             expc.append(expc[-1] * ln_m / t)
         prev = None
-        for j in range(1, 8 * m_cut + 8):
+        for j, poly in zip(range(1, 8 * m_cut + 8), _pochhammer_polys()):
             fact = math.factorial(2 * j)
-            scaled = [c / fact for c in _pochhammer_poly(j)]
+            scaled = [c / fact for c in poly]
             worst = max(sum(map(operator.mul, scaled, expc[n::-1]))
                         for n in range(n_max + 1))
             b = bernoulli(2 * j)
@@ -269,8 +264,7 @@ def compute_gamma_table(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
             power *= -ln_m
         # Euler-Maclaurin tail folded to T[m] = sum_j pref_j * poly_j[m]
         folded = [mp.mpf(0) for _ in range(min(2 * tail, n_max + 1))]
-        for j in range(1, tail + 1):
-            poly = _pochhammer_poly(j)
+        for j, poly in zip(range(1, tail + 1), _pochhammer_polys()):
             b = bernoulli(2 * j)
             pref = (mp.mpf(b.numerator) / b.denominator
                     / mp.factorial(2 * j) * mp.mpf(m_cut) ** (-2 * j))

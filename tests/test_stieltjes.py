@@ -1,4 +1,5 @@
 import json
+import math
 
 import mpmath as mp
 import pytest
@@ -27,6 +28,7 @@ from zetali import (
     term_distribution,
     to_decimal,
 )
+from zetali.stieltjes import _pochhammer_polys
 from helpers import GAMMA0_REF, GAMMA1_CLASSIC_REF
 
 
@@ -162,6 +164,17 @@ class TestEulerMaclaurinParameters:
     def test_pinned_cutoff_unreachable(self):
         with pytest.raises(PrecisionInfeasibleError):
             euler_maclaurin_parameters(40, PrecisionContext(192, 64), cutoff=16)
+
+
+class TestPochhammerPolys:
+    def test_values(self):
+        # j reaches J = 105 at (100, 1000+200); each list evaluated at s
+        # must be prod_{i=1}^{2j-1} (s+i), exactly
+        for j, poly in zip(range(1, 111), _pochhammer_polys()):
+            assert len(poly) == 2 * j
+            for s in (0, 1, 2, -3, 7):
+                value = sum(c * s ** m for m, c in enumerate(poly))
+                assert value == math.prod(s + i for i in range(1, 2 * j)), (j, s)
 
 
 class TestGammaLimitDefinition:
