@@ -41,6 +41,7 @@ independent slow sanity check on the table builder.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -159,10 +160,9 @@ def _pochhammer_polys() -> Iterator[list[int]]:
     """Yield the integer coefficients (ascending powers) of
     prod_{i=1}^{2j-1} (s+i) for j = 1, 2, ..."""
     poly = [1, 1]  # j = 1: (s + 1)
-    root = 1
-    while True:
+    for j in itertools.count(1):
         yield poly
-        for root in (root + 1, root + 2):
+        for root in (2 * j, 2 * j + 1):
             grown = [0] * (len(poly) + 1)
             for i, a in enumerate(poly):
                 grown[i] += a * root
