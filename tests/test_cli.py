@@ -443,7 +443,12 @@ class TestGoldenOutput:
     JSON) and ``li --n-max 8 --with-trend --table {table} --prec 128
     --guard 16`` were pinned before the trend's gamma_0 was read off the
     gamma table instead of negating eta_0: with a 256-bit table under 144
-    working bits, this is where the two could round apart."""
+    working bits, this is where the two could round apart.
+
+    ``li --n-max 59`` and ``histogram --n 22 --raw``, the largest sizes of
+    the ``li`` and ``histogram`` commands the benchmark runs, were pinned
+    before the Dirichlet sum of the table build moved to fixed-point
+    integers, to hold their bytes across that change."""
 
     @pytest.mark.parametrize("command,digest", [
         ("eta --method explicit --n-max 12",
@@ -504,6 +509,10 @@ class TestGoldenOutput:
          "d48b439e44645c888a07817a6424de5e91eb3acd80810e17cd45e0235411a2ab"),
         ("li --n-max 8 --with-trend --table {table} --prec 128 --guard 16",
          "c0e49206081fe011bfe5936d2975182b535cd5cc07bdd47d4d5fc5619af5fe54"),
+        ("li --n-max 59",
+         "184b2a4e61bcdf88c0fef989f1a6ac3783b07fc492f9dca00929e40d9d403090"),
+        ("histogram --n 22 --raw",
+         "0104e8482ca37da82ceb3daee7b863173b87e7d62acd05654a57ada9cafc6af2"),
     ])
     def test_output_digest(self, capsys, tmp_path, gamma40, command, digest):
         if "{table}" in command:
