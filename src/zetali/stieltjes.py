@@ -29,8 +29,12 @@ Every summand is elementary as a series in s (each k^(-1-s) is
 coefficients), and the first omitted tail term bounds the truncation
 error, so the cutoff M and tail order J are chosen adaptively (a float
 search in log2 space) until that bound drops below 2^-(target_bits + 8)
-for every retained coefficient.  The tail is summed over j once, as one
-polynomial in s, before it is multiplied by the series of M^(-s).  The
+for every retained coefficient.  The Dirichlet sum, O(M n) of the
+work, runs in fixed-point integers with working_bits + 32 fractional
+bits and is rounded once per coefficient; its rounding error is counted,
+under (M^2 + 3M)/2 units of 2^-(working_bits + 32) (see
+``_dirichlet_sums``).  The tail is summed over j once, as one polynomial
+in s, before it is multiplied by the series of M^(-s).  The
 construction is self-verifying: doubling M, J or the guard bits must
 not change any digit above 2^-target_bits.
 
@@ -51,6 +55,7 @@ from pathlib import Path
 from typing import Iterator
 
 import mpmath as mp
+from mpmath.libmp import from_int, mpf_log, to_fixed
 
 from .errors import PrecisionInfeasibleError, TableFormatError
 from .numerics import (
@@ -186,6 +191,8 @@ def euler_maclaurin_parameters(n_max: int, ctx: PrecisionContext = DEFAULT_CONTE
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if cutoff is not None and cutoff < 2:
+        raise ValueError(f"cutoff must be at least 2, got {cutoff}")
     target = ctx.target_bits
     m_cut = cutoff if cutoff is not None else max(
         16, 2 * n_max, (35 * (target + 8)) // 100)
@@ -215,19 +222,53 @@ def euler_maclaurin_parameters(n_max: int, ctx: PrecisionContext = DEFAULT_CONTE
         m_cut *= 2
 
 
+def _dirichlet_sums(m_cut: int, n_max: int, w: int) -> list[int]:
+    """The integers S_n ~ 2^w * sum_{k=1}^{M-1} (-ln k)^n / k, n = 0 .. n_max.
+
+    Fixed point with w fractional bits: per k, ln k is computed to w + 16
+    bits and truncated to an integer l, and the terms run from
+    p = floor(2^w / k) by p <- floor(p * (-l) / 2^w).  The k = 1 term is
+    exact (2^w in S_0).  Each floor division, shift and truncated log is
+    off by less than one unit of 2^-w (the log's own error adds under
+    2^-10 of a unit).  A unit of error made at step i of k's run reaches
+    S_n / n! multiplied by at most (ln k)^(n-i) / n! <= (ln k)^(n-i) / (n-i)!,
+    and the n + 1 such steps sum to at most e^(ln k) = k; the log's error
+    reaches it as at most (ln k)^(n-1) / ((n-1)! k) < 1.  So every
+    S_n / n! is within sum_{k=2}^{M-1} (k + 2) < (M^2 + 3M) / 2 units of
+    2^-w of the exact sum (second-order terms are 2^-w smaller).
+    """
+    sums = [0] * (n_max + 1)
+    sums[0] = 1 << w
+    for k in range(2, m_cut):
+        neg_l = -to_fixed(mpf_log(from_int(k), w + 16), w)
+        power = (1 << w) // k
+        for n in range(n_max + 1):
+            sums[n] += power
+            power = (power * neg_l) >> w
+    return sums
+
+
 def compute_gamma_table(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
                         cutoff: int | None = None,
                         tail_terms: int | None = None) -> CoefficientTable:
     """Build the table gamma_0 .. gamma_n_max (convention "paper").
 
     Truncation error is below 2^-(target_bits + 8) per coefficient by
-    construction; rounding stays well under that thanks to the guard
-    bits.  ``cutoff`` and ``tail_terms`` override the adaptive M and J
-    for stability self-tests.  The tail is folded into one polynomial
-    before it meets the exp series, so the build costs O(Mn + J^2 + nJ).
+    construction.  The Dirichlet sum runs in integers at w =
+    working_bits + 32 fractional bits: its rounding error is under
+    (M^2 + 3M)/2 units of 2^-w (M <= 800 keeps that below
+    2^-(working_bits + 12)), and one rounding at working precision per
+    coefficient ends it.  The M^(-s) series and the tail add one
+    working-precision rounding per term.  ``cutoff`` (at least 2) and
+    ``tail_terms`` (at least 0) override the adaptive M and J for
+    stability self-tests.  The tail is folded into one polynomial before
+    it meets the exp series, so the build costs O(Mn) integer steps plus
+    O(n + J^2 + nJ) mpf operations.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if tail_terms is not None and tail_terms < 0:
+        raise ValueError(f"tail_terms must be nonnegative, got {tail_terms}")
     m_cut, tail = euler_maclaurin_parameters(n_max, ctx, cutoff=cutoff)
     if tail_terms is not None:
         tail = tail_terms
@@ -240,17 +281,13 @@ def compute_gamma_table(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
             f"working precision {ctx.working_bits} bits cannot separate "
             f"truncation from rounding here; need at least {needed} bits "
             f"(raise guard_bits)")
+    w = ctx.working_bits + 32
+    sums = _dirichlet_sums(m_cut, n_max, w)
     with ctx.workprec():
         ln_m = mp.log(m_cut)
         inv_fact = [mp.mpf(1) / mp.factorial(t) for t in range(n_max + 2)]
-        coef = [mp.mpf(0) for _ in range(n_max + 1)]
-        coef[0] = mp.mpf(1)  # k = 1 term of the Dirichlet sum
-        for k in range(2, m_cut):
-            neg_lnk = -mp.log(k)
-            power = mp.mpf(1) / k
-            for n in range(n_max + 1):
-                coef[n] += power * inv_fact[n]
-                power *= neg_lnk
+        # S_n / (n! 2^w), a quotient of exact integers rounded once
+        coef = [mp.fdiv(s_n, math.factorial(n) << w) for n, s_n in enumerate(sums)]
         # M^(-s)/s with the 1/s pole removed: coefficient of s^n is
         # (-ln M)^(n+1) / (n+1)!
         power = -ln_m

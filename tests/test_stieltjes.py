@@ -20,6 +20,7 @@ from zetali import (
     from_decimal,
     gamma_from_eta_explicit,
     gamma_limit_definition,
+    lambda_context,
     lambda_tilde_binomial,
     lambda_tilde_explicit,
     load_table,
@@ -28,7 +29,7 @@ from zetali import (
     term_distribution,
     to_decimal,
 )
-from zetali.stieltjes import _pochhammer_polys
+from zetali.stieltjes import _dirichlet_sums, _pochhammer_polys
 from helpers import GAMMA0_REF, GAMMA1_CLASSIC_REF
 
 
@@ -139,6 +140,53 @@ class TestComputeGammaTable:
     def test_negative_n_max_rejected(self, ctx256):
         with pytest.raises(ValueError):
             compute_gamma_table(-1, ctx256)
+
+    def test_negative_tail_terms_rejected(self):
+        # used to return a table whose gamma_0 was 0.577082..., wrong in
+        # the 4th digit
+        with pytest.raises(ValueError, match="tail_terms"):
+            compute_gamma_table(4, PrecisionContext(64, 32), tail_terms=-3)
+
+    @pytest.mark.parametrize("cutoff", [1, 0, -5])
+    def test_cutoff_below_two_rejected(self, cutoff):
+        # 0 and -5 used to fail inside math.log with "math domain error"
+        with pytest.raises(ValueError, match="cutoff"):
+            compute_gamma_table(4, PrecisionContext(64, 32), cutoff=cutoff)
+        with pytest.raises(ValueError, match="cutoff"):
+            euler_maclaurin_parameters(4, PrecisionContext(64, 32), cutoff=cutoff)
+
+    @pytest.mark.parametrize("n_max,ctx", [
+        (16, PrecisionContext(192, 64)),
+        (58, lambda_context(192, 59)),
+        (100, PrecisionContext(1000, 200)),
+    ], ids=["16@256", "58@782", "100@1200"])
+    def test_rounding_within_eight_bits_of_working(self, n_max, ctx):
+        # same M and J, 128 more guard bits: the difference is rounding
+        # alone, and it must sit within 2^-(working_bits - 8); a build
+        # that rounded every Dirichlet term reached 2^-1191.8 at 1200 bits
+        base = compute_gamma_table(n_max, ctx)
+        ref = compute_gamma_table(
+            n_max, PrecisionContext(ctx.target_bits, ctx.guard_bits + 128))
+        with mp.workprec(ctx.working_bits + 160):
+            for n in range(n_max + 1):
+                assert abs(base[n] - ref[n]) < mp.mpf(2) ** -(ctx.working_bits - 8), n
+
+
+class TestDirichletSums:
+    @pytest.mark.parametrize("m_cut,n_max,w", [(3, 6, 40), (40, 30, 64), (70, 20, 96)])
+    def test_within_counted_bound(self, m_cut, n_max, w):
+        # the docstring's bound: every S_n / n! within (M^2 + 3M)/2 units
+        # of 2^-w of sum_{k<M} (-ln k)^n / (k n!)
+        sums = _dirichlet_sums(m_cut, n_max, w)
+        bound = mp.mpf(m_cut ** 2 + 3 * m_cut) / 2
+        with mp.workprec(w + 128):
+            for n, s_n in enumerate(sums):
+                exact = sum((-mp.log(k)) ** n / k for k in range(1, m_cut)) / mp.factorial(n)
+                err = abs(mp.mpf(s_n) / mp.factorial(n) - mp.ldexp(exact, w))
+                assert err < bound, (n, err)
+
+    def test_k_one_term_is_exact(self):
+        assert _dirichlet_sums(2, 3, 50) == [1 << 50, 0, 0, 0]
 
 
 class TestEulerMaclaurinParameters:
