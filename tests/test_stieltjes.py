@@ -185,9 +185,6 @@ class TestDirichletSums:
                 err = abs(mp.mpf(s_n) / mp.factorial(n) - mp.ldexp(exact, w))
                 assert err < bound, (n, err)
 
-    def test_k_one_term_is_exact(self):
-        assert _dirichlet_sums(2, 3, 50) == [1 << 50, 0, 0, 0]
-
 
 class TestEulerMaclaurinParameters:
     """(M, J) as the working-precision mpf search chose them; the float
