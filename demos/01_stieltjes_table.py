@@ -2,7 +2,7 @@
 """Build a Stieltjes-constant table and poke at it.
 
 Walks through the basic workflow: pick a precision context, compute the
-table, compare against the slowly convergent textbook limit, switch
+table, compare it with an independent contour-integral route, switch
 normalization conventions, and round-trip the table through a file.
 """
 
@@ -15,7 +15,7 @@ from zetali import (
     compute_gamma_table,
     convert_convention,
     euler_maclaurin_parameters,
-    gamma_limit_definition,
+    gamma_contour,
     load_table,
     save_table,
     to_decimal,
@@ -34,15 +34,14 @@ print(f"gamma_0 .. gamma_{N_MAX}  (zeta(1+s) = 1/s + sum gamma_n s^n):")
 for n, v in enumerate(table.values):
     print(f"  gamma_{n:<2d} = {to_decimal(v, 96)}")
 
-# The defining limit converges like log(x)^n / x: fine as a sanity
-# check, hopeless as a production route.
-print("\ntruncated defining limit vs. table value, n = 0:")
-light = PrecisionContext(64, 16)
-for x in (10 ** 3, 10 ** 4, 10 ** 5):
-    approx = gamma_limit_definition(0, x, light)
-    err = abs(approx - table[0])
-    print(f"  x = 10^{len(str(x)) - 1}:  {to_decimal(approx, 40)}   "
-          f"error ~ {to_decimal(err, 12)}")
+# An independent check: the Cauchy coefficients of the entire function
+# zeta(1+s) - 1/s, read off samples on |s| = 1.  This route evaluates
+# only mpmath's zeta, never the Euler-Maclaurin build above.
+contour = gamma_contour(N_MAX, ctx)
+with ctx.workprec():
+    worst = max(abs(a - b) for a, b in zip(contour.values, table.values))
+print(f"\ncontour route vs. table: largest |difference| over n <= {N_MAX} is "
+      f"{to_decimal(worst, 12)}  (the table's bound: 2^-{ctx.target_bits + 8})")
 
 # Conventions: the "classic" normalization multiplies by (-1)^n n!.
 classic = convert_convention(table, CONVENTION_CLASSIC)

@@ -14,9 +14,9 @@ Riemann zeta function near its pole:
 Tables of gamma_n and of eta_n share one type,
 :class:`zetali.stieltjes.CoefficientTable`, tagged with their kind.
 
-Every quantity is computable by at least two independent routes, and
+Every quantity is computable by at least two independent routes.
 :func:`zetali.verify.run_verification` (or the ``zetali verify``
-command) recomputes all of them against each other.
+command) recomputes the table-based ones against each other.
 """
 
 from .errors import (
@@ -53,7 +53,7 @@ from .stieltjes import (
     compute_gamma_table,
     convert_convention,
     euler_maclaurin_parameters,
-    gamma_limit_definition,
+    gamma_contour,
     load_table,
     render_table,
     save_table,
@@ -61,8 +61,8 @@ from .stieltjes import (
 from .coefficients import (
     SymbolicExpansion,
     eta_from_gamma_explicit,
+    eta_contour,
     eta_from_gamma_recurrence,
-    eta_limit_definition,
     eta_series_oracle,
     expand_eta_symbolic,
     expand_gamma_symbolic,
@@ -100,12 +100,12 @@ __all__ = [
     # stieltjes
     "CONVENTION_PAPER", "CONVENTION_CLASSIC", "CoefficientTable",
     "compute_gamma_table", "euler_maclaurin_parameters",
-    "gamma_limit_definition", "convert_convention", "render_table",
+    "gamma_contour", "convert_convention", "render_table",
     "save_table", "load_table",
     # coefficients
     "SymbolicExpansion", "modified_gamma",
     "eta_from_gamma_recurrence", "eta_from_gamma_explicit",
-    "gamma_from_eta_explicit", "eta_series_oracle", "eta_limit_definition",
+    "gamma_from_eta_explicit", "eta_series_oracle", "eta_contour",
     "expand_eta_symbolic", "expand_gamma_symbolic",
     # li
     "TermDistribution", "lambda_guard_bits", "lambda_context",

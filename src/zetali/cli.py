@@ -9,9 +9,9 @@ output is deterministic: byte-identical across runs with identical flags.
 
 Exit codes: 0 success, 1 usage or I/O error (including failed
 verification, a flag the subcommand does not use, such as ``--prec`` on
-``expand`` or ``--guard`` on ``verify``, and flags that do not go
-together, such as ``--x-max`` without ``--method limit`` or ``--table``
-with it), 2 precision infeasible.
+``expand`` or ``--guard`` on ``verify``, and ``--table`` with
+``--method contour``, which starts from no table), 2 precision
+infeasible.
 
 Values print at ceil(target_bits * 0.302) significant digits.  The one
 exception is ``stieltjes --out``: the file written there is a
@@ -30,9 +30,9 @@ from pathlib import Path
 import mpmath as mp
 
 from .coefficients import (
+    eta_contour,
     eta_from_gamma_explicit,
     eta_from_gamma_recurrence,
-    eta_limit_definition,
     eta_series_oracle,
     expand_eta_symbolic,
     expand_gamma_symbolic,
@@ -52,11 +52,10 @@ from .numerics import PrecisionContext, default_guard_bits, render, to_decimal
 from .stieltjes import (
     CONVENTION_PAPER,
     PROVENANCE_EXPLICIT,
-    PROVENANCE_LIMIT_DEFINITION,
     CoefficientTable,
     compute_gamma_table,
     convert_convention,
-    gamma_limit_definition,
+    gamma_contour,
     load_table,
     render_table,
 )
@@ -101,27 +100,6 @@ def _context(args, policy_guard: int) -> PrecisionContext:
     return PrecisionContext(args.prec, guard)
 
 
-def _check_limit_flags(args) -> None:
-    """``--x-max`` goes with ``--method limit`` and only with it; the
-    limit routes start from no table, so ``--table`` cannot join them."""
-    limit = getattr(args, "method", None) == "limit"
-    if limit and args.x_max is None:
-        raise ValueError("--method limit requires --x-max")
-    if not limit and getattr(args, "x_max", None) is not None:
-        raise ValueError("--x-max applies only to --method limit")
-    if limit and args.table:
-        raise ValueError("--table cannot be combined with --method limit")
-
-
-def _limit_table(kind: str, args, ctx: PrecisionContext) -> CoefficientTable:
-    """The ``kind`` table of ``--method limit``: each index from its
-    truncated limit definition at ``--x-max``."""
-    definition = {"gamma": gamma_limit_definition, "eta": eta_limit_definition}[kind]
-    values = tuple(definition(n, args.x_max, ctx) for n in range(args.n_max + 1))
-    return CoefficientTable(kind, CONVENTION_PAPER, PROVENANCE_LIMIT_DEFINITION,
-                            values, ctx.working_bits)
-
-
 def _emit(args, obj: dict, meta_keys, header: str, file_text: str | None = None) -> int:
     """Write the rendered output to stdout and to ``--out`` (or
     ``file_text`` there instead, when given)."""
@@ -164,8 +142,8 @@ def _gamma_source(args, n_needed: int, ctx: PrecisionContext) -> CoefficientTabl
 
 def _cmd_stieltjes(args) -> int:
     ctx = _context(args, default_guard_bits(args.n_max))
-    if args.method == "limit":
-        table = _limit_table("gamma", args, ctx)
+    if args.method == "contour":
+        table = gamma_contour(args.n_max, ctx)
     else:
         table = _gamma_source(args, args.n_max, ctx)
     # the --out file is a full-precision, loadable table
@@ -177,8 +155,8 @@ def _cmd_stieltjes(args) -> int:
 
 def _cmd_eta(args) -> int:
     ctx = _context(args, default_guard_bits(args.n_max))
-    if args.method == "limit":
-        table = _limit_table("eta", args, ctx)
+    if args.method == "contour":
+        table = eta_contour(args.n_max, ctx)
     else:
         gamma = _gamma_source(args, args.n_max, ctx)
         if args.method == "recurrence":
@@ -294,24 +272,21 @@ def build_parser() -> argparse.ArgumentParser:
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--table", metavar="PATH", default=None,
                        help="gamma table to start from (computed if omitted)")
-    x_max = argparse.ArgumentParser(add_help=False)
-    x_max.add_argument("--x-max", dest="x_max", type=_positive_int, default=None,
-                       help="truncation point for --method limit (required by it)")
 
-    p = sub.add_parser("stieltjes", parents=[prec, guard, output, n_max, table, x_max],
+    p = sub.add_parser("stieltjes", parents=[prec, guard, output, n_max, table],
                        help="table of Stieltjes constants")
-    p.add_argument("--method", choices=("em", "limit"), default="em",
-                   help="'em' (production Euler-Maclaurin) or 'limit' "
-                        "(direct truncated limit; slow, sanity check only)")
+    p.add_argument("--method", choices=("em", "contour"), default="em",
+                   help="'em' (production Euler-Maclaurin) or 'contour' "
+                        "(Cauchy coefficients of zeta; independent check)")
     p.set_defaults(func=_cmd_stieltjes)
 
-    p = sub.add_parser("eta", parents=[prec, guard, output, n_max, table, x_max],
+    p = sub.add_parser("eta", parents=[prec, guard, output, n_max, table],
                        help="table of eta coefficients")
     p.add_argument("--method",
-                   choices=("recurrence", "explicit", "series", "limit"),
+                   choices=("recurrence", "explicit", "series", "contour"),
                    default="recurrence",
-                   help="route; 'limit' is the slow truncated limit "
-                        "(sanity check only)")
+                   help="route; 'contour' starts from zeta itself, not "
+                        "from a gamma table")
     p.set_defaults(func=_cmd_eta)
 
     p = sub.add_parser("gamma-invert", parents=[prec, guard, output, n_max, table],
@@ -366,7 +341,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_limit_flags(args)
+        # the contour routes start from no table
+        if getattr(args, "method", None) == "contour" and args.table:
+            raise ValueError("--table cannot be combined with --method contour")
         return args.func(args)
     except PrecisionInfeasibleError as exc:
         print(f"zetali: precision infeasible: {exc}", file=sys.stderr)

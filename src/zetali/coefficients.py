@@ -15,8 +15,8 @@ ways plus the inverse map:
   eta_{n-1} = n * sum_{r(k)=n} (p-1)! prod_i (-gamma_i)^{k_i} / k_i!.
 * ``eta_series_oracle`` — coefficients of -A'(s)/A(s) computed with
   truncated-series arithmetic; independent of both formulas above.
-* ``eta_limit_definition`` — the slowly convergent prime-power limit
-  (von Mangoldt weights); sanity checking only.
+* ``eta_contour`` — eta_n = -(n+1) [s^(n+1)] log(s zeta(1+s)), read off
+  samples on |s| = 1; it starts from ``mp.zeta``, not from a gamma table.
 * ``gamma_from_eta_explicit`` — the inverse partition sum
   gamma_{n-1} = sum_{r(k)=n} prod_i (1/k_i!) (-eta_i/(1+i))^{k_i}.
 
@@ -29,7 +29,7 @@ gamma": Gamma(p) for p >= 1 with Gamma(0) taken as 1.  Every vector
 with r = n >= 1 has p >= 1, so the p = 0 case only makes the n = 0 edge
 total; it is never reached in production paths.
 
-Every route reads its input from a
+Every route but ``eta_contour`` reads its input from a
 :class:`~zetali.stieltjes.CoefficientTable` and refuses a table of the
 wrong kind with ValueError; the table-building routes return one.
 """
@@ -48,6 +48,7 @@ from .numerics import (
     BigRational,
     BigReal,
     PrecisionContext,
+    cauchy_coefficients,
     rational_to_str,
     rounded_product,
     series_derivative,
@@ -59,6 +60,7 @@ from .numerics import (
 from .partitions import _dense, _power_rows, _walk_partitions
 from .stieltjes import (
     CONVENTION_PAPER,
+    PROVENANCE_CONTOUR,
     PROVENANCE_RECURRENCE,
     PROVENANCE_SERIES_ORACLE,
     CoefficientTable,
@@ -73,7 +75,7 @@ __all__ = [
     "eta_from_gamma_explicit",
     "gamma_from_eta_explicit",
     "eta_series_oracle",
-    "eta_limit_definition",
+    "eta_contour",
     "expand_eta_symbolic",
     "expand_gamma_symbolic",
 ]
@@ -190,53 +192,21 @@ def eta_series_oracle(g: CoefficientTable, n_max: Optional[int] = None,
                             values, ctx.working_bits)
 
 
-# --------------------------------------------------------------------------
-# von Mangoldt weights and the direct limit
-# --------------------------------------------------------------------------
+def eta_contour(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:
+    """eta_0 .. eta_n_max as eta_k = -(k+1) [s^(k+1)] log(s zeta(1+s)), by
+    :func:`~zetali.numerics.cauchy_coefficients`; accurate to rounding at
+    working precision.
 
-def _primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = b"\x00" * len(range(p * p, n + 1, p))
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
-def eta_limit_definition(n: int, x_max: int,
-                         ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    """Finite truncation of the defining limit
-
-        (-1)^n / n! * ( sum_{k<=x} Lambda(k) log(k)^n / k
-                        - log(x)^(n+1) / (n+1) ).
-
-    The weighted sum runs over prime powers via a sieve (log(p^e) reuses
-    e * log p, so one logarithm per prime).  Convergence is very slow —
-    a sanity check only.
+    The log is analytic on |s| < 3 (zeta(1+s) vanishes at s = -3); on
+    |s| = 1, Re(s zeta(1+s)) >= 1/2 keeps the principal log on that branch.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if x_max < 2:
-        raise ValueError("x_max must be at least 2")
-    primes = _primes_up_to(x_max)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    c = cauchy_coefficients(lambda s: mp.log(s * mp.zeta(1 + s)), n_max + 1, ctx)
     with ctx.workprec():
-        total = mp.mpf(0)
-        for p in primes:
-            lp = mp.log(p)
-            q, e = p, 1
-            while q <= x_max:
-                if n == 0:
-                    total += lp / q
-                else:
-                    total += lp * (e * lp) ** n / q
-                q *= p
-                e += 1
-        total -= mp.log(x_max) ** (n + 1) / (n + 1)
-        if n % 2:
-            total = -total
-        return total / mp.factorial(n)
+        values = tuple(-(k + 1) * c[k + 1] for k in range(n_max + 1))
+    return CoefficientTable("eta", CONVENTION_PAPER, PROVENANCE_CONTOUR,
+                            values, ctx.working_bits)
 
 
 # --------------------------------------------------------------------------

@@ -20,15 +20,17 @@ value ``mpf * mpf`` would give, without an ``mpf`` object per product.
 once, so its result does not depend on the order at all.
 
 The module also provides exact Bernoulli numbers (mpmath's ``bernfrac``
-as a :class:`~fractions.Fraction`) and arithmetic on truncated formal
-power series, held as plain tuples of coefficients; both back the
-series-based coefficient computations elsewhere in the package.
+as a :class:`~fractions.Fraction`), arithmetic on truncated formal power
+series, held as plain tuples of coefficients, and Taylor coefficients
+read off the unit circle (:func:`cauchy_coefficients`); they back the
+coefficient routes elsewhere in the package.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -56,6 +58,7 @@ __all__ = [
     "series_mul",
     "series_recip",
     "series_derivative",
+    "cauchy_coefficients",
 ]
 
 BigReal = mp.mpf
@@ -297,3 +300,34 @@ def series_derivative(a: tuple, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tupl
         return (mp.mpf(0),)
     with ctx.workprec():
         return tuple((i + 1) * c for i, c in enumerate(a[1:]))
+
+
+# --------------------------------------------------------------------------
+# Cauchy coefficients
+# --------------------------------------------------------------------------
+
+
+def cauchy_coefficients(f: Callable, n_max: int,
+                        ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple:
+    """Taylor coefficients c_0 .. c_n_max of ``f`` about 0, by the
+    trapezoidal rule for the Cauchy integral on N points of |s| = 1.
+
+    ``f`` maps ``mpc`` to ``mpc`` with f(conj s) = conj f(s), so only the
+    upper half circle is sampled.  The rule gives c_k + c_(k+N) + ...; N
+    is the smallest even number >= max(2 n_max + 4, (target_bits + 16) /
+    log2 3), so for ``f`` analytic on |s| < 3 the aliased part is below
+    2^-(target_bits + 16) of the size of ``f`` there.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    points = max(2 * n_max + 4, math.ceil((ctx.target_bits + 16) / math.log2(3)))
+    points += points % 2
+    with ctx.workprec():
+        unit = [mp.expjpi(mp.mpf(2 * j) / points) for j in range(points)]
+        samples = [f(unit[j]) for j in range(points // 2 + 1)]
+        out = []
+        for k in range(n_max + 1):
+            # the points 1 and -1 count once, the other upper ones twice
+            terms = [(v * unit[-j * k % points]).real for j, v in enumerate(samples)]
+            out.append((2 * mp.fsum(terms) - terms[0] - terms[-1]) / points)
+    return tuple(out)

@@ -38,9 +38,9 @@ in s, before it is multiplied by the series of M^(-s).  The
 construction is self-verifying: doubling M, J or the guard bits must
 not change any digit above 2^-target_bits.
 
-``gamma_limit_definition`` is the direct truncation of the defining
-limit.  It converges like log(x)^n / x and is kept only as an
-independent slow sanity check on the table builder.
+``gamma_contour`` checks the table builder from outside: it reads gamma_n
+off samples of zeta(1+s) - 1/s on |s| = 1 and evaluates only ``mp.zeta``,
+so it shares no code with the Euler-Maclaurin build.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from .numerics import (
     BigReal,
     PrecisionContext,
     bernoulli,
+    cauchy_coefficients,
     from_decimal,
     render,
     to_decimal,
@@ -76,11 +77,11 @@ __all__ = [
     "PROVENANCE_RECURRENCE",
     "PROVENANCE_EXPLICIT",
     "PROVENANCE_SERIES_ORACLE",
-    "PROVENANCE_LIMIT_DEFINITION",
+    "PROVENANCE_CONTOUR",
     "CoefficientTable",
     "compute_gamma_table",
     "euler_maclaurin_parameters",
-    "gamma_limit_definition",
+    "gamma_contour",
     "convert_convention",
     "render_table",
     "save_table",
@@ -96,10 +97,10 @@ PROVENANCE_FILE = "file"
 PROVENANCE_RECURRENCE = "recurrence"
 PROVENANCE_EXPLICIT = "explicit"
 PROVENANCE_SERIES_ORACLE = "series_oracle"
-PROVENANCE_LIMIT_DEFINITION = "limit_definition"
+PROVENANCE_CONTOUR = "contour"
 _PROVENANCES = (PROVENANCE_EULER_MACLAURIN, PROVENANCE_FILE,
                 PROVENANCE_RECURRENCE, PROVENANCE_EXPLICIT,
-                PROVENANCE_SERIES_ORACLE, PROVENANCE_LIMIT_DEFINITION)
+                PROVENANCE_SERIES_ORACLE, PROVENANCE_CONTOUR)
 _KINDS = ("gamma", "eta")
 
 
@@ -317,31 +318,14 @@ def compute_gamma_table(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
                             tuple(coef), ctx.working_bits)
 
 
-def gamma_limit_definition(n: int, x_max: int,
-                           ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    """Finite truncation of the defining limit
-
-        (-1)^n / n! * ( sum_{k<=x} log(k)^n / k - log(x)^(n+1) / (n+1) ).
-
-    Error decays like O(log(x)^n / x) — a slow sanity check on the
-    table builder only, never a production route.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if x_max < 2:
-        raise ValueError("x_max must be at least 2")
-    with ctx.workprec():
-        total = mp.mpf(0)
-        if n == 0:
-            for k in range(1, x_max + 1):
-                total += mp.mpf(1) / k
-        else:
-            for k in range(2, x_max + 1):
-                total += mp.log(k) ** n / k
-        total -= mp.log(x_max) ** (n + 1) / (n + 1)
-        if n % 2:
-            total = -total
-        return total / mp.factorial(n)
+def gamma_contour(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:
+    """gamma_0 .. gamma_n_max (convention "paper") as the Taylor
+    coefficients of the entire function zeta(1+s) - 1/s, by
+    :func:`~zetali.numerics.cauchy_coefficients`; accurate to rounding at
+    working precision."""
+    values = cauchy_coefficients(lambda s: mp.zeta(1 + s) - 1 / s, n_max, ctx)
+    return CoefficientTable("gamma", CONVENTION_PAPER, PROVENANCE_CONTOUR,
+                            values, ctx.working_bits)
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from zetali import (
@@ -22,3 +24,16 @@ def gamma40(ctx256):
 @pytest.fixture(scope="session")
 def eta40(gamma40, ctx256):
     return eta_from_gamma_recurrence(gamma40, 40, ctx256)
+
+
+@pytest.fixture(scope="session")
+def em_reference():
+    """``(gamma, eta)`` tables to ``n_max`` built by the Euler-Maclaurin
+    route and the recurrence with 128 more target bits than
+    ``target_bits``, one build per argument pair."""
+    @functools.cache
+    def build(n_max, target_bits):
+        ctx = PrecisionContext(target_bits + 128, 64)
+        gamma = compute_gamma_table(n_max, ctx)
+        return gamma, eta_from_gamma_recurrence(gamma, n_max, ctx)
+    return build

@@ -19,15 +19,15 @@ from zetali import (
     compute_gamma_table,
     enumerate_constrained,
     eta_from_gamma_explicit,
+    eta_contour,
     eta_from_gamma_recurrence,
-    eta_limit_definition,
     eta_series_oracle,
     euler_maclaurin_parameters,
     expand_eta_symbolic,
     expand_gamma_symbolic,
     expand_lambda_symbolic,
+    gamma_contour,
     gamma_from_eta_explicit,
-    gamma_limit_definition,
     histogram,
     lambda_context,
     lambda_tilde_binomial,
@@ -119,7 +119,7 @@ def test_criterion_5_combinatorial_laws():
 
 
 def test_criterion_6_stieltjes_self_consistency(gamma40, eta40, ctx256):
-    with report(6, "table stability + slow-limit sanity checks"):
+    with report(6, "table stability + independent contour routes"):
         base = compute_gamma_table(16, ctx256)
         m_cut, _ = euler_maclaurin_parameters(16, ctx256)
         double_m = compute_gamma_table(16, ctx256, cutoff=2 * m_cut)
@@ -128,12 +128,12 @@ def test_criterion_6_stieltjes_self_consistency(gamma40, eta40, ctx256):
             for n in range(17):
                 assert abs(base[n] - double_m[n]) < mp.mpf(2) ** -192, n
                 assert abs(base[n] - double_g[n]) < mp.mpf(2) ** -192, n
-        light = PrecisionContext(64, 16)
-        with mp.workprec(96):
-            gl = gamma_limit_definition(0, 10 ** 6, light)
-            assert abs(gl - gamma40[0]) < mp.mpf("5e-7")
-            el = eta_limit_definition(0, 10 ** 6, light)
-            assert abs(el - eta40[0]) < mp.mpf("1e-2")
+        gamma_c = gamma_contour(20, ctx256)
+        eta_c = eta_contour(20, ctx256)
+        with mp.workprec(400):
+            for n in range(21):
+                assert abs(gamma_c[n] - gamma40[n]) < mp.mpf(2) ** -190, n
+                assert abs(eta_c[n] - eta40[n]) < mp.mpf(2) ** -190, n
 
 
 def test_criterion_7_trend_constant(gamma40, ctx256):

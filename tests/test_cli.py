@@ -6,7 +6,13 @@ import jsonschema
 import pytest
 
 import zetali.verify
-from zetali import compute_gamma_table, load_table, run_verification, save_table
+from zetali import (
+    compute_gamma_table,
+    from_decimal,
+    load_table,
+    run_verification,
+    save_table,
+)
 from zetali.cli import build_parser, main, output_schema
 
 
@@ -96,26 +102,28 @@ class TestStieltjesCommand:
         assert code == 0
         assert out.strip().splitlines()[3].split(",")[1].startswith("-0.5772156649")
 
-    def test_limit_method(self, capsys):
-        code, out, _ = run_cli(capsys, "stieltjes", "--method", "limit",
-                               "--x-max", "2000", "--n-max", "0", "--prec", "64")
-        assert code == 0
-        value = float(out.strip().splitlines()[-1].split(",")[1])
-        assert abs(value - 0.5772156649) < 3e-4
+    def test_contour_method(self, capsys):
+        # the same header as the Euler-Maclaurin route, and values that
+        # agree to the 2^-64 the printed digits promise
+        rows = {}
+        for method in ("em", "contour"):
+            code, out, _ = run_cli(capsys, "stieltjes", "--method", method,
+                                   "--n-max", "8", "--prec", "64")
+            assert code == 0
+            rows[method] = out.strip().splitlines()
+        assert rows["contour"][:3] == rows["em"][:3]
+        for a, b in zip(rows["contour"][3:], rows["em"][3:], strict=True):
+            va, vb = (from_decimal(r.split(",")[1], 128) for r in (a, b))
+            assert abs(va - vb) < 2 ** -64, (a, b)
 
-    def test_limit_requires_x_max(self, capsys):
-        code, _, err = run_cli(capsys, "stieltjes", "--method", "limit",
-                               "--n-max", "0")
-        assert code == 1
-        assert "x-max" in err
-
-    def test_x_max_without_limit_exits_1(self, capsys):
-        # the Euler-Maclaurin route has no truncation point to take
-        code, out, err = run_cli(capsys, "stieltjes", "--n-max", "2",
-                                 "--x-max", "100")
-        assert code == 1
-        assert out == ""
-        assert "--x-max applies only to --method limit" in err
+    @pytest.mark.parametrize("command", ["stieltjes", "eta"])
+    def test_x_max_is_unrecognized(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--n-max", "2", "--x-max", "100"])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --x-max" in captured.err
 
     def test_non_finite_table_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -187,20 +195,29 @@ class TestEtaCommand:
             assert abs(va - vb) < 1e-20
             assert abs(va - vc) < 1e-20
 
-    def test_limit_method(self, capsys):
-        code, out, _ = run_cli(capsys, "eta", "--method", "limit", "--n-max", "0",
-                               "--x-max", "100000", "--prec", "64")
-        assert code == 0
-        value = float(out.strip().splitlines()[-1].split(",")[1])
-        assert abs(value + 0.5772156649) < 1e-2
+    def test_contour_method(self, capsys):
+        # every byte of the recurrence route's output but its provenance
+        _, contour, _ = run_cli(capsys, "eta", "--method", "contour", "--n-max", "8")
+        _, recurrence, _ = run_cli(capsys, "eta", "--n-max", "8")
+        assert contour.replace("provenance=contour", "provenance=recurrence") \
+            == recurrence
 
-    def test_table_with_limit_exits_1(self, capsys):
-        # the limit route starts from no table
-        code, out, err = run_cli(capsys, "eta", "--method", "limit", "--x-max", "100",
+    @pytest.mark.parametrize("command", ["stieltjes", "eta"])
+    def test_table_with_contour_exits_1(self, capsys, command):
+        # the contour routes start from no table
+        code, out, err = run_cli(capsys, command, "--method", "contour",
                                  "--table", "/nonexistent.json")
         assert code == 1
         assert out == ""
-        assert "--table cannot be combined with --method limit" in err
+        assert "--table cannot be combined with --method contour" in err
+
+    def test_contour_json_validates(self, capsys):
+        code, out, _ = run_cli(capsys, "eta", "--method", "contour", "--n-max", "3",
+                               "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        validate(obj, "eta_table")
+        assert obj["provenance"] == "contour"
 
     def test_json_validates(self, capsys):
         code, out, _ = run_cli(capsys, "eta", "--n-max", "3", "--format", "json")
@@ -460,7 +477,12 @@ class TestGoldenOutput:
     ``gamma_table_stability`` in its 14th digit at 1e-63; every check
     still passes); and the two ``stieltjes --n-max 6 --out`` files (the
     table at full working precision, moved in its last four digits;
-    stdout unchanged)."""
+    stdout unchanged).
+
+    ``stieltjes --method contour`` and ``eta --method contour`` (both
+    ``--n-max 2 --prec 64``) were pinned when the contour routes replaced
+    the truncated-limit routes, whose two ``--method limit --x-max 500``
+    digests went with them."""
 
     @pytest.mark.parametrize("command,digest", [
         ("eta --method explicit --n-max 12",
@@ -483,14 +505,14 @@ class TestGoldenOutput:
          "fb0106d68bd0b068276ea38b9d8bd0df9492e2e30230678843de47f6999c2f1c"),
         ("stieltjes --n-max 40 --table {table}",
          "df560a3016bfa77bba301e3cb2c77681aa480780cd02d22478bbc85e23fd1335"),
-        ("stieltjes --method limit --x-max 500 --n-max 2 --prec 64",
-         "c4e26c9b671c1397b492cb4413f6963847ab0cab0749277086baeccff29a8f54"),
+        ("stieltjes --method contour --n-max 2 --prec 64",
+         "8d24baf1dfd36d1f0369b28d1ee0e3297760cb8da2da45ed8b8eb14570ebf7cb"),
         ("eta --n-max 12",
          "e6e760073c3938dea6d636e7543431ab1121c3b818ba394b366e8072a17ecd5f"),
         ("eta --method series --n-max 12",
          "69086980112388f6f65c9c252d8e583cc82ef063fba4b25792e506bdda629707"),
-        ("eta --method limit --x-max 500 --n-max 2 --prec 64",
-         "6362f3c5839246958c1cee6fb13767bbef70e295437ef0e8ba7a29f63c7e7864"),
+        ("eta --method contour --n-max 2 --prec 64",
+         "7e05d75bcd6182e38ebef9346a37489070816188083517fa01b77d6b95b25742"),
         ("gamma-invert --n-max 12 --format json",
          "fb0106d68bd0b068276ea38b9d8bd0df9492e2e30230678843de47f6999c2f1c"),
         ("li --n-max 12",

@@ -8,9 +8,9 @@ from zetali import (
     CoefficientTable,
     PrecisionContext,
     convert_convention,
+    eta_contour,
     eta_from_gamma_explicit,
     eta_from_gamma_recurrence,
-    eta_limit_definition,
     eta_series_oracle,
     expand_eta_symbolic,
     expand_gamma_symbolic,
@@ -137,30 +137,72 @@ class TestInversion:
                 assert rel_diff(gamma40[n - 1], back) < tol, n
 
 
-class TestEtaLimit:
-    CTX = PrecisionContext(64, 16)
+class TestEtaContour:
+    def test_matches_shared_table(self, eta40, ctx256):
+        got = eta_contour(40, ctx256)
+        assert (got.kind, got.provenance, got.n_max) == ("eta", "contour", 40)
+        with mp.workprec(400):
+            for n in range(41):
+                assert abs(got[n] - eta40[n]) < mp.mpf(2) ** -200, n
 
-    def test_ten_term_fixture(self):
-        # Lambda is nonzero below 10 exactly on {2,3,4,5,7,8,9}
-        with self.CTX.workprec():
-            want = (mp.log(2) * (mp.mpf(1) / 2 + mp.mpf(1) / 4 + mp.mpf(1) / 8)
-                    + mp.log(3) * (mp.mpf(1) / 3 + mp.mpf(1) / 9)
-                    + mp.log(5) / 5 + mp.log(7) / 7 - mp.log(10))
-            got = eta_limit_definition(0, 10, self.CTX)
-            assert abs(got - want) < mp.mpf(2) ** -64
+    @pytest.mark.parametrize("n_max,target,guard", [
+        (20, 192, 64), (60, 192, 128), (8, 300, 64)])
+    def test_matches_higher_precision_reference(self, em_reference, n_max,
+                                                target, guard):
+        got = eta_contour(n_max, PrecisionContext(target, guard))
+        _, want = em_reference(n_max, target)
+        with mp.workprec(target + 300):
+            for n in range(n_max + 1):
+                assert abs(got[n] - want[n]) < mp.mpf(2) ** -(target + 8), n
 
-    def test_error_decreases(self, eta40):
-        with mp.workprec(96):
-            errs = [abs(eta_limit_definition(0, x, self.CTX) - eta40[0])
-                    for x in (10 ** 3, 10 ** 4, 10 ** 5)]
-        assert errs[0] > errs[2]
-        assert errs[2] < mp.mpf("1e-2")
+    def test_samples_stay_right_of_the_branch_cut(self, monkeypatch):
+        # the principal log is the analytic branch only while every
+        # sampled s zeta(1+s) keeps a positive real part; the minimum,
+        # 1/2, is at the sample s = -1
+        seen = []
+        log = mp.log
 
-    def test_validation(self):
+        def recording_log(z):
+            seen.append(z)
+            return log(z)
+
+        monkeypatch.setattr(mp, "log", recording_log)
+        ctx = PrecisionContext(192, 64)
+        eta_contour(20, ctx)
+        assert len(seen) == 67  # N/2 + 1 points for N = 132
+        with ctx.workprec():
+            assert min(z.real for z in seen) >= mp.mpf(1) / 2 - mp.mpf(2) ** -100
+
+    def test_negative_n_max_raises(self):
         with pytest.raises(ValueError):
-            eta_limit_definition(0, 1, self.CTX)
-        with pytest.raises(ValueError):
-            eta_limit_definition(-1, 100, self.CTX)
+            eta_contour(-1)
+
+
+class TestContourIndependence:
+    def test_no_table_code_runs(self, monkeypatch, capsys):
+        # the contour routes check the tables, so they must not share
+        # the code that builds or transforms them
+        import zetali.cli
+        import zetali.coefficients
+        import zetali.numerics
+        import zetali.stieltjes
+        from zetali.stieltjes import gamma_contour
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a contour route reached table code")
+
+        names = ("compute_gamma_table", "euler_maclaurin_parameters",
+                 "_dirichlet_sums", "eta_from_gamma_recurrence", "series_recip")
+        modules = (zetali.stieltjes, zetali.coefficients, zetali.numerics, zetali.cli)
+        for module in modules:
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, boom)
+        ctx = PrecisionContext(64, 16)
+        assert gamma_contour(3, ctx).n_max == 3
+        assert eta_contour(3, ctx).n_max == 3
+        assert zetali.cli.main(["eta", "--method", "contour", "--n-max", "3"]) == 0
+        assert "provenance=contour" in capsys.readouterr().out
 
 
 class TestSymbolicEta:

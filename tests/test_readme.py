@@ -35,7 +35,7 @@ def test_quick_start_runs(tmp_path):
 
 
 def test_command_line_block_found():
-    assert len(_command_lines()) == 9
+    assert len(_command_lines()) == 10
 
 
 @pytest.mark.parametrize("argv", _command_lines(), ids=" ".join)

@@ -18,8 +18,8 @@ from zetali import (
     eta_series_oracle,
     euler_maclaurin_parameters,
     from_decimal,
+    gamma_contour,
     gamma_from_eta_explicit,
-    gamma_limit_definition,
     lambda_context,
     lambda_tilde_binomial,
     lambda_tilde_explicit,
@@ -222,34 +222,27 @@ class TestPochhammerPolys:
                 assert value == math.prod(s + i for i in range(1, 2 * j)), (j, s)
 
 
-class TestGammaLimitDefinition:
-    CTX = PrecisionContext(64, 16)
+class TestGammaContour:
+    def test_matches_shared_table(self, gamma40, ctx256):
+        got = gamma_contour(40, ctx256)
+        assert (got.kind, got.provenance, got.n_max) == ("gamma", "contour", 40)
+        with mp.workprec(400):
+            for n in range(41):
+                assert abs(got[n] - gamma40[n]) < mp.mpf(2) ** -200, n
 
-    def test_ten_term_fixture(self):
-        # independent direct evaluation of the same truncation
-        with self.CTX.workprec():
-            want = sum(mp.mpf(1) / k for k in range(1, 11)) - mp.log(10)
-        got = gamma_limit_definition(0, 10, self.CTX)
-        assert got == want
-        assert to_decimal(got, 64).startswith("0.6263831")
+    @pytest.mark.parametrize("n_max,target,guard", [
+        (20, 192, 64), (60, 192, 128), (8, 300, 64)])
+    def test_matches_higher_precision_reference(self, em_reference, n_max,
+                                                target, guard):
+        got = gamma_contour(n_max, PrecisionContext(target, guard))
+        want, _ = em_reference(n_max, target)
+        with mp.workprec(target + 300):
+            for n in range(n_max + 1):
+                assert abs(got[n] - want[n]) < mp.mpf(2) ** -(target + 8), n
 
-    def test_converges_from_above_toward_gamma0(self, gamma40):
-        with mp.workprec(96):
-            errs = [abs(gamma_limit_definition(0, x, self.CTX) - gamma40[0])
-                    for x in (10 ** 3, 10 ** 4, 10 ** 5)]
-        assert errs[0] > errs[1] > errs[2]
-        assert errs[2] < mp.mpf("5e-6")
-
-    def test_higher_indices_improve_with_x(self, gamma40):
-        for n in range(1, 5):
-            with mp.workprec(96):
-                errs = [abs(gamma_limit_definition(n, x, self.CTX) - gamma40[n])
-                        for x in (10 ** 3, 10 ** 4, 10 ** 5)]
-            assert errs[0] > errs[1] > errs[2], n
-
-    def test_x_max_validation(self):
+    def test_negative_n_max_raises(self):
         with pytest.raises(ValueError):
-            gamma_limit_definition(0, 1, self.CTX)
+            gamma_contour(-1)
 
 
 class TestConvertConvention:
