@@ -167,7 +167,7 @@ def _cmd_eta(args) -> int:
             values = tuple(eta_from_gamma_explicit(gamma, n + 1, ctx)
                            for n in range(args.n_max + 1))
             table = CoefficientTable("eta", CONVENTION_PAPER, PROVENANCE_EXPLICIT,
-                                     values, ctx.working_bits)
+                                     values, min(ctx.working_bits, gamma.precision_bits))
     return _emit_values(args, {"provenance": table.provenance,
                                "precision_bits": table.precision_bits}, table.values)
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import mpmath as mp
 
@@ -118,7 +117,8 @@ def _signed_walk(values, n: int, ctx: PrecisionContext, least: int | None = None
 
 def eta_from_gamma_recurrence(g: CoefficientTable, n_max: int,
                               ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:
-    """eta_n = -(n+1) gamma_n - sum_{k=0}^{n-1} eta_k gamma_{n-k-1}."""
+    """eta_n = -(n+1) gamma_n - sum_{k=0}^{n-1} eta_k gamma_{n-k-1}; the
+    table claims no more bits than g carries."""
     _require(g, "gamma", n_max)
     with ctx.workprec():
         out: list[BigReal] = []
@@ -128,7 +128,7 @@ def eta_from_gamma_recurrence(g: CoefficientTable, n_max: int,
                 acc += out[k] * g.values[n - k - 1]
             out.append(-(n + 1) * g.values[n] - acc)
     return CoefficientTable("eta", CONVENTION_PAPER, PROVENANCE_RECURRENCE,
-                            tuple(out), ctx.working_bits)
+                            tuple(out), min(ctx.working_bits, g.precision_bits))
 
 
 def eta_from_gamma_explicit(g: CoefficientTable, n: int,
@@ -169,17 +169,15 @@ def gamma_from_eta_explicit(e: CoefficientTable, n: int,
                         ctx.working_bits)
 
 
-def eta_series_oracle(g: CoefficientTable, n_max: Optional[int] = None,
+def eta_series_oracle(g: CoefficientTable, n_max: int,
                       ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:
     """eta_0 .. eta_n_max as the coefficients of -A'(s)/A(s) where
     A(s) = 1 + sum gamma_n s^(n+1).
 
     Built entirely from truncated-series arithmetic on coefficient
     tuples, so it shares no code path with the recurrence or the
-    partition sum.
+    partition sum.  Like the recurrence, it claims no more bits than g.
     """
-    if n_max is None:
-        n_max = g.n_max
     _require(g, "gamma", n_max)
     order = n_max + 1
     a = (mp.mpf(1),) + g.values[:order]
@@ -189,7 +187,7 @@ def eta_series_oracle(g: CoefficientTable, n_max: Optional[int] = None,
     with ctx.workprec():
         values = tuple(-c for c in quot)
     return CoefficientTable("eta", CONVENTION_PAPER, PROVENANCE_SERIES_ORACLE,
-                            values, ctx.working_bits)
+                            values, min(ctx.working_bits, g.precision_bits))
 
 
 def eta_contour(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:

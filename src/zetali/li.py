@@ -9,11 +9,11 @@ The quantity of interest is the binomial transform
 Li sequence.  Whether this oscillation stays bounded by the trend is a
 famous open problem; this module only computes it, two independent ways:
 
-* ``lambda_tilde_binomial`` — the transform above, evaluated with exact
-  integer binomials.  The sum cancels catastrophically (roughly n bits
-  are lost), so it runs under a guard policy of max(64, 10 n) extra bits
-  and re-checks itself at 64 more ("cancellation sentinel") rather than
-  ever returning silently wrong digits.
+* ``lambda_tilde_binomial`` — the transform above with exact integer
+  binomials, summed exactly and rounded once.  The weights amplify the
+  eta table's own rounding by up to 2^n, so the route refuses a table
+  too coarse for the target (the guard policy of max(64, 10 n) extra
+  bits builds tables that pass) rather than return wrong digits.
 * ``lambda_tilde_explicit`` — the direct partition sum over the
   Stieltjes constants,
 
@@ -81,8 +81,8 @@ class TermDistribution:
 
 
 def lambda_guard_bits(n: int) -> int:
-    """Guard policy for oscillation work at index n: the binomial sum
-    loses on the order of n bits to cancellation."""
+    """Guard policy for oscillation work at index n: the weights C(n, j)
+    amplify the rounding of an eta table built under it by up to 2^n."""
     return max(64, 10 * n)
 
 
@@ -91,35 +91,27 @@ def lambda_context(target_bits: int, n: int) -> PrecisionContext:
     return PrecisionContext(target_bits, lambda_guard_bits(n))
 
 
-def _binomial_sum(values, n: int, bits: int) -> BigReal:
-    with mp.workprec(bits):
-        acc = mp.mpf(0)
-        for j in range(1, n + 1):
-            acc += math.comb(n, j) * values[j - 1]
-        return -acc
-
-
 def lambda_tilde_binomial(e: CoefficientTable, n: int,
                           ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    """lambda_tilde_n = - sum_{j=1}^{n} C(n, j) eta_{j-1}.
+    """lambda_tilde_n = - sum_{j=1}^{n} C(n, j) eta_{j-1}, with exact
+    binomials, summed exactly and rounded once at working precision.
 
-    Binomials are exact integers; the eta values come from the table
-    as-is.  The sum is always recomputed at 64 extra guard bits, and a
-    drift of 2^-target_bits or more raises PrecisionInfeasibleError:
-    digits that move under extra guard were never trustworthy.
+    Each eta entry may be off by 2^-precision_bits of itself, so this
+    raises PrecisionInfeasibleError unless 2^-precision_bits * sum_j
+    C(n, j) |eta_{j-1}| < 2^-(target_bits+1), summed exactly and
+    rounded to 53 bits.
     """
     if n < 1:
         raise ValueError("n must be positive")
     _require(e, "eta", n - 1)
-    value = _binomial_sum(e.values, n, ctx.working_bits)
-    recheck = _binomial_sum(e.values, n, ctx.working_bits + 64)
-    with ctx.workprec():
-        if abs(value - recheck) >= mp.mpf(2) ** -ctx.target_bits:
-            raise PrecisionInfeasibleError(
-                f"binomial sum for n={n} is not stable at "
-                f"{ctx.working_bits} working bits (cancellation); "
-                f"raise guard_bits — policy suggests {lambda_guard_bits(n)}")
-    return value
+    terms = [(math.comb(n, j), to_raw(e.values[j - 1])) for j in range(1, n + 1)]
+    spread = weighted_sum(((w, (abs(man), exp)) for w, (man, exp) in terms), 53)
+    if spread >= mp.ldexp(1, e.precision_bits - ctx.target_bits - 1):
+        raise PrecisionInfeasibleError(
+            f"an eta table of {e.precision_bits} bits cannot back lambda_tilde_{n}"
+            f" to 2^-{ctx.target_bits + 1}: the binomial weights amplify its rounding")
+    # negated in the exact weights: rounding to nearest is symmetric
+    return weighted_sum(((-w, raw) for w, raw in terms), ctx.working_bits)
 
 
 def _lambda_weights(n: int) -> list[list[int]]:

@@ -38,7 +38,7 @@ from typing import Callable, Iterable
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .errors import NonInvertibleSeriesError, OrderMismatchError
+from .errors import NonInvertibleSeriesError, OrderMismatchError, PrecisionInfeasibleError
 
 __all__ = [
     "BigReal",
@@ -316,12 +316,19 @@ def cauchy_coefficients(f: Callable, n_max: int,
     upper half circle is sampled.  The rule gives c_k + c_(k+N) + ...; N
     is the smallest even number >= max(2 n_max + 4, (target_bits + 16) /
     log2 3), so for ``f`` analytic on |s| < 3 the aliased part is below
-    2^-(target_bits + 16) of the size of ``f`` there.
+    2^-(target_bits + 16) of the size of ``f`` there.  As for the
+    Euler-Maclaurin table, PrecisionInfeasibleError is raised unless
+    ``guard_bits`` leaves 8 + max(16, 4 + the bit length of N) bits of
+    headroom over the rounding of the N-term sums.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     points = max(2 * n_max + 4, math.ceil((ctx.target_bits + 16) / math.log2(3)))
     points += points % 2
+    needed = 8 + max(16, points.bit_length() + 4)
+    if ctx.guard_bits < needed:
+        raise PrecisionInfeasibleError(f"{ctx.guard_bits} guard bits cannot hold "
+                                       f"a {points}-point sum; need at least {needed}")
     with ctx.workprec():
         unit = [mp.expjpi(mp.mpf(2 * j) / points) for j in range(points)]
         samples = [f(unit[j]) for j in range(points // 2 + 1)]

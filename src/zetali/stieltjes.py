@@ -110,7 +110,8 @@ class CoefficientTable:
 
     ``kind`` is ``"gamma"`` or ``"eta"``; eta tables are always in the
     ``"paper"`` convention.  ``provenance`` names the route that built
-    the values, and ``precision_bits`` the working precision they carry.
+    the values, and ``precision_bits`` the precision they carry: the
+    working precision of the build, or less when its input carried less.
     """
 
     kind: str

@@ -88,14 +88,14 @@ def test_criterion_3_gamma_roundtrip(gamma40, eta40, ctx256):
 
 
 def test_criterion_4_lambda_cross_method():
-    with report(4, "lambda cross-method, n<=20, rel 2^-80, sentinel stable"):
+    with report(4, "lambda cross-method, n<=20, rel 2^-80, eta table precise enough"):
         tol = mp.mpf(2) ** -80
         for n in range(1, 21):
             ctx = lambda_context(192, n)
             gamma = compute_gamma_table(max(0, n - 1), ctx)
             eta = eta_from_gamma_recurrence(gamma, max(0, n - 1), ctx)
-            # the binomial route re-checks itself at +64 guard bits and
-            # raises rather than returning unstable digits
+            # the binomial route raises rather than sum an eta table whose
+            # rounding its weights amplify past the target
             binom = lambda_tilde_binomial(eta, n, ctx)
             explicit = lambda_tilde_explicit(gamma, n, ctx)
             with ctx.workprec():

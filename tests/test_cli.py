@@ -169,9 +169,17 @@ class TestStieltjesCommand:
         assert code == 2
         assert out == ""
         assert "precision infeasible" in err and "64 bits" in err
-        code, _, _ = run_cli(capsys, "li", "--n-max", "3",
+        # at --prec 64 the table passes the gate; the explicit route sums
+        # gamma directly, but the binomial weights amplify the eta table's
+        # rounding past 2^-65, so that route refuses the same table
+        code, _, _ = run_cli(capsys, "li", "--n-max", "3", "--method", "explicit",
                              "--table", str(path), "--prec", "64")
         assert code == 0
+        code, out, err = run_cli(capsys, "li", "--n-max", "3",
+                                 "--table", str(path), "--prec", "64")
+        assert code == 2
+        assert out == ""
+        assert "64 bits cannot back lambda_tilde_1" in err
 
     def test_guard_too_small_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "stieltjes", "--n-max", "2",
@@ -210,6 +218,29 @@ class TestEtaCommand:
         assert code == 1
         assert out == ""
         assert "--table cannot be combined with --method contour" in err
+
+    @pytest.mark.parametrize("command", ["stieltjes", "eta"])
+    def test_contour_guard_too_small_exits_2(self, capsys, command):
+        # 52 points need 8 + 16 guard bits, as the table build would
+        argv = (command, "--method", "contour", "--n-max", "6", "--prec", "64")
+        for guard in ("0", "23"):
+            code, out, err = run_cli(capsys, *argv, "--guard", guard)
+            assert code == 2
+            assert out == ""
+            assert "precision infeasible" in err and "need at least 24" in err
+        code, _, _ = run_cli(capsys, *argv, "--guard", "24")
+        assert code == 0
+
+    @pytest.mark.parametrize("method", ["recurrence", "explicit", "series"])
+    def test_table_precision_caps_eta_precision(self, capsys, tmp_path, method):
+        # 320 working bits cannot add precision to a 256-bit gamma table
+        path = tmp_path / "gamma.json"
+        save_table(compute_gamma_table(5), path)
+        code, out, _ = run_cli(capsys, "eta", "--method", method, "--n-max", "5",
+                               "--table", str(path), "--prec", "192",
+                               "--guard", "128")
+        assert code == 0
+        assert out.splitlines()[1] == "# precision_bits=256"
 
     def test_contour_json_validates(self, capsys):
         code, out, _ = run_cli(capsys, "eta", "--method", "contour", "--n-max", "3",
@@ -285,6 +316,18 @@ class TestLiCommand:
         code, _, _ = run_cli(capsys, "li", "--n-max", "10")
         assert code == 0
         assert calls == [9]
+
+    def test_coarse_table_for_high_index_exits_2(self, capsys, tmp_path):
+        # 256 bits pass the --prec gate, but C(n, j) amplify the table's
+        # rounding past 2^-193 well before n = 200
+        path = tmp_path / "t.json"
+        code, _, _ = run_cli(capsys, "stieltjes", "--n-max", "199", "--prec", "192",
+                             "--guard", "64", "--format", "json", "--out", str(path))
+        assert code == 0
+        code, out, err = run_cli(capsys, "li", "--n-max", "200", "--table", str(path))
+        assert code == 2
+        assert out == ""
+        assert "an eta table of 256 bits cannot back lambda_tilde_" in err
 
     def test_json_validates(self, capsys):
         code, out, _ = run_cli(capsys, "li", "--n-max", "3", "--with-trend",
@@ -482,7 +525,16 @@ class TestGoldenOutput:
     ``stieltjes --method contour`` and ``eta --method contour`` (both
     ``--n-max 2 --prec 64``) were pinned when the contour routes replaced
     the truncated-limit routes, whose two ``--method limit --x-max 500``
-    digests went with them."""
+    digests went with them.
+
+    ``verify --n-max 5`` (both formats) and ``verify --n-max 20`` were
+    pinned again when the binomial route began to add its weighted eta
+    values exactly and round once, instead of summing in ``mpf``.  Only
+    two ``max_discrepancy`` cells move, at the rounding level:
+    ``lambda_binomial_vs_explicit`` from 2.51e-77 to 1.16e-77 at n <= 20
+    (1.26e-77 to 0.0 at n <= 5), and ``distribution_sum`` from 3.553e-77
+    to 3.482e-77 at 3 <= n <= 10 (1.41e-77 to 2.51e-77 at 3 <= n <= 5).
+    Every ``li`` digest holds."""
 
     @pytest.mark.parametrize("command,digest", [
         ("eta --method explicit --n-max 12",
@@ -532,13 +584,13 @@ class TestGoldenOutput:
         ("expand --target lambda --n 12",
          "c8306563524b27ec905b6a4ba72960048a45bc50518e40662ee54cd620272901"),
         ("verify --n-max 5",
-         "66b83f060e0b8eae546bf2c794f49d9ad3f45298b1b9dbb6e3a10cb8f7bcb1cc"),
+         "45840972a378ed195eb1b46f84084931ef5705ec02e1bee4116fa278acd4e2bb"),
         ("verify --n-max 5 --format json",
-         "08b28dd1b7d4a189b8c669f7929a12ce01746416e76daa23146506a987666e30"),
+         "3a65fa1f57e5a6025fc042c6d013aa6a9b7dfdc856aee59e850bb00d71738f5b"),
         ("verify --n-max 2",
          "ca496eb21ef8f2cd97dbe2e72f753d8c05a911d6adcfe0c1923600b12c7e6133"),
         ("verify --n-max 20",
-         "1770f4a21a76485b0d0f42c30560e6d96b242aa285aa1685ef3457fe341b4dc7"),
+         "c5c5126e846a6cbd4c3aa4fd5f049bde2801a79393790c4c984d724b6b6a49da"),
         ("li --n-max 12 --with-trend --format json",
          "d48b439e44645c888a07817a6424de5e91eb3acd80810e17cd45e0235411a2ab"),
         ("li --n-max 8 --with-trend --table {table} --prec 128 --guard 16",

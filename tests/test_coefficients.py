@@ -198,7 +198,7 @@ class TestContourIndependence:
             for name in names:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, boom)
-        ctx = PrecisionContext(64, 16)
+        ctx = PrecisionContext(64, 24)
         assert gamma_contour(3, ctx).n_max == 3
         assert eta_contour(3, ctx).n_max == 3
         assert zetali.cli.main(["eta", "--method", "contour", "--n-max", "3"]) == 0

@@ -48,6 +48,16 @@ class TestBinomialRoute:
             lambda_tilde_binomial(eta40, 42, ctx256)
         assert str(err.value) == "eta table too short: need index 41, have 40"
 
+    def test_exact_sum_rounded_once(self, eta40, ctx256):
+        def exact(x):
+            sign, man, exp, _ = x._mpf_
+            return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+        for n in range(1, 41):
+            want = -sum(math.comb(n, j) * exact(eta40[j - 1]) for j in range(1, n + 1))
+            assert lambda_tilde_binomial(eta40, n, ctx256) == mp.fdiv(
+                want.numerator, want.denominator, prec=ctx256.working_bits), n
+
     def test_sentinel_fires_without_guard(self):
         bare = PrecisionContext(192, 0)
         table_ctx = PrecisionContext(192, 64)
