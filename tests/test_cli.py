@@ -534,7 +534,14 @@ class TestGoldenOutput:
     ``lambda_binomial_vs_explicit`` from 2.51e-77 to 1.16e-77 at n <= 20
     (1.26e-77 to 0.0 at n <= 5), and ``distribution_sum`` from 3.553e-77
     to 3.482e-77 at 3 <= n <= 10 (1.41e-77 to 2.51e-77 at 3 <= n <= 5).
-    Every ``li`` digest holds."""
+    Every ``li`` digest holds.
+
+    ``expand --target lambda --n 25 --format json``, ``expand --target eta
+    --n 30 --format json`` and ``stieltjes --n-max 29 --format json
+    --out`` (stdout and file), the largest JSON outputs the benchmark
+    prints, were pinned while JSON was still written by
+    ``json.dumps(obj, indent=2)``, to hold their bytes when the JSON
+    writer was replaced."""
 
     @pytest.mark.parametrize("command,digest", [
         ("eta --method explicit --n-max 12",
@@ -599,6 +606,10 @@ class TestGoldenOutput:
          "184b2a4e61bcdf88c0fef989f1a6ac3783b07fc492f9dca00929e40d9d403090"),
         ("histogram --n 22 --raw",
          "0104e8482ca37da82ceb3daee7b863173b87e7d62acd05654a57ada9cafc6af2"),
+        ("expand --target lambda --n 25 --format json",
+         "ecb7c5ad3b19ffa3d0ef4ad18f6236d09bb216eee09e6ee922044bef36f472e6"),
+        ("expand --target eta --n 30 --format json",
+         "6ecab484b56717c5b0958c63a7f2da2ce428c4598bf174122e84db6e0932f684"),
     ])
     def test_output_digest(self, capsys, tmp_path, gamma40, command, digest):
         if "{table}" in command:
@@ -616,6 +627,9 @@ class TestGoldenOutput:
         ("stieltjes --n-max 6 --format json",
          "4128702713a17430416b573e78b122da21ed64c57464ca39a41f32e4a85d585f",
          "89cd9a6869d2e108669cb9686248d8127a8a59d30fe8404ebfb6c116091913fd"),
+        ("stieltjes --n-max 29 --format json",
+         "9d83924f2bd9d2e1e2100e0e4ae4a772fe91726e90caf452f94043b1f8a3e0bf",
+         "808f8e767269ce53cfe23d32cafbfe2aa662edb6dffd2d8b77acc3ecf982508f"),
         # every other command mirrors stdout
         ("eta --method explicit --n-max 6 --format json",
          "00d7a1f840482419c765fac14a660320b6659b454b68edacb5d5b09a7715d261",
