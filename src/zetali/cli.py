@@ -178,7 +178,8 @@ def _cmd_gamma_invert(args) -> int:
     eta = eta_from_gamma_recurrence(gamma, args.n_max, ctx)
     values = [gamma_from_eta_explicit(eta, n + 1, ctx) for n in range(args.n_max + 1)]
     return _emit_values(args, {"convention": CONVENTION_PAPER,
-                               "precision_bits": ctx.working_bits}, values)
+                               "precision_bits": min(ctx.working_bits, gamma.precision_bits)},
+                        values)
 
 
 def _cmd_li(args) -> int:
@@ -201,7 +202,8 @@ def _cmd_li(args) -> int:
             row["trend"] = to_decimal(trend, args.prec)
             row["estimate"] = to_decimal(mp.fadd(trend, osc, exact=True), args.prec)
         records.append(row)
-    obj = {"method": args.method, "precision_bits": ctx.working_bits,
+    obj = {"method": args.method,
+           "precision_bits": min(ctx.working_bits, gamma.precision_bits),
            "n_max": n_max, "with_trend": bool(args.with_trend), "records": records}
     header = "n,lambda_tilde,trend,estimate" if args.with_trend else "n,lambda_tilde"
     return _emit(args, obj, ("method", "precision_bits"), header)

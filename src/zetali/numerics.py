@@ -19,6 +19,13 @@ value ``mpf * mpf`` would give, without an ``mpf`` object per product.
 :func:`weighted_sum` adds integer-weighted pairs exactly and rounds
 once, so its result does not depend on the order at all.
 
+:func:`render` writes every CSV and JSON output of the package.  Its JSON
+is byte for byte what the stdlib's ``json.dumps`` writes with
+``indent=2``, but an indent would send ``json.dumps`` through its
+pure-Python encoder; here strings and keys go through the stdlib's C
+string encoder, and an array of plain ints is one ``repr`` per item,
+joined once.
+
 The module also provides exact Bernoulli numbers (mpmath's ``bernfrac``
 as a :class:`~fractions.Fraction`), arithmetic on truncated formal power
 series, held as plain tuples of coefficients, and Taylor coefficients
@@ -36,7 +43,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest, to_str
 
 from .errors import NonInvertibleSeriesError, OrderMismatchError, PrecisionInfeasibleError
 
@@ -130,19 +137,59 @@ def to_decimal(x: BigReal, bits: int) -> str:
         # mpf is formatted from its own mantissa, never re-rounded
         with mp.workprec(bits):
             x = mp.mpf(x)
-    return mp.nstr(x, decimal_digits(bits), strip_zeros=False)
+    # what mp.nstr does for an mpf, without its dispatch on the type
+    return to_str(x._mpf_, decimal_digits(bits), strip_zeros=False)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_leaf = json.JSONEncoder().encode
+
+
+def _json_parts(v, pad: str, parts: list) -> None:
+    """Append to ``parts`` the text the stdlib's ``json.dumps`` gives for
+    ``v`` under ``indent=2``, nested at indentation ``pad``.  Dict keys
+    must be strings."""
+    if isinstance(v, str):
+        parts.append(_encode_str(v))
+    elif isinstance(v, dict) and v:
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in v.items():
+            parts.append(sep + _encode_str(key) + ": ")
+            _json_parts(item, inner, parts)
+            sep = ",\n" + inner
+        parts.append("\n" + pad + "}")
+    elif isinstance(v, (list, tuple)) and v:
+        inner = pad + "  "
+        if all(type(x) is int for x in v):  # not bool: it prints as true/false
+            parts.append("[\n" + inner + (",\n" + inner).join(map(repr, v))
+                         + "\n" + pad + "]")
+        else:
+            sep = "[\n" + inner
+            for item in v:
+                parts.append(sep)
+                _json_parts(item, inner, parts)
+                sep = ",\n" + inner
+            parts.append("\n" + pad + "]")
+    else:  # empty containers, numbers, None, booleans
+        parts.append(_encode_leaf(v))
 
 
 def render(fmt: str, obj: dict, meta_keys: Iterable[str], header: str) -> str:
     """Serialize an output object as JSON or as CSV.
 
-    JSON is ``obj`` itself, indented by 2.  CSV is one ``# key=value``
+    JSON is ``obj`` itself, indented by 2: the stdlib's ``json.dumps``
+    bytes under ``indent=2``, built from its C string encoder and
+    ``repr`` instead of its pure-Python indent path.  CSV is one ``# key=value``
     line per key in ``meta_keys``, then ``header``, then one row per item
     of ``obj``'s last value: a dict item gives its values in order, any
     other item gives ``index,item``.  List cells are joined by spaces.
     """
     if fmt == "json":
-        return json.dumps(obj, indent=2) + "\n"
+        parts = []
+        _json_parts(obj, "", parts)
+        parts.append("\n")
+        return "".join(parts)
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}")
 

@@ -275,6 +275,15 @@ class TestGammaInvertCommand:
         assert code == 0
         validate(json.loads(out), "gamma_table")
 
+    def test_table_precision_caps_precision_bits(self, capsys, tmp_path):
+        # 320 working bits cannot add precision to a 256-bit gamma table
+        path = tmp_path / "gamma.json"
+        save_table(compute_gamma_table(5), path)
+        code, out, _ = run_cli(capsys, "gamma-invert", "--n-max", "3", "--table",
+                               str(path), "--prec", "192", "--guard", "128")
+        assert code == 0
+        assert out.splitlines()[1] == "# precision_bits=256"
+
 
 class TestLiCommand:
     def test_lambda_column(self, capsys):
@@ -292,6 +301,15 @@ class TestLiCommand:
         for row in rows[3:]:
             _, lam, trend, est = row.split(",")
             assert abs((float(trend) + float(lam)) - float(est)) < 1e-12
+
+    @pytest.mark.parametrize("method", ["binomial", "explicit"])
+    def test_table_precision_caps_precision_bits(self, capsys, tmp_path, method):
+        path = tmp_path / "gamma.json"
+        save_table(compute_gamma_table(5), path)
+        code, out, _ = run_cli(capsys, "li", "--method", method, "--n-max", "3",
+                               "--table", str(path), "--prec", "192", "--guard", "128")
+        assert code == 0
+        assert out.splitlines()[1] == "# precision_bits=256"
 
     def test_methods_agree(self, capsys):
         _, a, _ = run_cli(capsys, "li", "--n-max", "6", "--method", "binomial")

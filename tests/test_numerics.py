@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -6,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 from mpmath.libmp import from_man_exp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetali import (
@@ -98,6 +99,36 @@ class TestDecimalSerialization:
     def test_zero_roundtrip(self):
         assert from_decimal(to_decimal(mp.mpf(0), 128), 128) == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 1100),
+           st.integers(min_value=-5000, max_value=5000),
+           st.booleans(),
+           st.sampled_from([1, 2, 53, 128, 192, 256, 1000]))
+    @example(0, 0, False, 256)
+    @example(1, -4000, True, 192)
+    @example(3, -1100, False, 53)
+    def test_equals_nstr(self, mantissa, exponent, negative, bits):
+        x = mp.mpf(from_man_exp(-mantissa if negative else mantissa, exponent))
+        assert to_decimal(x, bits) == mp.nstr(x, decimal_digits(bits),
+                                              strip_zeros=False)
+
+
+# JSON values: strings and keys with quotes, backslashes, control and
+# non-ASCII characters; ints wider than 64 bits; bools among ints
+_json_text = st.text(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f aé€\U0001f600')
+                     | st.characters())
+_json_leaves = (st.none() | st.booleans()
+                | st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+                | st.floats() | st.sampled_from([-0.0, 1e300, -1e-300]) | _json_text)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.lists(st.integers(min_value=-2 ** 70, max_value=2 ** 70)
+                              | st.booleans(), max_size=5)
+                   | st.dictionaries(_json_text, inner, max_size=5)),
+    max_leaves=30)
+
 
 class TestRender:
     def test_csv_rows(self):
@@ -118,6 +149,16 @@ class TestRender:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render("xml", {"values": []}, (), "n,value")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(_json_text, _json_values, max_size=5))
+    @example({"a": {}, "b": [], "c": [{}, [[]], {"d": {}}]})
+    @example({"t": (1, (2, 3), ()), "mixed": [1, True, 0, False, -1]})
+    @example({"ints": [-1, 2 ** 64, -2 ** 200, 0], "none": None,
+              "floats": [-0.0, 1e300, 0.5]})
+    @example({'q"uo\\te\n\x01é': 'v"\\\x1f€\U0001f600'})
+    def test_json_is_json_dumps_indent_2(self, obj):
+        assert render("json", obj, (), "") == json.dumps(obj, indent=2) + "\n"
 
 
 class TestWeightedSum:
