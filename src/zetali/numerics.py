@@ -178,9 +178,8 @@ def _json_parts(v, pad: str, parts: list) -> None:
 def render(fmt: str, obj: dict, meta_keys: Iterable[str], header: str) -> str:
     """Serialize an output object as JSON or as CSV.
 
-    JSON is ``obj`` itself, indented by 2: the stdlib's ``json.dumps``
-    bytes under ``indent=2``, built from its C string encoder and
-    ``repr`` instead of its pure-Python indent path.  CSV is one ``# key=value``
+    JSON is ``obj`` itself, indented by 2, byte for byte as the stdlib's
+    ``json.dumps`` writes it with ``indent=2``.  CSV is one ``# key=value``
     line per key in ``meta_keys``, then ``header``, then one row per item
     of ``obj``'s last value: a dict item gives its values in order, any
     other item gives ``index,item``.  List cells are joined by spaces.
