@@ -13,6 +13,7 @@ these, not merely close.  ``term_distribution`` rounds
 each weighted term on its own, and its reference does the same.
 """
 
+import hashlib
 import math
 
 import mpmath as mp
@@ -20,17 +21,21 @@ import pytest
 from mpmath.libmp import from_man_exp
 
 from zetali import (
+    PrecisionContext,
     compute_gamma_table,
     enumerate_constrained,
     eta_from_gamma_explicit,
     gamma_from_eta_explicit,
+    histogram,
     lambda_context,
     lambda_tilde_explicit,
     modified_gamma,
     term_distribution,
 )
 from zetali.coefficients import _signed_walk, partition_product
+from zetali.numerics import from_decimal
 from zetali.partitions import _power_rows, _walk_partitions
+from zetali.stieltjes import CONVENTION_PAPER, PROVENANCE_FILE, CoefficientTable
 
 N_MAX = 12
 BENCH_N = 24  # in the band of the partition_sums benchmark workload
@@ -191,3 +196,53 @@ class TestSumAccuracy:
         self._close(lambda_tilde_explicit(gamma20, n, ctx),
                     lambda_tilde_explicit(gamma20, n, ctx.with_extra_guard(256)),
                     ctx)
+
+
+def synthetic_table(kind, count):
+    """A fixed table of ``count`` values that no table build produces.
+
+    Each value is parsed from a decimal string of 154 significant digits
+    taken from SHA-256 digests of its name, with a digest-chosen sign
+    and a magnitude falling with the index, so a change to how tables
+    are built cannot move what is computed from this one.
+    """
+    values = []
+    for i in range(count):
+        words = [int(hashlib.sha256(f"{kind} {i} {half}".encode()).hexdigest(), 16)
+                 for half in (0, 1)]
+        digits = "".join(str(w).zfill(78)[:77] for w in words)
+        sign = "-" if words[0] % 2 else ""
+        values.append(from_decimal(f"{sign}0.{digits}e-{i // 2}", 512))
+    return CoefficientTable(kind, CONVENTION_PAPER, PROVENANCE_FILE,
+                            tuple(values), 512)
+
+
+class TestSyntheticTablePin:
+    """One digest over every value the partition sums give from a fixed
+    synthetic table, at three contexts.  The table does not come from
+    ``compute_gamma_table``, so only a change to the sums themselves
+    (their walk, products, rounding or order) can move the digest."""
+
+    DIGEST = "2169a492b4d9e270084588ebbdbb6e33529640e7a7f157545702127357b80ef4"
+
+    def test_digest(self):
+        gamma, eta = synthetic_table("gamma", 24), synthetic_table("eta", 24)
+        lines = []
+
+        def put(*xs):
+            lines.append(" ".join(str(x._mpf_) if isinstance(x, mp.mpf) else str(x)
+                                  for x in xs))
+
+        for ctx in (PrecisionContext(192, 64), PrecisionContext(128, 0),
+                    PrecisionContext(300, 17)):
+            for n in range(1, 25):
+                put("eta", ctx, n, eta_from_gamma_explicit(gamma, n, ctx))
+                put("gamma", ctx, n, gamma_from_eta_explicit(eta, n, ctx))
+            for n in range(1, 21):
+                put("lambda", ctx, n, lambda_tilde_explicit(gamma, n, ctx))
+                dist = term_distribution(gamma, n, ctx)
+                put("terms", ctx, n, *dist.term_values)
+                for row in histogram(dist, 9, ctx):
+                    put("bin", ctx, n, *row)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST
