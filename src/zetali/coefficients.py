@@ -56,7 +56,7 @@ from .numerics import (
     to_raw,
     weighted_sum,
 )
-from .partitions import _dense, _power_rows, _walk_partitions
+from .partitions import _dense, _power_rows, _tagged_walk, _walk_partitions
 from .stieltjes import (
     CONVENTION_PAPER,
     PROVENANCE_CONTOUR,
@@ -105,8 +105,8 @@ def _signed_walk(values, n: int, ctx: PrecisionContext, least: int | None = None
 
     Each factor is formed in ``mpf`` as there, at the working precision,
     and then held raw; the walk rounds every prefix product as ``mpf``
-    multiplication at that precision would, so each yielded
-    ``(man, exp)`` product has the value of :func:`partition_product`.
+    multiplication at that precision would, so in each yielded
+    ``(r, p, (man, exp))`` the product is :func:`partition_product`'s.
     """
     with ctx.workprec():
         powers = _power_rows(
@@ -146,7 +146,7 @@ def eta_from_gamma_explicit(g: CoefficientTable, n: int,
     _require(g, "gamma", n - 1)
     weights = [n * modified_gamma(p) for p in range(n + 1)]
     walk = _signed_walk(g.values, n, ctx)
-    return weighted_sum(((weights[p], product) for _, _, p, product in walk),
+    return weighted_sum(((weights[p], product) for _, p, product in walk),
                         ctx.working_bits)
 
 
@@ -165,7 +165,7 @@ def gamma_from_eta_explicit(e: CoefficientTable, n: int,
     with ctx.workprec():
         scaled = [e.values[i] / (1 + i) for i in range(n)]
     walk = _signed_walk(scaled, n, ctx)
-    return weighted_sum(((1, product) for _, _, _, product in walk),
+    return weighted_sum(((1, product) for _, _, product in walk),
                         ctx.working_bits)
 
 
@@ -246,8 +246,7 @@ def expand_eta_symbolic(n: int) -> SymbolicExpansion:
     if n < 1:
         raise ValueError("n must be positive")
     terms: dict[tuple[int, ...], Fraction] = {}
-    denoms = _power_rows(n, lambda j, c: math.factorial(c))
-    for _, parts, p, denom in _walk_partitions(n, denoms):
+    for _, p, (denom, parts) in _tagged_walk(n, lambda j, c: math.factorial(c)):
         coeff = Fraction(n * modified_gamma(p), denom)
         terms[_dense(parts, n + 1)] = -coeff if p % 2 else coeff
     return SymbolicExpansion("eta", n, terms)
@@ -259,8 +258,7 @@ def expand_gamma_symbolic(n: int) -> SymbolicExpansion:
     of them is an integer."""
     if n < 1:
         raise ValueError("n must be positive")
-    denoms = _power_rows(n, lambda j, c: math.factorial(c) * (j + 1) ** c)
     terms: dict[tuple[int, ...], Fraction] = {}
-    for _, parts, p, denom in _walk_partitions(n, denoms):
+    for _, p, (denom, parts) in _tagged_walk(n, lambda j, c: math.factorial(c) * (j + 1) ** c):
         terms[_dense(parts, n + 1)] = Fraction(-1 if p % 2 else 1, denom)
     return SymbolicExpansion("gamma", n, terms)

@@ -44,12 +44,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest
 
 from .coefficients import SymbolicExpansion, _signed_walk, modified_gamma
 from .errors import PrecisionInfeasibleError
-from .numerics import DEFAULT_CONTEXT, BigReal, PrecisionContext, to_raw, weighted_sum
-from .partitions import _dense, _power_rows, _walk_partitions
+from .numerics import DEFAULT_CONTEXT, BigReal, PrecisionContext, raw_to_mpf, to_raw, weighted_sum
+from .partitions import _dense, _tagged_walk
 from .stieltjes import CoefficientTable, _require
 
 __all__ = [
@@ -137,7 +136,7 @@ def lambda_tilde_explicit(g: CoefficientTable, n: int,
     walk = _signed_walk(g.values, n, ctx, least=1)
     # negated in the exact weights: rounding to nearest is symmetric
     return weighted_sum(((-weights[r][p], product)
-                         for r, _, p, product in walk), ctx.working_bits)
+                         for r, p, product in walk), ctx.working_bits)
 
 
 def term_distribution(g: CoefficientTable, n: int,
@@ -154,11 +153,10 @@ def term_distribution(g: CoefficientTable, n: int,
         raise ValueError("n must be positive")
     _require(g, "gamma", n - 1)
     weights = _lambda_weights(n)
-    bits, make = ctx.working_bits, mp.mp.make_mpf
+    bits = ctx.working_bits
     by_r: list[list[BigReal]] = [[] for _ in range(n + 1)]
-    for r, _, p, (man, exp) in _signed_walk(g.values, n, ctx, least=1):
-        by_r[r].append(make(from_man_exp(weights[r][p] * man, exp, bits,
-                                         round_nearest)))
+    for r, p, (man, exp) in _signed_walk(g.values, n, ctx, least=1):
+        by_r[r].append(raw_to_mpf(weights[r][p] * man, exp, bits))
     return TermDistribution(n, tuple(itertools.chain.from_iterable(by_r)))
 
 
@@ -172,13 +170,12 @@ def expand_lambda_symbolic(n: int) -> SymbolicExpansion:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    denoms = _power_rows(n, lambda j, c: math.factorial(c))
     weights = _lambda_weights(n)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for r in range(1, n + 1):
-        for _, parts, p, denom in _walk_partitions(r, denoms):
-            coeff = Fraction(weights[r][p], denom)
-            terms[_dense(parts, n + 1)] = coeff if p % 2 else -coeff
+    by_r: list[list[tuple]] = [[] for _ in range(n + 1)]
+    for r, p, (denom, parts) in _tagged_walk(n, lambda j, c: math.factorial(c), 1):
+        coeff = Fraction(weights[r][p], denom)
+        by_r[r].append((_dense(parts, n + 1), coeff if p % 2 else -coeff))
+    terms = dict(itertools.chain.from_iterable(by_r))
     return SymbolicExpansion("lambda_tilde", n, terms)
 
 

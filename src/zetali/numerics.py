@@ -14,10 +14,10 @@ parallel work in separate processes.
 The partition sums run on raw ``(signed mantissa, exponent)`` integer
 pairs instead: :func:`to_raw` turns a finite ``mpf`` into one, and
 :func:`rounded_product` multiplies two of them rounded to nearest-even
-at a given precision by exactly mpmath's rule, so every product is the
-value ``mpf * mpf`` would give, without an ``mpf`` object per product.
-:func:`weighted_sum` adds integer-weighted pairs exactly and rounds
-once, so its result does not depend on the order at all.
+by exactly mpmath's rule, on the signed mantissa, so every product is
+the value ``mpf * mpf`` would give, without an ``mpf`` per product.
+:func:`weighted_sum` adds integer-weighted pairs exactly and rounds once
+(:func:`raw_to_mpf`), so its result does not depend on the order.
 
 :func:`render` writes every CSV and JSON output of the package.  Its JSON
 is byte for byte what the stdlib's ``json.dumps`` writes with
@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest, to_str
+from mpmath.libmp import fzero, to_str
 
 from .errors import NonInvertibleSeriesError, OrderMismatchError, PrecisionInfeasibleError
 
@@ -58,6 +58,7 @@ __all__ = [
     "render",
     "to_raw",
     "rounded_product",
+    "raw_to_mpf",
     "weighted_sum",
     "from_decimal",
     "rational_to_str",
@@ -70,6 +71,7 @@ __all__ = [
 
 BigReal = mp.mpf
 BigRational = Fraction
+_make_mpf = mp.mp.make_mpf
 
 
 @dataclass(frozen=True)
@@ -223,22 +225,38 @@ def rounded_product(bits: int) -> Callable:
 
     The result has the value of the ``mpf`` product under
     ``workprec(bits)``; its mantissa may keep trailing zero bits (a
-    carry can give ``2^bits``), which changes no later rounding.
+    carry can give ``2^bits``), which changes no later rounding.  The
+    rounding works on the signed mantissa: ``>>`` floors, and on the
+    floor the rule for ties to even reads the same for both signs.
     """
     def mul(x, y):
-        man = x[0] * y[0]
-        exp = x[1] + y[1]
+        (xm, xe), (ym, ye) = x, y
+        man = xm * ym
         shift = man.bit_length() - bits
         if shift <= 0:
-            return man, exp
-        mag = -man if man < 0 else man
-        t = mag >> (shift - 1)  # the kept bits and the first dropped one
-        if t & 1 and (t & 2 or mag & ((1 << (shift - 1)) - 1)):
-            t = (t >> 1) + 1
-        else:
-            t >>= 1
-        return (-t if man < 0 else t), exp + shift
+            return man, xe + ye
+        t = man >> (shift - 1)  # the kept bits and the first dropped one
+        if t & 1 and (t & 2 or man & ((1 << (shift - 1)) - 1)):
+            t += 2
+        return t >> 1, xe + ye + shift
     return mul
+
+
+def raw_to_mpf(man: int, exp: int, bits: int) -> BigReal:
+    """The ``mpf`` of ``man * 2^exp`` rounded to nearest-even at ``bits``
+    bits, by the rounding of :func:`rounded_product`: the value and form
+    ``from_man_exp(man, exp, bits, round_nearest)`` gives."""
+    shift = man.bit_length() - bits
+    if shift > 0:
+        t = man >> (shift - 1)
+        if t & 1 and (t & 2 or man & ((1 << (shift - 1)) - 1)):
+            t += 2
+        man, exp = t >> 1, exp + shift
+    if not man:
+        return _make_mpf(fzero)
+    zeros = (man & -man).bit_length() - 1
+    sign, man = (1, -man >> zeros) if man < 0 else (0, man >> zeros)
+    return _make_mpf((sign, man, exp + zeros, man.bit_length()))
 
 
 def weighted_sum(terms: Iterable[tuple[int, tuple[int, int]]], bits: int) -> BigReal:
@@ -260,7 +278,7 @@ def weighted_sum(terms: Iterable[tuple[int, tuple[int, int]]], bits: int) -> Big
             at = exp
         else:
             acc += (w * man) << (exp - at)
-    return mp.mp.make_mpf(from_man_exp(acc, at, bits, round_nearest))
+    return raw_to_mpf(acc, at, bits)
 
 
 def from_decimal(text: str, bits: int) -> BigReal:

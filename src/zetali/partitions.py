@@ -10,26 +10,22 @@ are sums indexed by exactly the vectors with ``r = n``, a set of size
 ``p(n)`` (the partition function) — vastly smaller than the O(n^n) box
 ``k_i in [0, n]`` those sums formally range over.
 
-Every such sum runs on one walk, :func:`_walk_partitions`, which visits
-the partitions of ``n`` sparsely, as ``(j, k_j)`` pairs with ``k_j > 0``:
-it branches on the smallest part index ``j`` (largest first), then on
-its multiplicity (smallest first), and splits the rest into larger
-parts the same way (cf. the ascending-composition walks of Kelleher &
-O'Sullivan, arXiv:0909.2331).  That is ascending lexicographic order on
-``(k_0, k_1, ...)`` — the order the rest of the package adopts as
-canonical (sums, expansions, distributions and histograms all use it).
-The walk carries the running product of the caller's ``powers[j][k_j]``
-over the parts fixed so far, so each added part costs one multiplication
-instead of a loop over the whole vector.  The ring is the table's
-entries together with ``(one, mul)``: plain ``int`` with ``1`` and
-``operator.mul`` for the exact expansions, and for the numeric sums raw
-``(mantissa, exponent)`` pairs with ``(1, 0)`` and
-:func:`~zetali.numerics.rounded_product`, which rounds each product as
-``mpf`` multiplication would without creating an ``mpf`` per term.
-Given a least ``r``, the same walk also visits the partitions of every
-smaller ``r`` down to it, which serves the oscillation's sum over all
-``r <= n`` in one pass.  :func:`enumerate_constrained` is the public,
-dense view of the walk.
+Every such sum runs on one walk, :func:`_walk_partitions`.  It branches
+on the smallest part index ``j`` (largest first), then on its
+multiplicity (smallest first), and splits the rest into larger parts the
+same way (cf. the ascending-composition walks of Kelleher & O'Sullivan,
+arXiv:0909.2331): ascending lexicographic order on ``(k_0, k_1, ...)``,
+the package's canonical order.  It pushes only frames with children; a
+single last part and a last pair of equal parts are yielded in place.
+It yields ``(r, p, product)``, carrying the product of the caller's
+``powers[j][k_j]`` over the parts fixed so far, one multiplication per
+added part, in any ring ``(mul, one)``: raw ``(mantissa, exponent)``
+pairs under :func:`~zetali.numerics.rounded_product` for the numeric
+sums; the free monoid of tuples ``((j, c),)`` under ``operator.add`` for
+the parts themselves (:func:`enumerate_constrained`, the public dense
+view); ``(denominator, parts)`` pairs for the exact expansions
+(:func:`_tagged_walk`).  Given a least ``r``, the walk also visits every
+smaller ``r`` down to it, for the oscillation's sum over all ``r <= n``.
 """
 
 from __future__ import annotations
@@ -46,11 +42,11 @@ __all__ = [
 
 def _walk_partitions(n: int, powers, least: int | None = None,
                      mul=operator.mul, one=1) -> Iterator[tuple]:
-    """Yield ``(r, parts, p, product)`` for every partition of every
-    ``r`` in ``[least, n]`` (``least`` defaults to ``n``): ``parts`` holds
-    the ``(j, k_j)`` with ``k_j > 0`` in ascending ``j``, ``p`` counts the
-    parts, and ``product`` is ``mul(...mul(one, powers[j][k_j])..., ...)``,
-    multiplied left to right in that order.
+    """Yield ``(r, p, product)`` for every partition of every ``r`` in
+    ``[least, n]`` (``least`` defaults to ``n``): ``p`` counts the parts
+    and ``product`` is ``mul(...mul(one, powers[j][k_j])..., ...)`` over
+    the ``(j, k_j)`` with ``k_j > 0``, left to right in ascending ``j``;
+    ``mul`` need not commute.
 
     A partition of a smaller ``r`` is a prefix of those of larger ones, so
     each prefix product is formed once for all of them.  The items of one
@@ -62,14 +58,16 @@ def _walk_partitions(n: int, powers, least: int | None = None,
     # its rest left = rem - c*s is <= slack or > s (room for a larger
     # part).  Children are pushed in reverse canonical order so they pop
     # in canonical order.  Above s = (rem-1)/2 no rest > s fits, so only
-    # {rem/2, rem/2} and single parts s >= rem - slack remain.
+    # single parts s >= rem - slack and {rem/2, rem/2} remain; these are
+    # leaves, yielded in place in the order they would pop: singles
+    # largest first, then the pair, before any pushed child.
     slack = 0 if least is None else n - least
-    stack = [(n, 0, (), 0, one)]
+    stack = [(n, 0, 0, one)]
     pop, push = stack.pop, stack.append
     while stack:
-        rem, lo, parts, p, prod = pop()
+        rem, lo, p, prod = pop()
         if rem <= slack:
-            yield n - rem, parts, p, prod
+            yield n - rem, p, prod
             if not rem:
                 continue
         half = (rem - 1) // 2
@@ -78,27 +76,29 @@ def _walk_partitions(n: int, powers, least: int | None = None,
             for c in range(rem // size, 0, -1):
                 left = rem - c * size
                 if left <= slack or left > size:
-                    push((left, size, parts + ((size - 1, c),), p + c,
-                          mul(prod, row[c])))
+                    push((left, size, p + c, mul(prod, row[c])))
+        stop = rem - slack - 1  # singles: sizes above stop, half and lo
+        if stop < half or stop < lo:
+            stop = half if half > lo else lo
+        for size in range(rem, stop, -1):
+            yield n - rem + size, p + 1, mul(prod, powers[size - 1][1])
         if not rem % 2 and rem // 2 > lo:
-            size = rem // 2
-            push((0, size, parts + ((size - 1, 2),), p + 2,
-                  mul(prod, powers[size - 1][2])))
-        size = rem - slack
-        if size <= half:
-            size = half + 1
-        if size <= lo:
-            size = lo + 1
-        while size <= rem:
-            push((rem - size, size, parts + ((size - 1, 1),), p + 1,
-                  mul(prod, powers[size - 1][1])))
-            size += 1
+            yield n, p + 2, mul(prod, powers[rem // 2 - 1][2])
 
 
 def _power_rows(n: int, entry) -> list[list]:
     """The walk's ``powers`` table for partitions of at most ``n``:
     ``rows[j][c] = entry(j, c)`` for ``j < n`` and ``c <= n // (j+1)``."""
     return [[entry(j, c) for c in range(n // (j + 1) + 1)] for j in range(n)]
+
+
+def _tagged_walk(n: int, entry, least: int | None = None) -> Iterator[tuple]:
+    """The walk over entries ``(entry(j, c), ((j, c),))`` in the ring of
+    ``(value, parts)`` pairs, where values multiply and parts join: each
+    product carries the parts of its partition."""
+    rows = _power_rows(n, lambda j, c: (entry(j, c), ((j, c),)))
+    return _walk_partitions(n, rows, least,
+                            lambda x, y: (x[0] * y[0], x[1] + y[1]), (1, ()))
 
 
 def _dense(parts, length: int) -> tuple[int, ...]:
@@ -119,7 +119,8 @@ def enumerate_constrained(n: int) -> Iterator[tuple[int, ...]]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for _, parts, _, _ in _walk_partitions(n, _power_rows(n, lambda j, c: 1)):
+    words = _power_rows(n, lambda j, c: ((j, c),))
+    for _, _, parts in _walk_partitions(n, words, mul=operator.add, one=()):
         yield _dense(parts, n + 1)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, round_nearest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +25,7 @@ from zetali import (
     series_recip,
     to_decimal,
 )
-from zetali.numerics import rounded_product, to_raw, weighted_sum
+from zetali.numerics import raw_to_mpf, rounded_product, to_raw, weighted_sum
 from helpers import eval_series
 
 CTX = PrecisionContext(128, 64)
@@ -258,6 +258,62 @@ class TestRoundedProduct:
         assert self._check((3, 1), (-5, 2), bits) == (-15, 3)
         half = (1 << (bits // 2)) - 1
         assert self._check((half, 0), (half, -1), bits) == (half * half, -1)
+
+
+    @pytest.mark.parametrize("bits", [53, 256, 1000])
+    def test_negative_exact_ties_round_to_even(self, bits):
+        # as above, with the minus sign on either operand or on both:
+        # the signed mantissa's floor must round a tie as its magnitude
+        rng = random.Random(-bits)
+        parities = set()
+        while len(parities) < 2:
+            y = rng.randrange(1 << (bits - 1), (1 << (bits + 1)) // 3) | 1
+            kept = 3 * y >> 1
+            even = kept + (kept & 1)
+            for x, y_raw, want in (((-3, 0), (y, 0), (-even, 1)),
+                                   ((3, 2), (-y, 0), (-even, 3)),
+                                   ((-3 << 5, -5), (-y, 1), (even, 2))):
+                got = self._check(x, y_raw, bits)
+                assert from_man_exp(*got) == from_man_exp(*want)
+            parities.add(kept & 1)
+
+    @pytest.mark.parametrize("bits", [53, 256, 1000])
+    @pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (-1, 1)])
+    def test_carry_to_power_of_two_signs(self, bits, signs):
+        # the all-ones product of test_carry_to_power_of_two, with the
+        # minus sign moved, rounds to +-2^bits
+        a = bits - 1
+        sx, sy = signs
+        man, exp = self._check((sx * ((1 << a) + 1), 4), (sy * ((1 << a) - 1), -9), bits)
+        assert man == sx * sy * (1 << bits) and exp == 2 * a - bits - 5
+
+
+class TestRawToMpf:
+    """:func:`raw_to_mpf` against ``from_man_exp(..., round_nearest)``,
+    ``_mpf_`` for ``_mpf_``."""
+
+    @staticmethod
+    def _check(man, exp, bits):
+        got = raw_to_mpf(man, exp, bits)
+        assert isinstance(got, mp.mpf)
+        assert got._mpf_ == from_man_exp(man, exp, bits, round_nearest)
+
+    @pytest.mark.parametrize("bits", [53, 256, 412, 1000])
+    def test_edges(self, bits):
+        one = 1 << bits
+        for sign in (1, -1):
+            for man in (0, 1, 3 << 40, (2 * one - 1), (one + 1) << 7, 3 * one + 1,
+                        (2 * one + 1) << 1, (2 * one + 3) << 1, (2 * one + 1) << 9,
+                        (one - 1) << 300):
+                for exp in (0, -bits, 17):
+                    self._check(sign * man, exp, bits)
+
+    @pytest.mark.parametrize("bits", [53, 256, 412, 1000])
+    def test_random(self, bits):
+        rng = random.Random(bits)
+        for _ in range(500):
+            man = rng.getrandbits(rng.randrange(1, 3 * bits)) << rng.randrange(0, 2 * bits)
+            self._check(rng.choice((-1, 1)) * man, rng.randrange(-3 * bits, 3 * bits), bits)
 
 
 class TestToRaw:

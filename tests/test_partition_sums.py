@@ -15,6 +15,7 @@ each weighted term on its own, and its reference does the same.
 
 import hashlib
 import math
+import operator
 
 import mpmath as mp
 import pytest
@@ -30,6 +31,7 @@ from zetali import (
     lambda_context,
     lambda_tilde_explicit,
     modified_gamma,
+    partition_count,
     term_distribution,
 )
 from zetali.coefficients import _signed_walk, partition_product
@@ -98,31 +100,69 @@ def lambda_setups():
     return setups
 
 
+def walk_words(n, least=None):
+    """The walk in the free monoid: the product of a partition is its
+    parts ``((j, k_j), ...)`` in the order the walk multiplied them."""
+    return list(_walk_partitions(n, _power_rows(n, lambda j, c: ((j, c),)), least,
+                                 mul=operator.add, one=()))
+
+
+def reference_walk(n, least=None):
+    """``(r, p, parts)`` in the walk's order, by plain recursion: a
+    prefix of parts is a partition of ``r`` once ``n - r`` is at most
+    ``n - least``, and it is extended by ``c`` parts of size ``s``
+    above its largest, ``s`` descending and ``c`` ascending."""
+    slack = 0 if least is None else n - least
+
+    def visit(rem, lo, parts):
+        if rem <= slack:
+            yield n - rem, sum(c for _, c in parts), parts
+        for size in range(rem, lo, -1):
+            for c in range(1, rem // size + 1):
+                yield from visit(rem - c * size, size, parts + ((size - 1, c),))
+
+    return list(visit(n, 0, ()))
+
+
 class TestWalk:
     def test_empty_partition(self):
-        assert list(_walk_partitions(0, [])) == [(0, (), 0, 1)]
+        assert list(_walk_partitions(0, [])) == [(0, 0, 1)]
 
     @pytest.mark.parametrize("n", range(1, N_MAX + 1))
     def test_matches_dense_enumeration(self, n):
-        walked = [(r, parts, p) for r, parts, p, _ in
-                  _walk_partitions(n, _power_rows(n, lambda j, c: 1))]
+        walked = [(r, parts, p) for r, p, parts in walk_words(n)]
         dense = [(n, tuple((j, c) for j, c in enumerate(k) if c), sum(k))
                  for k in enumerate_constrained(n)]
         assert walked == dense
 
     @pytest.mark.parametrize("n", range(1, N_MAX + 1))
     def test_prefix_products_equal_partition_product(self, gamma40, ctx256, n):
-        walk = _signed_walk(gamma40.values, n, ctx256)
+        walk = list(_signed_walk(gamma40.values, n, ctx256))
+        assert len(walk) == partition_count(n)
         with ctx256.workprec():
-            for (_, _, _, product), k in zip(walk, enumerate_constrained(n)):
+            for (_, _, product), k in zip(walk, enumerate_constrained(n)):
                 assert from_raw(product) == partition_product(gamma40.values, k)
 
     def test_integer_ring(self):
-        # distinct primes per (j, c), so a wrong or missing factor shows
+        # distinct primes per (j, c), so a wrong or missing factor shows;
+        # the free-monoid walk gives the parts each product must have
         primes = iter([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
         powers = _power_rows(6, lambda j, c: next(primes) if c else None)
-        for _, parts, _, product in _walk_partitions(6, powers):
+        walk = list(_walk_partitions(6, powers))
+        assert len(walk) == partition_count(6)
+        for (_, _, product), (_, _, parts) in zip(walk, walk_words(6)):
             assert product == math.prod(powers[j][c] for j, c in parts)
+
+
+class TestWalkOrder:
+    """The walk against :func:`reference_walk`, item by item: the order
+    (singles largest first, then the pair, then the rest), each ``r``,
+    each ``p`` and each product, multiplied left to right."""
+
+    @pytest.mark.parametrize("least", [None, 1])
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_reference(self, n, least):
+        assert walk_words(n, least) == reference_walk(n, least)
 
 
 class TestEveryRWalk:
