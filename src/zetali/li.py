@@ -47,7 +47,8 @@ import mpmath as mp
 
 from .coefficients import SymbolicExpansion, _signed_walk, modified_gamma
 from .errors import PrecisionInfeasibleError
-from .numerics import DEFAULT_CONTEXT, BigReal, PrecisionContext, raw_to_mpf, to_raw, weighted_sum
+from .numerics import (DEFAULT_CONTEXT, BigReal, PrecisionContext, raw_to_mpf, to_raw,
+                       weighted_sum)
 from .partitions import _dense, _tagged_walk
 from .stieltjes import CoefficientTable, _require
 
@@ -175,8 +176,7 @@ def expand_lambda_symbolic(n: int) -> SymbolicExpansion:
     for r, p, (denom, parts) in _tagged_walk(n, lambda j, c: math.factorial(c), 1):
         coeff = Fraction(weights[r][p], denom)
         by_r[r].append((_dense(parts, n + 1), coeff if p % 2 else -coeff))
-    terms = dict(itertools.chain.from_iterable(by_r))
-    return SymbolicExpansion("lambda_tilde", n, terms)
+    return SymbolicExpansion("lambda_tilde", n, dict(itertools.chain.from_iterable(by_r)))
 
 
 # --------------------------------------------------------------------------
