@@ -1,5 +1,6 @@
 import functools
 
+import mpmath as mp
 import pytest
 
 from zetali import (
@@ -37,3 +38,14 @@ def em_reference():
         gamma = compute_gamma_table(n_max, ctx)
         return gamma, eta_from_gamma_recurrence(gamma, n_max, ctx)
     return build
+
+
+@pytest.fixture(scope="session")
+def classic_stieltjes():
+    """mpmath's Stieltjes constants gamma_0..gamma_8 in the classic
+    normalization at ``bits`` bits, one computation per precision."""
+    @functools.cache
+    def compute(bits):
+        with mp.workprec(bits):
+            return tuple(mp.stieltjes(n) for n in range(9))
+    return compute

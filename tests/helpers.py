@@ -6,6 +6,7 @@ and the first Stieltjes constant), frozen here so the tests never depend
 on the code paths they check.
 """
 
+import json
 from fractions import Fraction
 
 import mpmath as mp
@@ -140,3 +141,15 @@ def eval_series(coefficients, x):
     for c in reversed(coefficients):
         acc = acc * x + c
     return acc
+
+
+def classic_table_text(values, bits, fmt):
+    """A classic-normalization table file, written as text without the
+    package's writer: ``values`` (mpmath's ``stieltjes``) at ``bits``
+    bits, in the JSON or CSV table format, tagged ``classic``."""
+    digits = [mp.nstr(v, bits * 3 // 10 + 2) for v in values]
+    if fmt == "json":
+        return json.dumps({"convention": "classic", "precision_bits": bits,
+                           "n_max": len(values) - 1, "values": digits})
+    rows = "".join(f"{n},{d}\n" for n, d in enumerate(digits))
+    return f"# convention=classic\n# precision_bits={bits}\nn,value\n{rows}"

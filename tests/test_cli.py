@@ -14,6 +14,7 @@ from zetali import (
     save_table,
 )
 from zetali.cli import build_parser, main, output_schema
+from helpers import classic_table_text
 
 
 def run_cli(capsys, *argv):
@@ -660,3 +661,39 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
         assert hashlib.sha256(path.read_bytes()).hexdigest() == file_digest
+
+
+class TestClassicIngestion:
+    """A classic-normalization table file (mpmath's ``stieltjes``, written
+    as text) on ``--table``: the ``stieltjes --out`` file holds the
+    converted values at the file's full precision, so its digest pins
+    every bit of the classic-to-paper conversion, and ``eta`` pins what a
+    route computes from them.  Pinned while the package still converted
+    a loaded classic table with a separate ``convert_convention`` step."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("bits,table_digest,stieltjes_digest,eta_digest", [
+        (150, "7ee742fc0db21c9216be6f28d7924645fe6d1406a485b578b40efd8f91c5cfcd",
+         "f3c957c55f36eecbc0d376f0651430a8592d5386e4b3c07b0ac88d5ba2912ca2",
+         "d965e361d879659b53471e82bc9f06e575b3459022d2477aaaaed56f598ed141"),
+        (400, "f64ce5041b53131f80d59c4694333a353b61bb2172b04b81c9c7cc0891c3eb99",
+         "bf00b7c578f85b33f79b9b53614655778ec5deba230d971fc9525c9cf699ff1d",
+         "287a20a5ba8f08a4ae96124b8bc1b841d69eeef1ebfebdae4f009b6e00bcea48"),
+    ])
+    def test_digests(self, capsys, tmp_path, classic_stieltjes, bits, fmt,
+                     table_digest, stieltjes_digest, eta_digest):
+        source = tmp_path / f"classic.{fmt}"
+        source.write_text(classic_table_text(classic_stieltjes(bits), bits, fmt),
+                          encoding="utf-8")
+        out_path = tmp_path / "t.json"
+        code, out, _ = run_cli(capsys, "stieltjes", "--table", str(source),
+                               "--prec", "128", "--format", "json",
+                               "--out", str(out_path))
+        assert code == 0
+        digests = [hashlib.sha256(out_path.read_bytes()).hexdigest(),
+                   hashlib.sha256(out.encode("utf-8")).hexdigest()]
+        code, out, _ = run_cli(capsys, "eta", "--table", str(source),
+                               "--prec", "128", "--n-max", "8")
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+        assert digests == [table_digest, stieltjes_digest, eta_digest]
