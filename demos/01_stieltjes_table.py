@@ -2,18 +2,19 @@
 """Build a Stieltjes-constant table and poke at it.
 
 Walks through the basic workflow: pick a precision context, compute the
-table, compare it with an independent contour-integral route, switch
-normalization conventions, and round-trip the table through a file.
+table, compare it with an independent contour-integral route, look at
+the other common normalization, and round-trip the table through a file.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
+import mpmath as mp
+
 from zetali import (
-    CONVENTION_CLASSIC,
     PrecisionContext,
     compute_gamma_table,
-    convert_convention,
     euler_maclaurin_parameters,
     gamma_contour,
     load_table,
@@ -43,11 +44,13 @@ with ctx.workprec():
 print(f"\ncontour route vs. table: largest |difference| over n <= {N_MAX} is "
       f"{to_decimal(worst, 12)}  (the table's bound: 2^-{ctx.target_bits + 8})")
 
-# Conventions: the "classic" normalization multiplies by (-1)^n n!.
-classic = convert_convention(table, CONVENTION_CLASSIC)
+# The "classic" normalization (what mpmath.stieltjes returns) multiplies
+# by (-1)^n n!.  The package keeps every table in the normalization above;
+# "classic" is only a tag of the table-file format, converted on load.
 print("\nclassic normalization of the same table (note gamma_1's sign):")
 for n in (0, 1, 2):
-    print(f"  classic gamma_{n} = {to_decimal(classic[n], 96)}")
+    classic = mp.fmul(table[n], (-1) ** n * math.factorial(n), exact=True)
+    print(f"  classic gamma_{n} = {to_decimal(classic, 96)}")
 
 # Tables round-trip through JSON (or CSV) files losslessly.
 with tempfile.TemporaryDirectory() as tmp:

@@ -51,7 +51,6 @@ from .stieltjes import (
     CONVENTION_PAPER,
     CoefficientTable,
     compute_gamma_table,
-    convert_convention,
     euler_maclaurin_parameters,
     gamma_contour,
     load_table,
@@ -100,7 +99,7 @@ __all__ = [
     # stieltjes
     "CONVENTION_PAPER", "CONVENTION_CLASSIC", "CoefficientTable",
     "compute_gamma_table", "euler_maclaurin_parameters",
-    "gamma_contour", "convert_convention", "render_table",
+    "gamma_contour", "render_table",
     "save_table", "load_table",
     # coefficients
     "SymbolicExpansion", "modified_gamma",

@@ -54,7 +54,6 @@ from .stieltjes import (
     PROVENANCE_EXPLICIT,
     CoefficientTable,
     compute_gamma_table,
-    convert_convention,
     gamma_contour,
     load_table,
     render_table,
@@ -119,8 +118,9 @@ def _emit_values(args, meta: dict, values, file_text: str | None = None) -> int:
 
 
 def _gamma_source(args, n_needed: int, ctx: PrecisionContext) -> CoefficientTable:
-    """Load the table given by --table (cut to index ``n_needed`` and
-    converted to the working convention if needed) or compute one."""
+    """Load the table given by --table (a classic file arrives converted
+    to the paper normalization) and cut it to index ``n_needed``, or
+    compute one."""
     if args.table:
         table = load_table(args.table)
         if table.n_max < n_needed:
@@ -130,8 +130,7 @@ def _gamma_source(args, n_needed: int, ctx: PrecisionContext) -> CoefficientTabl
             raise PrecisionInfeasibleError(
                 f"table {args.table} carries {table.precision_bits} bits, "
                 f"less than --prec {args.prec}")
-        table = replace(table, values=table.values[:n_needed + 1])
-        return convert_convention(table, CONVENTION_PAPER)
+        return replace(table, values=table.values[:n_needed + 1])
     return compute_gamma_table(n_needed, ctx)
 
 
@@ -148,7 +147,7 @@ def _cmd_stieltjes(args) -> int:
         table = _gamma_source(args, args.n_max, ctx)
     # the --out file is a full-precision, loadable table
     file_text = render_table(table, args.format) if args.out else None
-    return _emit_values(args, {"convention": table.convention,
+    return _emit_values(args, {"convention": CONVENTION_PAPER,
                                "precision_bits": table.precision_bits},
                         table.values, file_text)
 
@@ -166,8 +165,8 @@ def _cmd_eta(args) -> int:
         else:
             values = tuple(eta_from_gamma_explicit(gamma, n + 1, ctx)
                            for n in range(args.n_max + 1))
-            table = CoefficientTable("eta", CONVENTION_PAPER, PROVENANCE_EXPLICIT,
-                                     values, min(ctx.working_bits, gamma.precision_bits))
+            table = CoefficientTable("eta", PROVENANCE_EXPLICIT, values,
+                                     min(ctx.working_bits, gamma.precision_bits))
     return _emit_values(args, {"provenance": table.provenance,
                                "precision_bits": table.precision_bits}, table.values)
 

@@ -58,7 +58,6 @@ from .numerics import (
 )
 from .partitions import _dense, _power_rows, _tagged_walk, _walk_partitions
 from .stieltjes import (
-    CONVENTION_PAPER,
     PROVENANCE_CONTOUR,
     PROVENANCE_RECURRENCE,
     PROVENANCE_SERIES_ORACLE,
@@ -127,8 +126,8 @@ def eta_from_gamma_recurrence(g: CoefficientTable, n_max: int,
             for k in range(n):
                 acc += out[k] * g.values[n - k - 1]
             out.append(-(n + 1) * g.values[n] - acc)
-    return CoefficientTable("eta", CONVENTION_PAPER, PROVENANCE_RECURRENCE,
-                            tuple(out), min(ctx.working_bits, g.precision_bits))
+    return CoefficientTable("eta", PROVENANCE_RECURRENCE, tuple(out),
+                            min(ctx.working_bits, g.precision_bits))
 
 
 def eta_from_gamma_explicit(g: CoefficientTable, n: int,
@@ -186,8 +185,8 @@ def eta_series_oracle(g: CoefficientTable, n_max: int,
     quot = series_mul(da, inv[:order], ctx)
     with ctx.workprec():
         values = tuple(-c for c in quot)
-    return CoefficientTable("eta", CONVENTION_PAPER, PROVENANCE_SERIES_ORACLE,
-                            values, min(ctx.working_bits, g.precision_bits))
+    return CoefficientTable("eta", PROVENANCE_SERIES_ORACLE, values,
+                            min(ctx.working_bits, g.precision_bits))
 
 
 def eta_contour(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:
@@ -203,8 +202,7 @@ def eta_contour(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Coeffici
     c = cauchy_coefficients(lambda s: mp.log(s * mp.zeta(1 + s)), n_max + 1, ctx)
     with ctx.workprec():
         values = tuple(-(k + 1) * c[k + 1] for k in range(n_max + 1))
-    return CoefficientTable("eta", CONVENTION_PAPER, PROVENANCE_CONTOUR,
-                            values, ctx.working_bits)
+    return CoefficientTable("eta", PROVENANCE_CONTOUR, values, ctx.working_bits)
 
 
 # --------------------------------------------------------------------------

@@ -224,13 +224,17 @@ def histogram(d: TermDistribution, bins: int,
     vals = d.term_values
     if not vals:
         raise ValueError("empty distribution")
-    # compared exactly as integers v / 2^at; the first extreme wins, as in
-    # min() and max(), and no list of them is kept
-    at = min(exp for _, exp in map(to_raw, vals))
+    # compared exactly as integers v / 2^at, each value converted once
+    # (two flat lists hold less than a list of pairs); the first extreme
+    # wins, as in min() and max()
+    mans, exps = [], []
+    for man, exp in map(to_raw, vals):
+        mans.append(man)
+        exps.append(exp)
+    at = min(exps)
     lo = hi = vals[0]
-    man, exp = to_raw(lo)
-    lo_s = hi_s = man << (exp - at)
-    for v, (man, exp) in zip(vals, map(to_raw, vals)):
+    lo_s = hi_s = mans[0] << (exps[0] - at)
+    for v, man, exp in zip(vals, mans, exps):
         s = man << (exp - at)
         if s < lo_s:
             lo, lo_s = v, s
@@ -250,6 +254,6 @@ def histogram(d: TermDistribution, bins: int,
         # interior bounds only, as integers on the values' exponent: v
         # reaches a bound exactly when it reaches the bound's ceiling
         edges = [ceil_scaled(x) for x in lowers[1:]]
-        for man, exp in map(to_raw, vals):
+        for man, exp in zip(mans, exps):
             counts[bisect_right(edges, man << (exp - at))] += 1
     return list(zip(lowers, lowers[1:] + [hi], counts))

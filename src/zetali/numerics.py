@@ -100,9 +100,6 @@ class PrecisionContext:
         """mpmath context manager switching to the working precision."""
         return mp.workprec(self.working_bits)
 
-    def with_extra_guard(self, extra: int) -> "PrecisionContext":
-        return PrecisionContext(self.target_bits, self.guard_bits + extra)
-
 
 #: 192 target bits with 64 guard bits (256-bit working precision), enough
 #: for coefficient cross-checks up to index ~30.

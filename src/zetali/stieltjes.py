@@ -1,8 +1,8 @@
 """Stieltjes-constant tables, and the one table type for every family.
 
 :class:`CoefficientTable` holds a table of gamma_n or of eta_n, tagged
-with its kind, its convention and the route that built it; every route
-checks the kind and length it needs with :func:`_require`.
+with its kind and the route that built it; every route checks the kind
+and length it needs with :func:`_require`.
 
 The values tabulated here are the coefficients gamma_n of the regular
 part of the Laurent expansion of the Riemann zeta function about its
@@ -10,9 +10,13 @@ pole, in the normalization
 
     zeta(1 + s) = 1/s + sum_{n>=0} gamma_n s^n            (tag "paper")
 
-The other common normalization factors out (-1)^n / n!:
+Every table in memory uses it.  The other common normalization, which
+``mpmath.stieltjes`` returns, factors out (-1)^n / n!:
 
     gamma_classic[n] = (-1)^n * n! * gamma[n]             (tag "classic")
+
+It is only a table-file tag: :func:`load_table` converts a classic file
+to the paper normalization as it reads it.
 
 ``compute_gamma_table`` is the production route.  It expands the
 truncated Dirichlet sum plus Euler-Maclaurin tail of zeta(1+s) as a
@@ -50,7 +54,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -82,7 +86,6 @@ __all__ = [
     "compute_gamma_table",
     "euler_maclaurin_parameters",
     "gamma_contour",
-    "convert_convention",
     "render_table",
     "save_table",
     "load_table",
@@ -106,16 +109,16 @@ _KINDS = ("gamma", "eta")
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Immutable table of gamma_0 .. gamma_n_max or eta_0 .. eta_n_max.
+    """Immutable table of gamma_0 .. gamma_n_max or eta_0 .. eta_n_max,
+    in the paper normalization.
 
-    ``kind`` is ``"gamma"`` or ``"eta"``; eta tables are always in the
-    ``"paper"`` convention.  ``provenance`` names the route that built
-    the values, and ``precision_bits`` the precision they carry: the
-    working precision of the build, or less when its input carried less.
+    ``kind`` is ``"gamma"`` or ``"eta"``.  ``provenance`` names the route
+    that built the values, and ``precision_bits`` the precision they
+    carry: the working precision of the build, or less when its input
+    carried less.
     """
 
     kind: str
-    convention: str
     provenance: str
     values: tuple[BigReal, ...]
     precision_bits: int
@@ -123,10 +126,6 @@ class CoefficientTable:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.convention not in _CONVENTIONS:
-            raise ValueError(f"unknown convention {self.convention!r}")
-        if self.kind == "eta" and self.convention != CONVENTION_PAPER:
-            raise ValueError("eta tables use the paper convention only")
         if self.provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "values", tuple(self.values))
@@ -147,13 +146,10 @@ class CoefficientTable:
 
 
 def _require(table: CoefficientTable, kind: str, n_needed: int) -> None:
-    """Raise ValueError unless ``table`` is a paper-convention ``kind``
-    table reaching index ``n_needed``."""
+    """Raise ValueError unless ``table`` is a ``kind`` table reaching
+    index ``n_needed``."""
     if table.kind != kind:
         raise ValueError(f"need a table of kind {kind!r}, got kind {table.kind!r}")
-    if table.convention != CONVENTION_PAPER:
-        raise ValueError(
-            f"need a {CONVENTION_PAPER!r}-convention table, got {table.convention!r}")
     if table.n_max < n_needed:
         raise ValueError(
             f"{kind} table too short: need index {n_needed}, have {table.n_max}")
@@ -253,7 +249,7 @@ def _dirichlet_sums(m_cut: int, n_max: int, w: int) -> list[int]:
 def compute_gamma_table(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
                         cutoff: int | None = None,
                         tail_terms: int | None = None) -> CoefficientTable:
-    """Build the table gamma_0 .. gamma_n_max (convention "paper").
+    """Build the table gamma_0 .. gamma_n_max.
 
     Truncation error is below 2^-(target_bits + 8) per coefficient by
     construction.  The Dirichlet sum runs in integers at w =
@@ -315,51 +311,17 @@ def compute_gamma_table(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
             for m in range(min(n + 1, len(folded))):
                 acc += folded[m] * expc[n - m]
             coef[n] += acc
-    return CoefficientTable("gamma", CONVENTION_PAPER, PROVENANCE_EULER_MACLAURIN,
-                            tuple(coef), ctx.working_bits)
+    return CoefficientTable("gamma", PROVENANCE_EULER_MACLAURIN, tuple(coef),
+                            ctx.working_bits)
 
 
 def gamma_contour(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:
-    """gamma_0 .. gamma_n_max (convention "paper") as the Taylor
-    coefficients of the entire function zeta(1+s) - 1/s, by
+    """gamma_0 .. gamma_n_max as the Taylor coefficients of the entire
+    function zeta(1+s) - 1/s, by
     :func:`~zetali.numerics.cauchy_coefficients`; accurate to rounding at
     working precision."""
     values = cauchy_coefficients(lambda s: mp.zeta(1 + s) - 1 / s, n_max, ctx)
-    return CoefficientTable("gamma", CONVENTION_PAPER, PROVENANCE_CONTOUR,
-                            values, ctx.working_bits)
-
-
-# --------------------------------------------------------------------------
-# Convention conversion
-# --------------------------------------------------------------------------
-
-
-def convert_convention(table: CoefficientTable, target: str) -> CoefficientTable:
-    """Re-normalize a gamma table between the "paper" and "classic" tags.
-
-    classic[n] = (-1)^n * n! * paper[n].  Multiplying by n! is performed
-    exactly (mantissas may grow past the stated precision), division
-    rounds once at the table's precision — so paper -> classic -> paper
-    returns the original values bit for bit.
-    """
-    if table.kind != "gamma":
-        raise ValueError(f"only gamma tables have conventions, got kind {table.kind!r}")
-    if target not in _CONVENTIONS:
-        raise ValueError(f"unknown convention {target!r}")
-    if table.convention == target:
-        return table
-    out = []
-    for n, v in enumerate(table.values):
-        sign = -1 if n % 2 else 1
-        if target == CONVENTION_CLASSIC:
-            w = mp.fmul(v, sign * math.factorial(n), exact=True)
-        else:
-            with mp.workprec(table.precision_bits):
-                w = v / math.factorial(n)  # one rounding
-                if sign < 0:
-                    w = -w  # exact: the quotient already fits the precision
-        out.append(w)
-    return replace(table, convention=target, values=tuple(out))
+    return CoefficientTable("gamma", PROVENANCE_CONTOUR, values, ctx.working_bits)
 
 
 # --------------------------------------------------------------------------
@@ -370,15 +332,15 @@ def convert_convention(table: CoefficientTable, target: str) -> CoefficientTable
 def render_table(table: CoefficientTable, fmt: str = "json") -> str:
     """Serialize a gamma table to its JSON or CSV file format.
 
-    JSON: ``{"convention", "precision_bits", "n_max", "values"}`` with
-    values as decimal strings.  CSV: ``# key=value`` metadata comments,
+    JSON: ``{"convention": "paper", "precision_bits", "n_max", "values"}``
+    with values as decimal strings.  CSV: ``# key=value`` metadata comments,
     a ``n,value`` header, one row per index.  Both forms are exact
     inverses of :func:`load_table` up to 1 ulp at the stated precision.
     The file format has no kind field, so an eta table is refused.
     """
     if table.kind != "gamma":
         raise ValueError(f"table files hold gamma tables, got kind {table.kind!r}")
-    obj = {"convention": table.convention, "precision_bits": table.precision_bits,
+    obj = {"convention": CONVENTION_PAPER, "precision_bits": table.precision_bits,
            "n_max": table.n_max,
            "values": [to_decimal(v, table.precision_bits) for v in table.values]}
     return render(fmt, obj, ("convention", "precision_bits"), "n,value")
@@ -422,12 +384,19 @@ def _table_from_parts(convention, precision_bits, n_max, raw_values) -> Coeffici
     for n, v in enumerate(values):
         if not mp.isfinite(v):
             raise TableFormatError(f"non-finite value {raw_values[n]!r} at index {n}")
-    return CoefficientTable("gamma", convention, PROVENANCE_FILE, values, precision_bits)
+    if convention == CONVENTION_CLASSIC:
+        # paper[n] = classic[n] / ((-1)^n n!), one rounding at the file's
+        # precision (round to nearest is symmetric, so the sign is exact)
+        with mp.workprec(precision_bits):
+            values = tuple(v / ((-1) ** n * math.factorial(n))
+                           for n, v in enumerate(values))
+    return CoefficientTable("gamma", PROVENANCE_FILE, values, precision_bits)
 
 
 def load_table(path) -> CoefficientTable:
     """Read a table file written by :func:`save_table` (format sniffed
-    from the content, so extensions do not matter on input)."""
+    from the content, so extensions do not matter on input).  A file
+    tagged ``classic`` is converted to the paper normalization."""
     text = Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("{"):

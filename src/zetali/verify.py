@@ -172,7 +172,7 @@ def run_verification(n_max: int = 20, target_bits: int = 192) -> list[CheckResul
     base = gam if n_stab == n_max else compute_gamma_table(n_stab, ctx)
     m_cut, _ = euler_maclaurin_parameters(n_stab, ctx)
     double_m = compute_gamma_table(n_stab, ctx, cutoff=2 * m_cut)
-    double_g = compute_gamma_table(n_stab, ctx.with_extra_guard(ctx.guard_bits))
+    double_g = compute_gamma_table(n_stab, PrecisionContext(ctx.target_bits, 2 * ctx.guard_bits))
     with mp.workprec(ctx.working_bits + ctx.guard_bits):
         worst = max(abs(a - b) for other in (double_m, double_g)
                     for a, b in zip(base.values, other.values))

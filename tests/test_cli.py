@@ -89,15 +89,12 @@ class TestStieltjesCommand:
         assert len(lines[3:]) == 3
         assert load_table(cut).n_max == 2
 
-    def test_classic_table_input_is_converted(self, capsys, tmp_path):
-        # a classic-normalization table on --table is converted on the fly
-        import mpmath as mp
-        from zetali import CONVENTION_CLASSIC, CoefficientTable, save_table
-        with mp.workprec(150):
-            values = tuple(mp.stieltjes(n) for n in range(4))
+    def test_classic_table_input_is_converted(self, capsys, tmp_path,
+                                              classic_stieltjes):
+        # a classic-normalization table on --table is converted as it loads
         path = tmp_path / "classic.json"
-        save_table(CoefficientTable("gamma", CONVENTION_CLASSIC, "file", values, 150),
-                   path)
+        path.write_text(classic_table_text(classic_stieltjes(150)[:4], 150, "json"),
+                        encoding="utf-8")
         code, out, _ = run_cli(capsys, "eta", "--n-max", "3",
                                "--table", str(path), "--prec", "96")
         assert code == 0

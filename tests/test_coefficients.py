@@ -4,10 +4,8 @@ import mpmath as mp
 import pytest
 
 from zetali import (
-    CONVENTION_CLASSIC,
     CoefficientTable,
     PrecisionContext,
-    convert_convention,
     eta_contour,
     eta_from_gamma_explicit,
     eta_from_gamma_recurrence,
@@ -57,11 +55,6 @@ class TestRecurrence:
         with pytest.raises(ValueError):
             eta_from_gamma_recurrence(gamma40, 41, ctx256)
 
-    def test_wrong_convention(self, gamma40, ctx256):
-        classic = convert_convention(gamma40, CONVENTION_CLASSIC)
-        with pytest.raises(ValueError):
-            eta_from_gamma_recurrence(classic, 3, ctx256)
-
 
 class TestExplicit:
     def test_n1_is_minus_gamma0(self, gamma40, ctx256):
@@ -106,7 +99,7 @@ class TestSeriesOracle:
         # negated logarithmic derivative is -1/(1+s) = -1 + s - s^2 + ...
         with ctx256.workprec():
             vals = tuple(mp.mpf(1 if i == 0 else 0) for i in range(7))
-        synth = CoefficientTable("gamma", "paper", "file", vals, ctx256.working_bits)
+        synth = CoefficientTable("gamma", "file", vals, ctx256.working_bits)
         ser = eta_series_oracle(synth, 6, ctx256)
         with ctx256.workprec():
             for n in range(7):

@@ -7,11 +7,9 @@ import mpmath as mp
 import pytest
 
 from zetali import (
-    CONVENTION_CLASSIC,
     PrecisionContext,
     PrecisionInfeasibleError,
     compute_gamma_table,
-    convert_convention,
     eta_from_gamma_recurrence,
     expand_eta_symbolic,
     expand_lambda_symbolic,
@@ -27,8 +25,10 @@ from zetali import (
     to_decimal,
     trend_constant,
 )
+import zetali.li
 from zetali.cli import main
 from zetali.li import TermDistribution
+from zetali.numerics import to_raw
 from helpers import LAMBDA_EXPANSIONS, TREND_C_REF, poly_add, poly_normalize, poly_scale, rel_diff
 
 
@@ -96,12 +96,6 @@ class TestExplicitRoute:
             with ctx.workprec():
                 # far below the acceptance bar of 2^-80
                 assert rel_diff(a, b) < mp.mpf(2) ** -128, n
-
-    def test_wrong_convention(self, gamma40, ctx256):
-        classic = convert_convention(gamma40, CONVENTION_CLASSIC)
-        for route in (lambda_tilde_explicit, term_distribution):
-            with pytest.raises(ValueError, match="convention"):
-                route(classic, 3, ctx256)
 
     def test_table_too_short(self, gamma40, ctx256):
         for route in (lambda_tilde_explicit, term_distribution):
@@ -306,6 +300,22 @@ class TestHistogram:
                     for v in dist.term_values:
                         counts[min(int(mp.floor((v - lo) / width)), bins - 1)] += 1
                 assert [c for _, _, c in rows] == counts, (n, bins)
+
+    def test_one_conversion_per_value(self, gamma40, ctx256, monkeypatch):
+        # each value is turned into (man, exp) once, and each interior
+        # bound once; the extremes and the bins reuse those integers
+        dist = term_distribution(gamma40, 10, ctx256)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return to_raw(x)
+
+        monkeypatch.setattr(zetali.li, "to_raw", counted)
+        for bins in (1, 9, 40):
+            calls.clear()
+            histogram(dist, bins, ctx256)
+            assert len(calls) <= len(dist) + bins, bins
 
     def test_empty_rejected(self, ctx256):
         with pytest.raises(ValueError):

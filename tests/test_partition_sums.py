@@ -37,7 +37,7 @@ from zetali import (
 from zetali.coefficients import _signed_walk, partition_product
 from zetali.numerics import from_decimal
 from zetali.partitions import _power_rows, _walk_partitions
-from zetali.stieltjes import CONVENTION_PAPER, PROVENANCE_FILE, CoefficientTable
+from zetali.stieltjes import PROVENANCE_FILE, CoefficientTable
 
 N_MAX = 12
 BENCH_N = 24  # in the band of the partition_sums benchmark workload
@@ -214,27 +214,31 @@ class TestSumAccuracy:
         return compute_gamma_table(20, lambda_context(192, 20))
 
     @staticmethod
-    def _close(value, better, ctx):
-        with ctx.with_extra_guard(256).workprec():
+    def _more_guard(ctx):
+        return PrecisionContext(ctx.target_bits, ctx.guard_bits + 256)
+
+    @classmethod
+    def _close(cls, value, better, ctx):
+        with cls._more_guard(ctx).workprec():
             assert abs(value - better) < mp.mpf(2) ** -(ctx.target_bits + 8)
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_eta_explicit(self, gamma40, ctx256, n):
         self._close(eta_from_gamma_explicit(gamma40, n, ctx256),
-                    eta_from_gamma_explicit(gamma40, n, ctx256.with_extra_guard(256)),
+                    eta_from_gamma_explicit(gamma40, n, self._more_guard(ctx256)),
                     ctx256)
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_gamma_from_eta(self, eta40, ctx256, n):
         self._close(gamma_from_eta_explicit(eta40, n, ctx256),
-                    gamma_from_eta_explicit(eta40, n, ctx256.with_extra_guard(256)),
+                    gamma_from_eta_explicit(eta40, n, self._more_guard(ctx256)),
                     ctx256)
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_lambda_explicit(self, gamma20, n):
         ctx = lambda_context(192, n)
         self._close(lambda_tilde_explicit(gamma20, n, ctx),
-                    lambda_tilde_explicit(gamma20, n, ctx.with_extra_guard(256)),
+                    lambda_tilde_explicit(gamma20, n, self._more_guard(ctx)),
                     ctx)
 
 
@@ -253,8 +257,7 @@ def synthetic_table(kind, count):
         digits = "".join(str(w).zfill(78)[:77] for w in words)
         sign = "-" if words[0] % 2 else ""
         values.append(from_decimal(f"{sign}0.{digits}e-{i // 2}", 512))
-    return CoefficientTable(kind, CONVENTION_PAPER, PROVENANCE_FILE,
-                            tuple(values), 512)
+    return CoefficientTable(kind, PROVENANCE_FILE, tuple(values), 512)
 
 
 class TestSyntheticTablePin:

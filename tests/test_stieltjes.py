@@ -5,14 +5,11 @@ import mpmath as mp
 import pytest
 
 from zetali import (
-    CONVENTION_CLASSIC,
-    CONVENTION_PAPER,
     CoefficientTable,
     PrecisionContext,
     PrecisionInfeasibleError,
     TableFormatError,
     compute_gamma_table,
-    convert_convention,
     eta_from_gamma_explicit,
     eta_from_gamma_recurrence,
     eta_series_oracle,
@@ -30,30 +27,28 @@ from zetali import (
     to_decimal,
 )
 from zetali.stieltjes import _dirichlet_sums, _pochhammer_polys
-from helpers import GAMMA0_REF, GAMMA1_CLASSIC_REF
+from helpers import GAMMA0_REF, GAMMA1_CLASSIC_REF, classic_table_text
 
 
 class TestCoefficientTable:
     @pytest.mark.parametrize("fields", [
-        ("delta", CONVENTION_PAPER, "file", (1,), 64),
-        ("gamma", "modern", "file", (1,), 64),
-        ("eta", CONVENTION_CLASSIC, "recurrence", (1,), 64),
-        ("eta", CONVENTION_PAPER, "guesswork", (1,), 64),
-        ("gamma", CONVENTION_PAPER, "file", (), 64),
-        ("gamma", CONVENTION_PAPER, "file", (1,), 0),
-    ], ids=["kind", "convention", "eta_classic", "provenance", "empty", "precision"])
+        ("delta", "file", (1,), 64),
+        ("eta", "guesswork", (1,), 64),
+        ("gamma", "file", (), 64),
+        ("gamma", "file", (1,), 0),
+    ], ids=["kind", "provenance", "empty", "precision"])
     def test_validation(self, fields):
-        kind, convention, provenance, values, bits = fields
+        kind, provenance, values, bits = fields
         with mp.workprec(64):
             values = tuple(map(mp.mpf, values))
         with pytest.raises(ValueError):
-            CoefficientTable(kind, convention, provenance, values, bits)
+            CoefficientTable(kind, provenance, values, bits)
 
     def test_indexing(self, gamma40, eta40):
         assert gamma40[0] == gamma40.values[0]
         assert len(gamma40) == 41 and gamma40.n_max == 40
         assert (gamma40.kind, gamma40.provenance) == ("gamma", "euler_maclaurin")
-        assert (eta40.kind, eta40.convention) == ("eta", CONVENTION_PAPER)
+        assert (eta40.kind, eta40.provenance) == ("eta", "recurrence")
 
     @pytest.mark.parametrize("route,kind", [
         (lambda g, e, p: eta_from_gamma_recurrence(e, 4), "eta"),
@@ -65,10 +60,9 @@ class TestCoefficientTable:
         (lambda g, e, p: gamma_from_eta_explicit(g, 4), "gamma"),
         (lambda g, e, p: render_table(e), "eta"),
         (lambda g, e, p: save_table(e, p), "eta"),
-        (lambda g, e, p: convert_convention(e, CONVENTION_CLASSIC), "eta"),
     ], ids=["recurrence", "eta_explicit", "series_oracle", "lambda_explicit",
             "term_distribution", "lambda_binomial", "gamma_from_eta",
-            "render_table", "save_table", "convert_convention"])
+            "render_table", "save_table"])
     def test_wrong_kind_rejected(self, route, kind, gamma40, eta40, tmp_path):
         # each route names the table it was handed, and writes no file
         path = tmp_path / "table.json"
@@ -245,41 +239,12 @@ class TestGammaContour:
             gamma_contour(-1)
 
 
-class TestConvertConvention:
-    def test_entry0_unchanged_entry1_negated(self, gamma40, ctx256):
-        classic = convert_convention(gamma40, CONVENTION_CLASSIC)
-        assert classic[0] == gamma40[0]
-        with ctx256.workprec():
-            assert classic[1] == -gamma40[1]
-        assert classic.convention == CONVENTION_CLASSIC
-        assert classic.precision_bits == gamma40.precision_bits
-
-    def test_factor_is_plus_minus_factorial(self, gamma40):
-        classic = convert_convention(gamma40, CONVENTION_CLASSIC)
-        with mp.workprec(400):
-            assert abs(classic[4] - 24 * gamma40[4]) == 0
-            assert abs(classic[5] + 120 * gamma40[5]) == 0
-
-    def test_roundtrip_is_exact_involution(self, gamma40):
-        back = convert_convention(
-            convert_convention(gamma40, CONVENTION_CLASSIC), CONVENTION_PAPER)
-        assert back.values == gamma40.values
-
-    def test_same_convention_is_noop(self, gamma40):
-        assert convert_convention(gamma40, CONVENTION_PAPER) is gamma40
-
-    def test_unknown_target(self, gamma40):
-        with pytest.raises(ValueError):
-            convert_convention(gamma40, "other")
-
-
 class TestTableFiles:
     def test_json_roundtrip(self, gamma40, tmp_path):
         path = tmp_path / "table.json"
         save_table(gamma40, path)
         loaded = load_table(path)
         assert (loaded.kind, loaded.provenance) == ("gamma", "file")
-        assert loaded.convention == gamma40.convention
         assert loaded.n_max == gamma40.n_max
         assert loaded.precision_bits == gamma40.precision_bits
         assert loaded.values == gamma40.values
@@ -365,15 +330,20 @@ class TestTableFiles:
         with pytest.raises(TableFormatError, match="non-finite"):
             load_table(path)
 
-    def test_literature_table_ingestion(self, gamma40, tmp_path):
+    def test_literature_table_ingestion(self, gamma40, classic_stieltjes, tmp_path):
         # classic-normalization values from an independent source
-        # (mpmath's own Stieltjes computation), saved, loaded, converted
-        with mp.workprec(150):
-            values = tuple(mp.stieltjes(n) for n in range(9))
-        lit = CoefficientTable("gamma", CONVENTION_CLASSIC, "file", values, 150)
-        path = tmp_path / "literature.json"
-        save_table(lit, path)
-        paper = convert_convention(load_table(path), CONVENTION_PAPER)
-        with mp.workprec(200):
-            for n in range(9):
-                assert abs(paper[n] - gamma40[n]) < mp.mpf(2) ** -130
+        # (mpmath's own Stieltjes computation), converted as they load
+        for fmt in ("json", "csv"):
+            path = tmp_path / f"literature.{fmt}"
+            path.write_text(classic_table_text(classic_stieltjes(150), 150, fmt),
+                            encoding="utf-8")
+            paper = load_table(path)
+            assert (paper.provenance, paper.precision_bits, paper.n_max) == (
+                "file", 150, 8)
+            with mp.workprec(200):
+                for n in range(9):
+                    assert abs(paper[n] - gamma40[n]) < mp.mpf(2) ** -130, (fmt, n)
+        # a loaded classic table is saved in the paper normalization
+        save_table(paper, tmp_path / "saved.json")
+        saved = json.loads((tmp_path / "saved.json").read_text())
+        assert saved["convention"] == "paper"
