@@ -118,9 +118,8 @@ def _emit_values(args, meta: dict, values, file_text: str | None = None) -> int:
 
 
 def _gamma_source(args, n_needed: int, ctx: PrecisionContext) -> CoefficientTable:
-    """Load the table given by --table (a classic file arrives converted
-    to the paper normalization) and cut it to index ``n_needed``, or
-    compute one."""
+    """Load the table given by --table (a classic file arrives converted)
+    cut to index ``n_needed``, or compute one."""
     if args.table:
         table = load_table(args.table)
         if table.n_max < n_needed:

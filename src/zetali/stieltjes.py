@@ -10,13 +10,11 @@ pole, in the normalization
 
     zeta(1 + s) = 1/s + sum_{n>=0} gamma_n s^n            (tag "paper")
 
-Every table in memory uses it.  The other common normalization, which
-``mpmath.stieltjes`` returns, factors out (-1)^n / n!:
+which every table in memory uses.  The other common normalization, what
+``mpmath.stieltjes`` returns, occurs only in table files, and
+:func:`load_table` converts it as it reads them:
 
     gamma_classic[n] = (-1)^n * n! * gamma[n]             (tag "classic")
-
-It is only a table-file tag: :func:`load_table` converts a classic file
-to the paper normalization as it reads it.
 
 ``compute_gamma_table`` is the production route.  It expands the
 truncated Dirichlet sum plus Euler-Maclaurin tail of zeta(1+s) as a
@@ -109,13 +107,12 @@ _KINDS = ("gamma", "eta")
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Immutable table of gamma_0 .. gamma_n_max or eta_0 .. eta_n_max,
-    in the paper normalization.
+    """Immutable table of gamma_0 .. gamma_n_max or eta_0 .. eta_n_max.
 
-    ``kind`` is ``"gamma"`` or ``"eta"``.  ``provenance`` names the route
-    that built the values, and ``precision_bits`` the precision they
-    carry: the working precision of the build, or less when its input
-    carried less.
+    ``kind`` is ``"gamma"`` or ``"eta"``, in the paper normalization.
+    ``provenance`` names the route that built the values, and
+    ``precision_bits`` the precision they carry: the working precision
+    of the build, or less when its input carried less.
     """
 
     kind: str
