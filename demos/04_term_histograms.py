@@ -14,7 +14,7 @@ from pathlib import Path
 import mpmath as mp
 
 from zetali import (
-    DEFAULT_CONTEXT,
+    PrecisionContext,
     compute_gamma_table,
     histogram,
     summatory_partition_count,
@@ -22,7 +22,7 @@ from zetali import (
     to_decimal,
 )
 
-ctx = DEFAULT_CONTEXT
+ctx = PrecisionContext(192, 64)
 BINS = 15
 BAR = 48  # widest histogram bar, characters
 

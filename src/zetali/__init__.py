@@ -26,13 +26,11 @@ from .errors import (
     TableFormatError,
 )
 from .numerics import (
-    DEFAULT_CONTEXT,
     BigRational,
     BigReal,
     PrecisionContext,
     bernoulli,
     decimal_digits,
-    default_guard_bits,
     from_decimal,
     rational_to_str,
     series_derivative,
@@ -73,7 +71,6 @@ from .li import (
     expand_lambda_symbolic,
     histogram,
     lambda_context,
-    lambda_guard_bits,
     lambda_tilde_binomial,
     lambda_tilde_explicit,
     lambda_trend,
@@ -90,8 +87,8 @@ __all__ = [
     "PrecisionInfeasibleError", "OrderMismatchError",
     "NonInvertibleSeriesError", "TableFormatError",
     # numerics
-    "BigReal", "BigRational", "PrecisionContext", "DEFAULT_CONTEXT",
-    "default_guard_bits", "decimal_digits", "to_decimal", "render", "from_decimal",
+    "BigReal", "BigRational", "PrecisionContext",
+    "decimal_digits", "to_decimal", "render", "from_decimal",
     "rational_to_str", "bernoulli",
     "series_mul", "series_recip", "series_derivative",
     # partitions
@@ -107,7 +104,7 @@ __all__ = [
     "gamma_from_eta_explicit", "eta_series_oracle", "eta_contour",
     "expand_eta_symbolic", "expand_gamma_symbolic",
     # li
-    "TermDistribution", "lambda_guard_bits", "lambda_context",
+    "TermDistribution", "lambda_context",
     "lambda_tilde_binomial", "lambda_tilde_explicit",
     "expand_lambda_symbolic", "trend_constant", "lambda_trend",
     "term_distribution", "histogram",

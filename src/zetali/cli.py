@@ -15,8 +15,16 @@ infeasible.
 
 Values print at ceil(target_bits * 0.302) significant digits.  The one
 exception is ``stieltjes --out``: the file written there is a
-full-working-precision table (loadable back with no digit loss), while
-stdout shows target-precision digits.
+full-working-precision table with one digit more (loadable back bit for
+bit), while stdout shows target-precision digits.
+
+The library picks no precision; this module does.  ``--prec`` is the
+target, and ``--guard auto`` (the default) adds max(64, 2 n_max) guard
+bits for ``stieltjes``, ``eta`` and ``gamma-invert``, whose tables feed
+binomial sums that lose bits about linearly in the index, and
+max(64, 10 n) bits for ``li`` and ``histogram``
+(:func:`~zetali.li.lambda_context`).  ``--guard N`` sets N bits instead.
+``verify`` takes no ``--guard``: it fixes its own contexts.
 """
 
 from __future__ import annotations
@@ -42,13 +50,13 @@ from .errors import PrecisionInfeasibleError, TableFormatError
 from .li import (
     expand_lambda_symbolic,
     histogram,
-    lambda_guard_bits,
+    lambda_context,
     lambda_tilde_binomial,
     lambda_tilde_explicit,
     lambda_trend,
     term_distribution,
 )
-from .numerics import PrecisionContext, default_guard_bits, render, to_decimal
+from .numerics import PrecisionContext, render, to_decimal
 from .stieltjes import (
     CONVENTION_PAPER,
     PROVENANCE_EXPLICIT,
@@ -94,9 +102,15 @@ def _guard(text: str):
     return value
 
 
-def _context(args, policy_guard: int) -> PrecisionContext:
-    guard = policy_guard if args.guard == "auto" else args.guard
-    return PrecisionContext(args.prec, guard)
+def _context(args, auto: PrecisionContext) -> PrecisionContext:
+    """``auto`` under ``--guard auto``, else ``--prec`` with ``--guard`` bits."""
+    return auto if args.guard == "auto" else PrecisionContext(args.prec, args.guard)
+
+
+def _table_context(args) -> PrecisionContext:
+    """The context of ``stieltjes``, ``eta`` and ``gamma-invert``: under
+    ``--guard auto``, max(64, 2 n_max) guard bits."""
+    return _context(args, PrecisionContext(args.prec, max(64, 2 * args.n_max)))
 
 
 def _emit(args, obj: dict, meta_keys, header: str, file_text: str | None = None) -> int:
@@ -139,7 +153,7 @@ def _gamma_source(args, n_needed: int, ctx: PrecisionContext) -> CoefficientTabl
 
 
 def _cmd_stieltjes(args) -> int:
-    ctx = _context(args, default_guard_bits(args.n_max))
+    ctx = _table_context(args)
     if args.method == "contour":
         table = gamma_contour(args.n_max, ctx)
     else:
@@ -152,7 +166,7 @@ def _cmd_stieltjes(args) -> int:
 
 
 def _cmd_eta(args) -> int:
-    ctx = _context(args, default_guard_bits(args.n_max))
+    ctx = _table_context(args)
     if args.method == "contour":
         table = eta_contour(args.n_max, ctx)
     else:
@@ -171,7 +185,7 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_gamma_invert(args) -> int:
-    ctx = _context(args, default_guard_bits(args.n_max))
+    ctx = _table_context(args)
     gamma = _gamma_source(args, args.n_max, ctx)
     eta = eta_from_gamma_recurrence(gamma, args.n_max, ctx)
     values = [gamma_from_eta_explicit(eta, n + 1, ctx) for n in range(args.n_max + 1)]
@@ -182,7 +196,7 @@ def _cmd_gamma_invert(args) -> int:
 
 def _cmd_li(args) -> int:
     n_max = args.n_max
-    ctx = _context(args, lambda_guard_bits(n_max))
+    ctx = _context(args, lambda_context(args.prec, n_max))
     gamma = _gamma_source(args, max(0, n_max - 1), ctx)
     if args.method == "binomial" and n_max > 0:
         # the eta table for the top index serves every smaller index
@@ -208,7 +222,7 @@ def _cmd_li(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
-    ctx = _context(args, lambda_guard_bits(args.n))
+    ctx = _context(args, lambda_context(args.prec, args.n))
     dist = term_distribution(_gamma_source(args, args.n - 1, ctx), args.n, ctx)
     obj = {"n": args.n, "count": len(dist)}
     if args.raw:

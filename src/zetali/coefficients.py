@@ -43,7 +43,6 @@ from fractions import Fraction
 import mpmath as mp
 
 from .numerics import (
-    DEFAULT_CONTEXT,
     BigRational,
     BigReal,
     PrecisionContext,
@@ -115,7 +114,7 @@ def _signed_walk(values, n: int, ctx: PrecisionContext, least: int | None = None
 
 
 def eta_from_gamma_recurrence(g: CoefficientTable, n_max: int,
-                              ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:
+                              ctx: PrecisionContext) -> CoefficientTable:
     """eta_n = -(n+1) gamma_n - sum_{k=0}^{n-1} eta_k gamma_{n-k-1}; the
     table claims no more bits than g carries."""
     _require(g, "gamma", n_max)
@@ -130,8 +129,7 @@ def eta_from_gamma_recurrence(g: CoefficientTable, n_max: int,
                             min(ctx.working_bits, g.precision_bits))
 
 
-def eta_from_gamma_explicit(g: CoefficientTable, n: int,
-                            ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
+def eta_from_gamma_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) -> BigReal:
     """eta_{n-1} by the closed partition sum
 
         eta_{n-1} = n * sum_{r(k)=n} (p-1)! prod_i (-gamma_i)^(k_i) / k_i!
@@ -149,8 +147,7 @@ def eta_from_gamma_explicit(g: CoefficientTable, n: int,
                         ctx.working_bits)
 
 
-def gamma_from_eta_explicit(e: CoefficientTable, n: int,
-                            ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
+def gamma_from_eta_explicit(e: CoefficientTable, n: int, ctx: PrecisionContext) -> BigReal:
     """gamma_{n-1} by inverting the partition sum:
 
         gamma_{n-1} = sum_{r(k)=n} prod_i (1/k_i!) (-eta_i / (1+i))^(k_i)
@@ -169,7 +166,7 @@ def gamma_from_eta_explicit(e: CoefficientTable, n: int,
 
 
 def eta_series_oracle(g: CoefficientTable, n_max: int,
-                      ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:
+                      ctx: PrecisionContext) -> CoefficientTable:
     """eta_0 .. eta_n_max as the coefficients of -A'(s)/A(s) where
     A(s) = 1 + sum gamma_n s^(n+1).
 
@@ -189,7 +186,7 @@ def eta_series_oracle(g: CoefficientTable, n_max: int,
                             min(ctx.working_bits, g.precision_bits))
 
 
-def eta_contour(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:
+def eta_contour(n_max: int, ctx: PrecisionContext) -> CoefficientTable:
     """eta_0 .. eta_n_max as eta_k = -(k+1) [s^(k+1)] log(s zeta(1+s)), by
     :func:`~zetali.numerics.cauchy_coefficients`; accurate to rounding at
     working precision.

@@ -12,8 +12,8 @@ famous open problem; this module only computes it, two independent ways:
 * ``lambda_tilde_binomial`` — the transform above with exact integer
   binomials, summed exactly and rounded once.  The weights amplify the
   eta table's own rounding by up to 2^n, so the route refuses a table
-  too coarse for the target (the guard policy of max(64, 10 n) extra
-  bits builds tables that pass) rather than return wrong digits.
+  too coarse for the target (:func:`lambda_context`, max(64, 10 n)
+  guard bits, builds tables that pass) rather than return wrong digits.
 * ``lambda_tilde_explicit`` — the direct partition sum over the
   Stieltjes constants,
 
@@ -47,14 +47,12 @@ import mpmath as mp
 
 from .coefficients import SymbolicExpansion, _signed_walk, modified_gamma
 from .errors import PrecisionInfeasibleError
-from .numerics import (DEFAULT_CONTEXT, BigReal, PrecisionContext, raw_to_mpf, to_raw,
-                       weighted_sum)
+from .numerics import BigReal, PrecisionContext, raw_to_mpf, to_raw, weighted_sum
 from .partitions import _dense, _tagged_walk
 from .stieltjes import CoefficientTable, _require
 
 __all__ = [
     "TermDistribution",
-    "lambda_guard_bits",
     "lambda_context",
     "lambda_tilde_binomial",
     "lambda_tilde_explicit",
@@ -80,19 +78,14 @@ class TermDistribution:
         return len(self.term_values)
 
 
-def lambda_guard_bits(n: int) -> int:
-    """Guard policy for oscillation work at index n: the weights C(n, j)
-    amplify the rounding of an eta table built under it by up to 2^n."""
-    return max(64, 10 * n)
-
-
 def lambda_context(target_bits: int, n: int) -> PrecisionContext:
-    """Context with the oscillation guard policy applied for index n."""
-    return PrecisionContext(target_bits, lambda_guard_bits(n))
+    """Context for oscillation work at index n, with max(64, 10 n) guard
+    bits: the weights C(n, j) amplify the rounding of an eta table built
+    under it by up to 2^n."""
+    return PrecisionContext(target_bits, max(64, 10 * n))
 
 
-def lambda_tilde_binomial(e: CoefficientTable, n: int,
-                          ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
+def lambda_tilde_binomial(e: CoefficientTable, n: int, ctx: PrecisionContext) -> BigReal:
     """lambda_tilde_n = - sum_{j=1}^{n} C(n, j) eta_{j-1}, with exact
     binomials, summed exactly and rounded once at working precision.
 
@@ -121,8 +114,7 @@ def _lambda_weights(n: int) -> list[list[int]]:
             for r in range(n + 1)]
 
 
-def lambda_tilde_explicit(g: CoefficientTable, n: int,
-                          ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
+def lambda_tilde_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) -> BigReal:
     """The oscillation by direct partition sum over the Stieltjes
     constants; needs only gamma_0 .. gamma_{n-1}.
 
@@ -141,7 +133,7 @@ def lambda_tilde_explicit(g: CoefficientTable, n: int,
 
 
 def term_distribution(g: CoefficientTable, n: int,
-                      ctx: PrecisionContext = DEFAULT_CONTEXT) -> TermDistribution:
+                      ctx: PrecisionContext) -> TermDistribution:
     """Every nonzero partition-sum term for index n, in canonical order:
     r ascending, then the canonical order of the partitions of r.
 
@@ -183,15 +175,14 @@ def expand_lambda_symbolic(n: int) -> SymbolicExpansion:
 # Trend
 # --------------------------------------------------------------------------
 
-def trend_constant(gamma0: BigReal, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
+def trend_constant(gamma0: BigReal, ctx: PrecisionContext) -> BigReal:
     """c = (gamma_0 - 1 - log(2 pi)) / 2, about -1.1303307, from the
     caller's gamma_0."""
     with ctx.workprec():
         return (gamma0 - 1 - mp.log(2 * mp.pi)) / 2
 
 
-def lambda_trend(n: int, gamma0: BigReal,
-                 ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
+def lambda_trend(n: int, gamma0: BigReal, ctx: PrecisionContext) -> BigReal:
     """Asymptotic trend (1 + n log n)/2 + c n of the smooth part."""
     if n < 1:
         raise ValueError("n must be positive")
@@ -206,7 +197,7 @@ def lambda_trend(n: int, gamma0: BigReal,
 
 
 def histogram(d: TermDistribution, bins: int,
-              ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[tuple[BigReal, BigReal, int]]:
+              ctx: PrecisionContext) -> list[tuple[BigReal, BigReal, int]]:
     """Equal-width binning of the term values over [min, max].
 
     With ``width = (max - min) / bins``, row 0 opens at the minimum

@@ -3,6 +3,8 @@
 Everything numeric in this package runs under an explicit
 :class:`PrecisionContext`: ``target_bits`` of requested accuracy plus
 ``guard_bits`` of headroom that absorbs rounding and cancellation loss.
+The caller always states both: no route has a default context, and the
+library picks no precision of its own.
 Real values are mpmath floats (``BigReal``), exact coefficients are
 :class:`fractions.Fraction` (``BigRational``).  All operations use
 round-to-nearest and a fixed evaluation order, so identical inputs under
@@ -51,8 +53,6 @@ __all__ = [
     "BigReal",
     "BigRational",
     "PrecisionContext",
-    "DEFAULT_CONTEXT",
-    "default_guard_bits",
     "decimal_digits",
     "to_decimal",
     "render",
@@ -84,7 +84,7 @@ class PrecisionContext:
     """
 
     target_bits: int
-    guard_bits: int = 64
+    guard_bits: int
 
     def __post_init__(self):
         if self.target_bits < 1:
@@ -101,26 +101,12 @@ class PrecisionContext:
         return mp.workprec(self.working_bits)
 
 
-#: 192 target bits with 64 guard bits (256-bit working precision), enough
-#: for coefficient cross-checks up to index ~30.
-DEFAULT_CONTEXT = PrecisionContext(target_bits=192, guard_bits=64)
-
-
-def default_guard_bits(n_max: int) -> int:
-    """Guard-bit policy for coefficient tables up to index ``n_max``.
-
-    Downstream binomial sums lose bits roughly linearly in the index, so
-    the default grows with the highest index requested.
-    """
-    return max(64, 2 * n_max)
-
-
 def decimal_digits(bits: int) -> int:
     """Significant decimal digits serializing a ``bits``-bit value.
 
     ceil(bits * 0.302), computed in exact integer arithmetic; slightly
-    more than bits * log10(2), so a value round-trips through its decimal
-    form with at most one unit of change in the last printed digit.
+    more than bits * log10(2).  Reading the digits back can move the
+    value by an ulp; table files write one digit more, which cannot.
     """
     if bits < 1:
         raise ValueError("bits must be positive")
@@ -316,8 +302,7 @@ def bernoulli(m: int) -> BigRational:
 # working precision of the supplied context.
 
 
-def series_mul(a: tuple, b: tuple,
-               ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple:
+def series_mul(a: tuple, b: tuple, ctx: PrecisionContext) -> tuple:
     """Cauchy product of two series of equal order, truncated at that order."""
     if len(a) != len(b):
         raise OrderMismatchError(
@@ -332,7 +317,7 @@ def series_mul(a: tuple, b: tuple,
     return tuple(out)
 
 
-def series_recip(a: tuple, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple:
+def series_recip(a: tuple, ctx: PrecisionContext) -> tuple:
     """Series b with ``a * b = 1`` modulo ``s^(N+1)``.
 
     Requires a nonzero constant term; coefficients follow the standard
@@ -352,7 +337,7 @@ def series_recip(a: tuple, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple:
     return tuple(out)
 
 
-def series_derivative(a: tuple, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple:
+def series_derivative(a: tuple, ctx: PrecisionContext) -> tuple:
     """Termwise derivative, truncated at order N-1.
 
     The derivative of an order-0 series is the zero series of order 0.
@@ -368,8 +353,7 @@ def series_derivative(a: tuple, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tupl
 # --------------------------------------------------------------------------
 
 
-def cauchy_coefficients(f: Callable, n_max: int,
-                        ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple:
+def cauchy_coefficients(f: Callable, n_max: int, ctx: PrecisionContext) -> tuple:
     """Taylor coefficients c_0 .. c_n_max of ``f`` about 0, by the
     trapezoidal rule for the Cauchy integral on N points of |s| = 1.
 

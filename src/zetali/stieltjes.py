@@ -57,18 +57,17 @@ from pathlib import Path
 from typing import Iterator
 
 import mpmath as mp
-from mpmath.libmp import from_int, mpf_log, to_fixed
+from mpmath.libmp import from_int, mpf_log, to_fixed, to_str
 
 from .errors import PrecisionInfeasibleError, TableFormatError
 from .numerics import (
-    DEFAULT_CONTEXT,
     BigReal,
     PrecisionContext,
     bernoulli,
     cauchy_coefficients,
+    decimal_digits,
     from_decimal,
     render,
-    to_decimal,
 )
 
 __all__ = [
@@ -170,7 +169,7 @@ def _pochhammer_polys() -> Iterator[list[int]]:
             poly = grown
 
 
-def euler_maclaurin_parameters(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT,
+def euler_maclaurin_parameters(n_max: int, ctx: PrecisionContext,
                                cutoff: int | None = None) -> tuple[int, int]:
     """Choose the Dirichlet cutoff M and tail order J for a table build.
 
@@ -243,7 +242,7 @@ def _dirichlet_sums(m_cut: int, n_max: int, w: int) -> list[int]:
     return sums
 
 
-def compute_gamma_table(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
+def compute_gamma_table(n_max: int, ctx: PrecisionContext, *,
                         cutoff: int | None = None,
                         tail_terms: int | None = None) -> CoefficientTable:
     """Build the table gamma_0 .. gamma_n_max.
@@ -312,7 +311,7 @@ def compute_gamma_table(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
                             ctx.working_bits)
 
 
-def gamma_contour(n_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:
+def gamma_contour(n_max: int, ctx: PrecisionContext) -> CoefficientTable:
     """gamma_0 .. gamma_n_max as the Taylor coefficients of the entire
     function zeta(1+s) - 1/s, by
     :func:`~zetali.numerics.cauchy_coefficients`; accurate to rounding at
@@ -331,15 +330,18 @@ def render_table(table: CoefficientTable, fmt: str = "json") -> str:
 
     JSON: ``{"convention": "paper", "precision_bits", "n_max", "values"}``
     with values as decimal strings.  CSV: ``# key=value`` metadata comments,
-    a ``n,value`` header, one row per index.  Both forms are exact
-    inverses of :func:`load_table` up to 1 ulp at the stated precision.
-    The file format has no kind field, so an eta table is refused.
+    a ``n,value`` header, one row per index.  Values carry one digit more
+    than printed output, ``decimal_digits(precision_bits) + 1``, which is
+    at least the ceil(bits log10 2) + 1 digits that read back as the same
+    binary value (Matula), so :func:`load_table` restores every bit.  The
+    file format has no kind field, so an eta table is refused.
     """
     if table.kind != "gamma":
         raise ValueError(f"table files hold gamma tables, got kind {table.kind!r}")
+    digits = decimal_digits(table.precision_bits) + 1
     obj = {"convention": CONVENTION_PAPER, "precision_bits": table.precision_bits,
            "n_max": table.n_max,
-           "values": [to_decimal(v, table.precision_bits) for v in table.values]}
+           "values": [to_str(v._mpf_, digits, strip_zeros=False) for v in table.values]}
     return render(fmt, obj, ("convention", "precision_bits"), "n,value")
 
 

@@ -119,7 +119,7 @@ def _result(name, scope, disc, threshold) -> CheckResult:
                        bool(disc < threshold))
 
 
-def run_verification(n_max: int = 20, target_bits: int = 192) -> list[CheckResult]:
+def run_verification(n_max: int, target_bits: int) -> list[CheckResult]:
     """Run the full cross-method suite up to index ``n_max``.
 
     ``target_bits`` must be at least 128: the fixed tolerances below are

@@ -7,6 +7,7 @@ import pytest
 
 import zetali.verify
 from zetali import (
+    PrecisionContext,
     compute_gamma_table,
     from_decimal,
     load_table,
@@ -233,7 +234,7 @@ class TestEtaCommand:
     def test_table_precision_caps_eta_precision(self, capsys, tmp_path, method):
         # 320 working bits cannot add precision to a 256-bit gamma table
         path = tmp_path / "gamma.json"
-        save_table(compute_gamma_table(5), path)
+        save_table(compute_gamma_table(5, PrecisionContext(192, 64)), path)
         code, out, _ = run_cli(capsys, "eta", "--method", method, "--n-max", "5",
                                "--table", str(path), "--prec", "192",
                                "--guard", "128")
@@ -276,7 +277,7 @@ class TestGammaInvertCommand:
     def test_table_precision_caps_precision_bits(self, capsys, tmp_path):
         # 320 working bits cannot add precision to a 256-bit gamma table
         path = tmp_path / "gamma.json"
-        save_table(compute_gamma_table(5), path)
+        save_table(compute_gamma_table(5, PrecisionContext(192, 64)), path)
         code, out, _ = run_cli(capsys, "gamma-invert", "--n-max", "3", "--table",
                                str(path), "--prec", "192", "--guard", "128")
         assert code == 0
@@ -303,7 +304,7 @@ class TestLiCommand:
     @pytest.mark.parametrize("method", ["binomial", "explicit"])
     def test_table_precision_caps_precision_bits(self, capsys, tmp_path, method):
         path = tmp_path / "gamma.json"
-        save_table(compute_gamma_table(5), path)
+        save_table(compute_gamma_table(5, PrecisionContext(192, 64)), path)
         code, out, _ = run_cli(capsys, "li", "--method", method, "--n-max", "3",
                                "--table", str(path), "--prec", "192", "--guard", "128")
         assert code == 0
@@ -447,7 +448,7 @@ class TestVerifyCommand:
             return compute_gamma_table(*args, **kwargs)
 
         monkeypatch.setattr(zetali.verify, "compute_gamma_table", counting)
-        assert all(c.passed for c in run_verification(5))
+        assert all(c.passed for c in run_verification(5, 192))
         assert calls == [5, 4, 5, 5]
 
 
@@ -557,7 +558,15 @@ class TestGoldenOutput:
     --out`` (stdout and file), the largest JSON outputs the benchmark
     prints, were pinned while JSON was still written by
     ``json.dumps(obj, indent=2)``, to hold their bytes when the JSON
-    writer was replaced."""
+    writer was replaced.
+
+    The three ``stieltjes`` file digests of ``test_out_file_digest`` were
+    pinned again when table files began to write one digit more than
+    stdout (79 digits at 256 bits, was 78), so that every value reads
+    back bit for bit; no value of these three tables moved on reload
+    before, only the extra digit changes the files.  Every stdout digest
+    holds, the ``{table}`` ones too: no value of the 256-bit gamma_0 ..
+    gamma_40 table moved on reload before either."""
 
     @pytest.mark.parametrize("command,digest", [
         ("eta --method explicit --n-max 12",
@@ -639,13 +648,13 @@ class TestGoldenOutput:
         # the stieltjes file holds the table at full working precision
         ("stieltjes --n-max 6",
          "c1cc000d11373b390a75708fe3b1cdaa9de9a39719869d78886985acce91e1f5",
-         "b95663263f4a9c9d9dba39fd28a7d69d3bfbb2d7a191cf1b0bac708b65fc0b44"),
+         "c80d8edfcc38fd7b4858412349156001b4b7a9a84e97c06d690483c6c24b5a0f"),
         ("stieltjes --n-max 6 --format json",
          "4128702713a17430416b573e78b122da21ed64c57464ca39a41f32e4a85d585f",
-         "89cd9a6869d2e108669cb9686248d8127a8a59d30fe8404ebfb6c116091913fd"),
+         "63b0b37f0fbac223bca7fc3738781f59aab2b1e63eea61637a9e06e83721a6d0"),
         ("stieltjes --n-max 29 --format json",
          "9d83924f2bd9d2e1e2100e0e4ae4a772fe91726e90caf452f94043b1f8a3e0bf",
-         "808f8e767269ce53cfe23d32cafbfe2aa662edb6dffd2d8b77acc3ecf982508f"),
+         "8ff2b325c79276ae547af0cd5cab0b759eeb94963e5743f4b120a24d970f4aca"),
         # every other command mirrors stdout
         ("eta --method explicit --n-max 6 --format json",
          "00d7a1f840482419c765fac14a660320b6659b454b68edacb5d5b09a7715d261",
@@ -666,14 +675,19 @@ class TestClassicIngestion:
     converted values at the file's full precision, so its digest pins
     every bit of the classic-to-paper conversion, and ``eta`` pins what a
     route computes from them.  Pinned while the package still converted
-    a loaded classic table with a separate ``convert_convention`` step."""
+    a loaded classic table with a separate ``convert_convention`` step.
+
+    Both ``table_digest`` values were pinned again when table files began
+    to write one digit more than stdout, so that they read back bit for
+    bit: with the old digit count, the written gamma_7 read back one ulp
+    off at both 150 and 400 bits.  The stdout digests hold."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("bits,table_digest,stieltjes_digest,eta_digest", [
-        (150, "7ee742fc0db21c9216be6f28d7924645fe6d1406a485b578b40efd8f91c5cfcd",
+        (150, "f9f4f046b9b89a2b9cdcddbe3805b1fd0bf6648f32048c26d4b15272acd7322a",
          "f3c957c55f36eecbc0d376f0651430a8592d5386e4b3c07b0ac88d5ba2912ca2",
          "d965e361d879659b53471e82bc9f06e575b3459022d2477aaaaed56f598ed141"),
-        (400, "f64ce5041b53131f80d59c4694333a353b61bb2172b04b81c9c7cc0891c3eb99",
+        (400, "4713f72abc494056faa2f8597f4f519d22031398de53303b1f8bbf17a36813ea",
          "bf00b7c578f85b33f79b9b53614655778ec5deba230d971fc9525c9cf699ff1d",
          "287a20a5ba8f08a4ae96124b8bc1b841d69eeef1ebfebdae4f009b6e00bcea48"),
     ])

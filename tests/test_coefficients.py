@@ -168,7 +168,7 @@ class TestEtaContour:
 
     def test_negative_n_max_raises(self):
         with pytest.raises(ValueError):
-            eta_contour(-1)
+            eta_contour(-1, PrecisionContext(192, 64))
 
 
 class TestContourIndependence:

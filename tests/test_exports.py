@@ -2,11 +2,13 @@
 behind by a deleted name fails here, not only under ``import *``."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import zetali
+from zetali import PrecisionContext
 
 # __main__ runs the command line when imported
 MODULES = ["zetali"] + [f"zetali.{info.name}"
@@ -20,3 +22,24 @@ def test_exports_resolve(module):
     exported = getattr(mod, "__all__", ())
     assert len(set(exported)) == len(exported), "duplicate export"
     assert [name for name in exported if not hasattr(mod, name)] == []
+
+
+def test_callers_state_every_precision():
+    # the library picks no precision: no exported callable defaults a
+    # context or a bit count, and a context needs both of its fields
+    defaulted = []
+    for module in MODULES:
+        mod = importlib.import_module(module)
+        for name in getattr(mod, "__all__", ()):
+            try:
+                params = inspect.signature(getattr(mod, name)).parameters
+            except (TypeError, ValueError):  # not callable, or no signature
+                continue
+            defaulted += [f"{module}.{name}({p})" for p in ("ctx", "target_bits", "guard_bits")
+                          if p in params and params[p].default is not inspect.Parameter.empty]
+    assert defaulted == []
+    with pytest.raises(TypeError):
+        PrecisionContext(192)
+    # nor does the verification suite choose its own size or precision
+    params = inspect.signature(zetali.run_verification).parameters.values()
+    assert all(p.default is inspect.Parameter.empty for p in params)

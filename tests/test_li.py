@@ -16,7 +16,6 @@ from zetali import (
     from_decimal,
     histogram,
     lambda_context,
-    lambda_guard_bits,
     lambda_tilde_binomial,
     lambda_tilde_explicit,
     lambda_trend,
@@ -379,6 +378,6 @@ class TestLambdaEstimate:
             lambda_tilde_explicit(eta40, 3, ctx256)
 
     def test_guard_policy_values(self):
-        assert lambda_guard_bits(1) == 64
-        assert lambda_guard_bits(20) == 200
+        assert lambda_context(192, 1).guard_bits == 64
+        assert lambda_context(192, 20).guard_bits == 200
         assert lambda_context(192, 20).working_bits == 392

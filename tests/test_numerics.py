@@ -16,7 +16,6 @@ from zetali import (
     PrecisionContext,
     bernoulli,
     decimal_digits,
-    default_guard_bits,
     from_decimal,
     rational_to_str,
     render,
@@ -25,6 +24,7 @@ from zetali import (
     series_recip,
     to_decimal,
 )
+from zetali.cli import main
 from zetali.numerics import raw_to_mpf, rounded_product, to_raw, weighted_sum
 from helpers import eval_series
 
@@ -47,9 +47,15 @@ class TestPrecisionContext:
         with pytest.raises(Exception):
             ctx.target_bits = 128
 
-    def test_guard_policy(self):
-        assert default_guard_bits(0) == 64
-        assert default_guard_bits(40) == 80
+    def test_guard_policy(self, capsys):
+        # the library has no guard policy; the CLI's --guard auto grows the
+        # guard past 64 bits at n_max 32 for tables and at n 7 for li
+        for argv, bits in ((["stieltjes", "--n-max", "31"], 256),
+                           (["stieltjes", "--n-max", "40"], 272),
+                           (["li", "--n-max", "6"], 256),
+                           (["li", "--n-max", "7"], 262)):
+            assert main(argv) == 0
+            assert capsys.readouterr().out.splitlines()[1] == f"# precision_bits={bits}"
 
 
 class TestDecimalSerialization:

@@ -51,23 +51,23 @@ class TestCoefficientTable:
         assert (eta40.kind, eta40.provenance) == ("eta", "recurrence")
 
     @pytest.mark.parametrize("route,kind", [
-        (lambda g, e, p: eta_from_gamma_recurrence(e, 4), "eta"),
-        (lambda g, e, p: eta_from_gamma_explicit(e, 4), "eta"),
-        (lambda g, e, p: eta_series_oracle(e, 4), "eta"),
-        (lambda g, e, p: lambda_tilde_explicit(e, 4), "eta"),
-        (lambda g, e, p: term_distribution(e, 4), "eta"),
-        (lambda g, e, p: lambda_tilde_binomial(g, 4), "gamma"),
-        (lambda g, e, p: gamma_from_eta_explicit(g, 4), "gamma"),
-        (lambda g, e, p: render_table(e), "eta"),
-        (lambda g, e, p: save_table(e, p), "eta"),
+        (lambda g, e, p, c: eta_from_gamma_recurrence(e, 4, c), "eta"),
+        (lambda g, e, p, c: eta_from_gamma_explicit(e, 4, c), "eta"),
+        (lambda g, e, p, c: eta_series_oracle(e, 4, c), "eta"),
+        (lambda g, e, p, c: lambda_tilde_explicit(e, 4, c), "eta"),
+        (lambda g, e, p, c: term_distribution(e, 4, c), "eta"),
+        (lambda g, e, p, c: lambda_tilde_binomial(g, 4, c), "gamma"),
+        (lambda g, e, p, c: gamma_from_eta_explicit(g, 4, c), "gamma"),
+        (lambda g, e, p, c: render_table(e), "eta"),
+        (lambda g, e, p, c: save_table(e, p), "eta"),
     ], ids=["recurrence", "eta_explicit", "series_oracle", "lambda_explicit",
             "term_distribution", "lambda_binomial", "gamma_from_eta",
             "render_table", "save_table"])
-    def test_wrong_kind_rejected(self, route, kind, gamma40, eta40, tmp_path):
+    def test_wrong_kind_rejected(self, route, kind, gamma40, eta40, ctx256, tmp_path):
         # each route names the table it was handed, and writes no file
         path = tmp_path / "table.json"
         with pytest.raises(ValueError, match=f"got kind '{kind}'"):
-            route(gamma40, eta40, path)
+            route(gamma40, eta40, path, ctx256)
         assert not path.exists()
 
 
@@ -236,7 +236,7 @@ class TestGammaContour:
 
     def test_negative_n_max_raises(self):
         with pytest.raises(ValueError):
-            gamma_contour(-1)
+            gamma_contour(-1, PrecisionContext(192, 64))
 
 
 class TestTableFiles:
@@ -255,6 +255,17 @@ class TestTableFiles:
         loaded = load_table(path)
         assert loaded.values == gamma40.values
         assert loaded.precision_bits == gamma40.precision_bits
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("bits", [150, 192, 400])
+    def test_roundtrip_is_bit_exact(self, tmp_path, bits, fmt):
+        # ceil(0.302 bits) digits are too few to read back every value:
+        # they moved gamma_7 at 150 bits, gamma_7 and gamma_30 at 400, and
+        # six values at 192 by an ulp; the file's one digit more moves none
+        table = compute_gamma_table(40, PrecisionContext(bits - 64, 64))
+        path = tmp_path / f"table.{fmt}"
+        save_table(table, path)
+        assert load_table(path).values == table.values
 
     def test_save_load_save_is_stable(self, gamma40, tmp_path):
         p1 = tmp_path / "a.json"
