@@ -131,6 +131,17 @@ class TestComputeGammaTable:
         with pytest.raises(PrecisionInfeasibleError):
             compute_gamma_table(8, PrecisionContext(192, 8))
 
+    @pytest.mark.parametrize("n_max,target", [(20, 192), (60, 300)])
+    def test_guard_boundary(self, n_max, target):
+        # the build refuses one guard bit below 8 + max(16, 4 + the bit
+        # length of its M + 2J + n terms) and builds at that guard
+        m_cut, tail = euler_maclaurin_parameters(n_max, PrecisionContext(target, 64))
+        least = 8 + max(16, (m_cut + 2 * tail + n_max).bit_length() + 4)
+        with pytest.raises(PrecisionInfeasibleError):
+            compute_gamma_table(n_max, PrecisionContext(target, least - 1))
+        table = compute_gamma_table(n_max, PrecisionContext(target, least))
+        assert len(table.values) == n_max + 1
+
     def test_negative_n_max_rejected(self, ctx256):
         with pytest.raises(ValueError):
             compute_gamma_table(-1, ctx256)
