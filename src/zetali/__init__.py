@@ -77,7 +77,7 @@ from .li import (
     term_distribution,
     trend_constant,
 )
-from .verify import CheckResult, run_verification
+from .verify import run_verification
 
 __version__ = "0.1.0"
 
@@ -109,5 +109,5 @@ __all__ = [
     "expand_lambda_symbolic", "trend_constant", "lambda_trend",
     "term_distribution", "histogram",
     # verify
-    "CheckResult", "run_verification",
+    "run_verification",
 ]

@@ -23,6 +23,7 @@ ways plus the inverse map:
 ``expand_eta_symbolic`` / ``expand_gamma_symbolic`` evaluate the two
 partition sums with symbolic inputs, giving exact rational coefficients
 per monomial; these pin down the algebra without any floating point.
+They and ``li.expand_lambda_symbolic`` share one kernel, ``_expand``.
 
 In the partition sums, the integer weight (p-1)! is the "modified
 gamma": Gamma(p) for p >= 1 with Gamma(0) taken as 1.  Every vector
@@ -36,6 +37,7 @@ wrong kind with ValueError; the table-building routes return one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -231,6 +233,22 @@ class SymbolicExpansion:
         }
 
 
+def _expand(target: str, n: int, weights, entry,
+            least: int | None = None) -> SymbolicExpansion:
+    """The exact expansion of one partition sum over every r in
+    ``[least, n]`` (``least`` defaults to n): the monomial of a vector
+    partitioning r into p parts, padded to length n + 1, gets the
+    coefficient ``weights[r][p] / prod_j entry(j, k_j)``, its sign held
+    in the integer weight.  Monomials come r ascending, each r in
+    canonical order."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    by_r: list[list[tuple]] = [[] for _ in range(n + 1)]
+    for r, p, (denom, parts) in _tagged_walk(n, entry, least):
+        by_r[r].append((_dense(parts, n + 1), Fraction(weights[r][p], denom)))
+    return SymbolicExpansion(target, n, dict(itertools.chain.from_iterable(by_r)))
+
+
 def expand_eta_symbolic(n: int) -> SymbolicExpansion:
     """eta_{n-1} as an exact polynomial in gamma_0 .. gamma_{n-1}.
 
@@ -238,22 +256,13 @@ def expand_eta_symbolic(n: int) -> SymbolicExpansion:
     (-1)^p * n * (p-1)! / prod k_i!; the term count is p(n) and every
     sign is (-1)^p.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for _, p, (denom, parts) in _tagged_walk(n, lambda j, c: math.factorial(c)):
-        coeff = Fraction(n * modified_gamma(p), denom)
-        terms[_dense(parts, n + 1)] = -coeff if p % 2 else coeff
-    return SymbolicExpansion("eta", n, terms)
+    row = [(-1) ** p * n * modified_gamma(p) for p in range(n + 1)]
+    return _expand("eta", n, {n: row}, lambda j, c: math.factorial(c))
 
 
 def expand_gamma_symbolic(n: int) -> SymbolicExpansion:
     """gamma_{n-1} as an exact polynomial in eta_0 .. eta_{n-1};
     coefficients are prod_i (1/k_i!) (-1/(1+i))^(k_i), and n! times any
     of them is an integer."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for _, p, (denom, parts) in _tagged_walk(n, lambda j, c: math.factorial(c) * (j + 1) ** c):
-        terms[_dense(parts, n + 1)] = Fraction(-1 if p % 2 else 1, denom)
-    return SymbolicExpansion("gamma", n, terms)
+    row = [(-1) ** p for p in range(n + 1)]
+    return _expand("gamma", n, {n: row}, lambda j, c: math.factorial(c) * (j + 1) ** c)

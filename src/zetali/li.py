@@ -41,14 +41,12 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
-from .coefficients import SymbolicExpansion, _signed_walk, modified_gamma
+from .coefficients import SymbolicExpansion, _expand, _signed_walk, modified_gamma
 from .errors import PrecisionInfeasibleError
 from .numerics import BigReal, PrecisionContext, raw_to_mpf, to_raw, weighted_sum
-from .partitions import _dense, _tagged_walk
 from .stieltjes import CoefficientTable, _require
 
 __all__ = [
@@ -161,14 +159,9 @@ def expand_lambda_symbolic(n: int) -> SymbolicExpansion:
     (partitioning r) is the integer (-1)^(p+1) (p-1)! C(n, r) r / prod k_i!.
     Term count: sum_{m<=n} p(m).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    weights = _lambda_weights(n)
-    by_r: list[list[tuple]] = [[] for _ in range(n + 1)]
-    for r, p, (denom, parts) in _tagged_walk(n, lambda j, c: math.factorial(c), 1):
-        coeff = Fraction(weights[r][p], denom)
-        by_r[r].append((_dense(parts, n + 1), coeff if p % 2 else -coeff))
-    return SymbolicExpansion("lambda_tilde", n, dict(itertools.chain.from_iterable(by_r)))
+    weights = [[(-1) ** (p + 1) * w for p, w in enumerate(row)]
+               for row in _lambda_weights(n)]
+    return _expand("lambda_tilde", n, weights, lambda j, c: math.factorial(c), 1)
 
 
 # --------------------------------------------------------------------------
@@ -234,17 +227,16 @@ def histogram(d: TermDistribution, bins: int,
     with ctx.workprec():
         width = (hi - lo) / bins
         lowers = [lo] + [lo + i * width if width else lo for i in range(1, bins)]
-    counts = [0] * bins
-    if not width:
-        counts[-1] = len(vals)
-    else:
-        def ceil_scaled(x):  # smallest integer >= x / 2^at
-            man, exp = to_raw(x)
-            return man << (exp - at) if exp >= at else -(-man >> (at - exp))
 
-        # interior bounds only, as integers on the values' exponent: v
-        # reaches a bound exactly when it reaches the bound's ceiling
-        edges = [ceil_scaled(x) for x in lowers[1:]]
-        for man, exp in zip(mans, exps):
-            counts[bisect_right(edges, man << (exp - at))] += 1
+    def ceil_scaled(x):  # smallest integer >= x / 2^at
+        man, exp = to_raw(x)
+        return man << (exp - at) if exp >= at else -(-man >> (at - exp))
+
+    # interior bounds only, as integers on the values' exponent: v
+    # reaches a bound exactly when it reaches the bound's ceiling; when
+    # width is 0 every value equals every bound and lands in the last bin
+    edges = [ceil_scaled(x) for x in lowers[1:]]
+    counts = [0] * bins
+    for man, exp in zip(mans, exps):
+        counts[bisect_right(edges, man << (exp - at))] += 1
     return list(zip(lowers, lowers[1:] + [hi], counts))

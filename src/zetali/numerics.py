@@ -101,6 +101,18 @@ class PrecisionContext:
         return mp.workprec(self.working_bits)
 
 
+def _require_headroom(ctx: PrecisionContext, terms: int, unit: str) -> None:
+    """The guard headroom rule of every N-term ``mpf`` sum: raise
+    PrecisionInfeasibleError unless ``guard_bits`` is at least 8 +
+    max(16, 4 + the bit length of ``terms``), which keeps the rounding
+    of the sum below the 2^-(target_bits + 8) a route promises.
+    ``unit`` names a term in the message."""
+    needed = 8 + max(16, terms.bit_length() + 4)
+    if ctx.guard_bits < needed:
+        raise PrecisionInfeasibleError(f"{ctx.guard_bits} guard bits cannot hold "
+                                       f"a {terms}-{unit} sum; need at least {needed}")
+
+
 def decimal_digits(bits: int) -> int:
     """Significant decimal digits serializing a ``bits``-bit value.
 
@@ -361,19 +373,16 @@ def cauchy_coefficients(f: Callable, n_max: int, ctx: PrecisionContext) -> tuple
     upper half circle is sampled.  The rule gives c_k + c_(k+N) + ...; N
     is the smallest even number >= max(2 n_max + 4, (target_bits + 16) /
     log2 3), so for ``f`` analytic on |s| < 3 the aliased part is below
-    2^-(target_bits + 16) of the size of ``f`` there.  As for the
-    Euler-Maclaurin table, PrecisionInfeasibleError is raised unless
-    ``guard_bits`` leaves 8 + max(16, 4 + the bit length of N) bits of
-    headroom over the rounding of the N-term sums.
+    2^-(target_bits + 16) of the size of ``f`` there.  A guard too
+    small for sums of N terms raises PrecisionInfeasibleError, by the
+    headroom rule the Euler-Maclaurin table shares
+    (:func:`_require_headroom`).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     points = max(2 * n_max + 4, math.ceil((ctx.target_bits + 16) / math.log2(3)))
     points += points % 2
-    needed = 8 + max(16, points.bit_length() + 4)
-    if ctx.guard_bits < needed:
-        raise PrecisionInfeasibleError(f"{ctx.guard_bits} guard bits cannot hold "
-                                       f"a {points}-point sum; need at least {needed}")
+    _require_headroom(ctx, points, "point")
     with ctx.workprec():
         unit = [mp.expjpi(mp.mpf(2 * j) / points) for j in range(points)]
         samples = [f(unit[j]) for j in range(points // 2 + 1)]

@@ -63,6 +63,7 @@ from .errors import PrecisionInfeasibleError, TableFormatError
 from .numerics import (
     BigReal,
     PrecisionContext,
+    _require_headroom,
     bernoulli,
     cauchy_coefficients,
     decimal_digits,
@@ -253,8 +254,11 @@ def compute_gamma_table(n_max: int, ctx: PrecisionContext, *,
     (M^2 + 3M)/2 units of 2^-w (M <= 800 keeps that below
     2^-(working_bits + 12)), and one rounding at working precision per
     coefficient ends it.  The M^(-s) series and the tail add one
-    working-precision rounding per term.  ``cutoff`` (at least 2) and
-    ``tail_terms`` (at least 0) override the adaptive M and J for
+    working-precision rounding per term, and a guard too small for
+    sums of M + 2J + n terms raises PrecisionInfeasibleError, by the
+    headroom rule the contour routes share
+    (:func:`~zetali.numerics._require_headroom`).  ``cutoff`` (at least
+    2) and ``tail_terms`` (at least 0) override the adaptive M and J for
     stability self-tests.  The tail is folded into one polynomial before
     it meets the exp series, so the build costs O(Mn) integer steps plus
     O(n + J^2 + nJ) mpf operations.
@@ -266,15 +270,8 @@ def compute_gamma_table(n_max: int, ctx: PrecisionContext, *,
     m_cut, tail = euler_maclaurin_parameters(n_max, ctx, cutoff=cutoff)
     if tail_terms is not None:
         tail = tail_terms
-    # rounding headroom: the coefficient sums accumulate one rounding per
-    # term; demand enough guard that this noise sits below the truncation
-    # target as well
-    needed = ctx.target_bits + 8 + max(16, (m_cut + 2 * tail + n_max).bit_length() + 4)
-    if ctx.working_bits < needed:
-        raise PrecisionInfeasibleError(
-            f"working precision {ctx.working_bits} bits cannot separate "
-            f"truncation from rounding here; need at least {needed} bits "
-            f"(raise guard_bits)")
+    # the coefficient sums accumulate one rounding per term
+    _require_headroom(ctx, m_cut + 2 * tail + n_max, "term")
     w = ctx.working_bits + 32
     sums = _dirichlet_sums(m_cut, n_max, w)
     with ctx.workprec():
@@ -282,17 +279,14 @@ def compute_gamma_table(n_max: int, ctx: PrecisionContext, *,
         inv_fact = [mp.mpf(1) / mp.factorial(t) for t in range(n_max + 2)]
         # S_n / (n! 2^w), a quotient of exact integers rounded once
         coef = [mp.fdiv(s_n, math.factorial(n) << w) for n, s_n in enumerate(sums)]
-        # M^(-s)/s with the 1/s pole removed: coefficient of s^n is
-        # (-ln M)^(n+1) / (n+1)!
-        power = -ln_m
+        # M^(-s)/s with the 1/s pole removed, whose coefficient of s^n is
+        # (-ln M)^(n+1) / (n+1)!, then M^(-1-s)/2
+        pole, half = -ln_m, mp.mpf(1) / (2 * m_cut)
         for n in range(n_max + 1):
-            coef[n] += power * inv_fact[n + 1]
-            power *= -ln_m
-        # M^(-1-s)/2
-        power = mp.mpf(1) / (2 * m_cut)
-        for n in range(n_max + 1):
-            coef[n] += power * inv_fact[n]
-            power *= -ln_m
+            coef[n] += pole * inv_fact[n + 1]
+            coef[n] += half * inv_fact[n]
+            pole *= -ln_m
+            half *= -ln_m
         # Euler-Maclaurin tail folded to T[m] = sum_j pref_j * poly_j[m]
         folded = [mp.mpf(0) for _ in range(min(2 * tail, n_max + 1))]
         for j, poly in zip(range(1, tail + 1), _pochhammer_polys()):

@@ -19,7 +19,6 @@ runs produce identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -44,8 +43,7 @@ from .numerics import PrecisionContext, to_decimal
 from .partitions import enumerate_constrained, partition_count, summatory_partition_count
 from .stieltjes import compute_gamma_table, euler_maclaurin_parameters
 
-__all__ = ["CheckResult", "run_verification", "ETA_FIXTURES",
-           "GAMMA_FIXTURES", "LAMBDA_FIXTURES"]
+__all__ = ["run_verification", "ETA_FIXTURES", "GAMMA_FIXTURES", "LAMBDA_FIXTURES"]
 
 F = Fraction
 
@@ -88,18 +86,6 @@ LAMBDA_FIXTURES = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One verification line: the check passes iff
-    ``max_discrepancy < threshold`` (both decimal strings)."""
-
-    name: str
-    scope: str
-    max_discrepancy: str
-    threshold: str
-    passed: bool
-
-
 def _worst(ctx: PrecisionContext, pairs) -> mp.mpf:
     """The largest relative discrepancy over ``(reference, value)`` pairs
     (0 if none), each pair drawn and compared at ``ctx``'s precision."""
@@ -114,13 +100,19 @@ def _negated_sum(values, ctx: PrecisionContext) -> mp.mpf:
         return -sum(values, mp.mpf(0))
 
 
-def _result(name, scope, disc, threshold) -> CheckResult:
-    return CheckResult(name, scope, to_decimal(disc, 64), to_decimal(threshold, 64),
-                       bool(disc < threshold))
+def _result(name, scope, disc, threshold) -> dict:
+    """One report row; the check passes iff ``disc < threshold``."""
+    return {"name": name, "scope": scope,
+            "max_discrepancy": to_decimal(disc, 64),
+            "threshold": to_decimal(threshold, 64),
+            "status": "pass" if disc < threshold else "fail"}
 
 
-def run_verification(n_max: int, target_bits: int) -> list[CheckResult]:
-    """Run the full cross-method suite up to index ``n_max``.
+def run_verification(n_max: int, target_bits: int) -> list[dict]:
+    """Run the full cross-method suite up to index ``n_max`` and return
+    the rows ``zetali verify`` prints, one dict per check: ``name``,
+    ``scope``, ``max_discrepancy`` and ``threshold`` (decimal strings)
+    and ``status`` (``"pass"`` or ``"fail"``).
 
     ``target_bits`` must be at least 128: the fixed tolerances below are
     calibrated for a 64-bit guard on top of that.  The oscillation
@@ -132,7 +124,7 @@ def run_verification(n_max: int, target_bits: int) -> list[CheckResult]:
     if target_bits < 128:
         raise ValueError("verification needs target_bits >= 128")
     ctx = PrecisionContext(target_bits, 64)
-    checks: list[CheckResult] = []
+    checks: list[dict] = []
 
     # -- combinatorial law ----------------------------------------------
     bad = sum(sum(1 for _ in enumerate_constrained(n)) != partition_count(n)

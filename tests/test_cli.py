@@ -448,7 +448,7 @@ class TestVerifyCommand:
             return compute_gamma_table(*args, **kwargs)
 
         monkeypatch.setattr(zetali.verify, "compute_gamma_table", counting)
-        assert all(c.passed for c in run_verification(5, 192))
+        assert all(c["status"] == "pass" for c in run_verification(5, 192))
         assert calls == [5, 4, 5, 5]
 
 
@@ -683,13 +683,18 @@ class TestClassicIngestion:
     off at both 150 and 400 bits.  The stdout digests hold."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
+    # ids name the precision alone, so a re-pinned digest keeps the id
     @pytest.mark.parametrize("bits,table_digest,stieltjes_digest,eta_digest", [
-        (150, "f9f4f046b9b89a2b9cdcddbe3805b1fd0bf6648f32048c26d4b15272acd7322a",
-         "f3c957c55f36eecbc0d376f0651430a8592d5386e4b3c07b0ac88d5ba2912ca2",
-         "d965e361d879659b53471e82bc9f06e575b3459022d2477aaaaed56f598ed141"),
-        (400, "4713f72abc494056faa2f8597f4f519d22031398de53303b1f8bbf17a36813ea",
-         "bf00b7c578f85b33f79b9b53614655778ec5deba230d971fc9525c9cf699ff1d",
-         "287a20a5ba8f08a4ae96124b8bc1b841d69eeef1ebfebdae4f009b6e00bcea48"),
+        pytest.param(
+            150, "f9f4f046b9b89a2b9cdcddbe3805b1fd0bf6648f32048c26d4b15272acd7322a",
+            "f3c957c55f36eecbc0d376f0651430a8592d5386e4b3c07b0ac88d5ba2912ca2",
+            "d965e361d879659b53471e82bc9f06e575b3459022d2477aaaaed56f598ed141",
+            id="150"),
+        pytest.param(
+            400, "4713f72abc494056faa2f8597f4f519d22031398de53303b1f8bbf17a36813ea",
+            "bf00b7c578f85b33f79b9b53614655778ec5deba230d971fc9525c9cf699ff1d",
+            "287a20a5ba8f08a4ae96124b8bc1b841d69eeef1ebfebdae4f009b6e00bcea48",
+            id="400"),
     ])
     def test_digests(self, capsys, tmp_path, classic_stieltjes, bits, fmt,
                      table_digest, stieltjes_digest, eta_digest):
