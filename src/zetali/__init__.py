@@ -19,95 +19,17 @@ Every quantity is computable by at least two independent routes.
 command) recomputes the table-based ones against each other.
 """
 
-from .errors import (
-    NonInvertibleSeriesError,
-    OrderMismatchError,
-    PrecisionInfeasibleError,
-    TableFormatError,
-)
-from .numerics import (
-    BigRational,
-    BigReal,
-    PrecisionContext,
-    bernoulli,
-    decimal_digits,
-    from_decimal,
-    rational_to_str,
-    series_derivative,
-    series_mul,
-    render,
-    series_recip,
-    to_decimal,
-)
-from .partitions import (
-    enumerate_constrained,
-    partition_count,
-    summatory_partition_count,
-)
-from .stieltjes import (
-    CONVENTION_CLASSIC,
-    CONVENTION_PAPER,
-    CoefficientTable,
-    compute_gamma_table,
-    euler_maclaurin_parameters,
-    gamma_contour,
-    load_table,
-    render_table,
-    save_table,
-)
-from .coefficients import (
-    SymbolicExpansion,
-    eta_from_gamma_explicit,
-    eta_contour,
-    eta_from_gamma_recurrence,
-    eta_series_oracle,
-    expand_eta_symbolic,
-    expand_gamma_symbolic,
-    gamma_from_eta_explicit,
-    modified_gamma,
-)
-from .li import (
-    TermDistribution,
-    expand_lambda_symbolic,
-    histogram,
-    lambda_context,
-    lambda_tilde_binomial,
-    lambda_tilde_explicit,
-    lambda_trend,
-    term_distribution,
-    trend_constant,
-)
-from .verify import run_verification
+# each module's __all__ is the one declaration of its public names
+from . import coefficients, errors, li, numerics, partitions, stieltjes, verify
+from .errors import *
+from .numerics import *
+from .partitions import *
+from .stieltjes import *
+from .coefficients import *
+from .li import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "PrecisionInfeasibleError", "OrderMismatchError",
-    "NonInvertibleSeriesError", "TableFormatError",
-    # numerics
-    "BigReal", "BigRational", "PrecisionContext",
-    "decimal_digits", "to_decimal", "render", "from_decimal",
-    "rational_to_str", "bernoulli",
-    "series_mul", "series_recip", "series_derivative",
-    # partitions
-    "enumerate_constrained", "partition_count", "summatory_partition_count",
-    # stieltjes
-    "CONVENTION_PAPER", "CONVENTION_CLASSIC", "CoefficientTable",
-    "compute_gamma_table", "euler_maclaurin_parameters",
-    "gamma_contour", "render_table",
-    "save_table", "load_table",
-    # coefficients
-    "SymbolicExpansion", "modified_gamma",
-    "eta_from_gamma_recurrence", "eta_from_gamma_explicit",
-    "gamma_from_eta_explicit", "eta_series_oracle", "eta_contour",
-    "expand_eta_symbolic", "expand_gamma_symbolic",
-    # li
-    "TermDistribution", "lambda_context",
-    "lambda_tilde_binomial", "lambda_tilde_explicit",
-    "expand_lambda_symbolic", "trend_constant", "lambda_trend",
-    "term_distribution", "histogram",
-    # verify
-    "run_verification",
-]
+__all__ = ["__version__", *errors.__all__, *numerics.__all__, *partitions.__all__,
+           *stieltjes.__all__, *coefficients.__all__, *li.__all__, *verify.__all__]

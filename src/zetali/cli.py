@@ -58,8 +58,6 @@ from .li import (
 )
 from .numerics import PrecisionContext, render, to_decimal
 from .stieltjes import (
-    CONVENTION_PAPER,
-    PROVENANCE_EXPLICIT,
     CoefficientTable,
     compute_gamma_table,
     gamma_contour,
@@ -160,7 +158,7 @@ def _cmd_stieltjes(args) -> int:
         table = _gamma_source(args, args.n_max, ctx)
     # the --out file is a full-precision, loadable table
     file_text = render_table(table, args.format) if args.out else None
-    return _emit_values(args, {"convention": CONVENTION_PAPER,
+    return _emit_values(args, {"convention": "paper",
                                "precision_bits": table.precision_bits},
                         table.values, file_text)
 
@@ -178,7 +176,7 @@ def _cmd_eta(args) -> int:
         else:
             values = tuple(eta_from_gamma_explicit(gamma, n + 1, ctx)
                            for n in range(args.n_max + 1))
-            table = CoefficientTable("eta", PROVENANCE_EXPLICIT, values,
+            table = CoefficientTable("eta", "explicit", values,
                                      min(ctx.working_bits, gamma.precision_bits))
     return _emit_values(args, {"provenance": table.provenance,
                                "precision_bits": table.precision_bits}, table.values)
@@ -189,7 +187,7 @@ def _cmd_gamma_invert(args) -> int:
     gamma = _gamma_source(args, args.n_max, ctx)
     eta = eta_from_gamma_recurrence(gamma, args.n_max, ctx)
     values = [gamma_from_eta_explicit(eta, n + 1, ctx) for n in range(args.n_max + 1)]
-    return _emit_values(args, {"convention": CONVENTION_PAPER,
+    return _emit_values(args, {"convention": "paper",
                                "precision_bits": min(ctx.working_bits, gamma.precision_bits)},
                         values)
 

@@ -58,18 +58,11 @@ from .numerics import (
     weighted_sum,
 )
 from .partitions import _dense, _power_rows, _tagged_walk, _walk_partitions
-from .stieltjes import (
-    PROVENANCE_CONTOUR,
-    PROVENANCE_RECURRENCE,
-    PROVENANCE_SERIES_ORACLE,
-    CoefficientTable,
-    _require,
-)
+from .stieltjes import CoefficientTable, _require
 
 __all__ = [
     "SymbolicExpansion",
     "modified_gamma",
-    "partition_product",
     "eta_from_gamma_recurrence",
     "eta_from_gamma_explicit",
     "gamma_from_eta_explicit",
@@ -127,7 +120,7 @@ def eta_from_gamma_recurrence(g: CoefficientTable, n_max: int,
             for k in range(n):
                 acc += out[k] * g.values[n - k - 1]
             out.append(-(n + 1) * g.values[n] - acc)
-    return CoefficientTable("eta", PROVENANCE_RECURRENCE, tuple(out),
+    return CoefficientTable("eta", "recurrence", tuple(out),
                             min(ctx.working_bits, g.precision_bits))
 
 
@@ -184,7 +177,7 @@ def eta_series_oracle(g: CoefficientTable, n_max: int,
     quot = series_mul(da, inv[:order], ctx)
     with ctx.workprec():
         values = tuple(-c for c in quot)
-    return CoefficientTable("eta", PROVENANCE_SERIES_ORACLE, values,
+    return CoefficientTable("eta", "series_oracle", values,
                             min(ctx.working_bits, g.precision_bits))
 
 
@@ -201,7 +194,7 @@ def eta_contour(n_max: int, ctx: PrecisionContext) -> CoefficientTable:
     c = cauchy_coefficients(lambda s: mp.log(s * mp.zeta(1 + s)), n_max + 1, ctx)
     with ctx.workprec():
         values = tuple(-(k + 1) * c[k + 1] for k in range(n_max + 1))
-    return CoefficientTable("eta", PROVENANCE_CONTOUR, values, ctx.working_bits)
+    return CoefficientTable("eta", "contour", values, ctx.working_bits)
 
 
 # --------------------------------------------------------------------------

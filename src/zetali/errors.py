@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "PrecisionInfeasibleError",
+    "OrderMismatchError",
+    "NonInvertibleSeriesError",
+    "TableFormatError",
+]
+
 
 class PrecisionInfeasibleError(ArithmeticError):
     """The requested target precision cannot be certified at the given

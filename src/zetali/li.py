@@ -209,21 +209,12 @@ def histogram(d: TermDistribution, bins: int,
     if not vals:
         raise ValueError("empty distribution")
     # compared exactly as integers v / 2^at, each value converted once
-    # (two flat lists hold less than a list of pairs); the first extreme
-    # wins, as in min() and max()
-    mans, exps = [], []
-    for man, exp in map(to_raw, vals):
-        mans.append(man)
-        exps.append(exp)
-    at = min(exps)
-    lo = hi = vals[0]
-    lo_s = hi_s = mans[0] << (exps[0] - at)
-    for v, man, exp in zip(vals, mans, exps):
-        s = man << (exp - at)
-        if s < lo_s:
-            lo, lo_s = v, s
-        elif s > hi_s:
-            hi, hi_s = v, s
+    # and held only as its key (a list of (man, exp) pairs as well would
+    # double the memory); mpmath gives zero the exponent 0, as to_raw
+    # does.  index() takes the first extreme, as min() and max() do
+    at = min(v.exp for v in vals)
+    keys = [man << (exp - at) for man, exp in map(to_raw, vals)]
+    lo, hi = vals[keys.index(min(keys))], vals[keys.index(max(keys))]
     with ctx.workprec():
         width = (hi - lo) / bins
         lowers = [lo] + [lo + i * width if width else lo for i in range(1, bins)]
@@ -237,6 +228,6 @@ def histogram(d: TermDistribution, bins: int,
     # width is 0 every value equals every bound and lands in the last bin
     edges = [ceil_scaled(x) for x in lowers[1:]]
     counts = [0] * bins
-    for man, exp in zip(mans, exps):
-        counts[bisect_right(edges, man << (exp - at))] += 1
+    for key in keys:
+        counts[bisect_right(edges, key)] += 1
     return list(zip(lowers, lowers[1:] + [hi], counts))

@@ -56,10 +56,6 @@ __all__ = [
     "decimal_digits",
     "to_decimal",
     "render",
-    "to_raw",
-    "rounded_product",
-    "raw_to_mpf",
-    "weighted_sum",
     "from_decimal",
     "rational_to_str",
     "bernoulli",

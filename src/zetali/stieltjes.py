@@ -72,14 +72,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "CONVENTION_PAPER",
-    "CONVENTION_CLASSIC",
-    "PROVENANCE_EULER_MACLAURIN",
-    "PROVENANCE_FILE",
-    "PROVENANCE_RECURRENCE",
-    "PROVENANCE_EXPLICIT",
-    "PROVENANCE_SERIES_ORACLE",
-    "PROVENANCE_CONTOUR",
     "CoefficientTable",
     "compute_gamma_table",
     "euler_maclaurin_parameters",
@@ -89,19 +81,9 @@ __all__ = [
     "load_table",
 ]
 
-CONVENTION_PAPER = "paper"
-CONVENTION_CLASSIC = "classic"
-_CONVENTIONS = (CONVENTION_PAPER, CONVENTION_CLASSIC)
-
-PROVENANCE_EULER_MACLAURIN = "euler_maclaurin"
-PROVENANCE_FILE = "file"
-PROVENANCE_RECURRENCE = "recurrence"
-PROVENANCE_EXPLICIT = "explicit"
-PROVENANCE_SERIES_ORACLE = "series_oracle"
-PROVENANCE_CONTOUR = "contour"
-_PROVENANCES = (PROVENANCE_EULER_MACLAURIN, PROVENANCE_FILE,
-                PROVENANCE_RECURRENCE, PROVENANCE_EXPLICIT,
-                PROVENANCE_SERIES_ORACLE, PROVENANCE_CONTOUR)
+_CONVENTIONS = ("paper", "classic")
+_PROVENANCES = ("euler_maclaurin", "file", "recurrence", "explicit",
+                "series_oracle", "contour")
 _KINDS = ("gamma", "eta")
 
 
@@ -301,8 +283,7 @@ def compute_gamma_table(n_max: int, ctx: PrecisionContext, *,
             for m in range(min(n + 1, len(folded))):
                 acc += folded[m] * expc[n - m]
             coef[n] += acc
-    return CoefficientTable("gamma", PROVENANCE_EULER_MACLAURIN, tuple(coef),
-                            ctx.working_bits)
+    return CoefficientTable("gamma", "euler_maclaurin", tuple(coef), ctx.working_bits)
 
 
 def gamma_contour(n_max: int, ctx: PrecisionContext) -> CoefficientTable:
@@ -311,7 +292,7 @@ def gamma_contour(n_max: int, ctx: PrecisionContext) -> CoefficientTable:
     :func:`~zetali.numerics.cauchy_coefficients`; accurate to rounding at
     working precision."""
     values = cauchy_coefficients(lambda s: mp.zeta(1 + s) - 1 / s, n_max, ctx)
-    return CoefficientTable("gamma", PROVENANCE_CONTOUR, values, ctx.working_bits)
+    return CoefficientTable("gamma", "contour", values, ctx.working_bits)
 
 
 # --------------------------------------------------------------------------
@@ -333,7 +314,7 @@ def render_table(table: CoefficientTable, fmt: str = "json") -> str:
     if table.kind != "gamma":
         raise ValueError(f"table files hold gamma tables, got kind {table.kind!r}")
     digits = decimal_digits(table.precision_bits) + 1
-    obj = {"convention": CONVENTION_PAPER, "precision_bits": table.precision_bits,
+    obj = {"convention": "paper", "precision_bits": table.precision_bits,
            "n_max": table.n_max,
            "values": [to_str(v._mpf_, digits, strip_zeros=False) for v in table.values]}
     return render(fmt, obj, ("convention", "precision_bits"), "n,value")
@@ -377,13 +358,13 @@ def _table_from_parts(convention, precision_bits, n_max, raw_values) -> Coeffici
     for n, v in enumerate(values):
         if not mp.isfinite(v):
             raise TableFormatError(f"non-finite value {raw_values[n]!r} at index {n}")
-    if convention == CONVENTION_CLASSIC:
+    if convention == "classic":
         # paper[n] = classic[n] / ((-1)^n n!), one rounding at the file's
         # precision (round to nearest is symmetric, so the sign is exact)
         with mp.workprec(precision_bits):
             values = tuple(v / ((-1) ** n * math.factorial(n))
                            for n, v in enumerate(values))
-    return CoefficientTable("gamma", PROVENANCE_FILE, values, precision_bits)
+    return CoefficientTable("gamma", "file", values, precision_bits)
 
 
 def load_table(path) -> CoefficientTable:

@@ -43,7 +43,7 @@ from .numerics import PrecisionContext, to_decimal
 from .partitions import enumerate_constrained, partition_count, summatory_partition_count
 from .stieltjes import compute_gamma_table, euler_maclaurin_parameters
 
-__all__ = ["run_verification", "ETA_FIXTURES", "GAMMA_FIXTURES", "LAMBDA_FIXTURES"]
+__all__ = ["run_verification"]
 
 F = Fraction
 

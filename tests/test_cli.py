@@ -90,6 +90,15 @@ class TestStieltjesCommand:
         assert len(lines[3:]) == 3
         assert load_table(cut).n_max == 2
 
+    @pytest.mark.parametrize("command,n_max", [("stieltjes", "5"), ("li", "6")])
+    def test_short_table_exits_1(self, capsys, tmp_path, command, n_max):
+        # a table of gamma_0..gamma_2 cannot serve index 5
+        path = tmp_path / "table.json"
+        run_cli(capsys, "stieltjes", "--n-max", "2", "--out", str(path))
+        code, out, err = run_cli(capsys, command, "--n-max", n_max, "--table", str(path))
+        assert (code, out) == (1, "")
+        assert "too short" in err
+
     def test_classic_table_input_is_converted(self, capsys, tmp_path,
                                               classic_stieltjes):
         # a classic-normalization table on --table is converted as it loads
@@ -644,21 +653,26 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    # ids name the command alone, so a re-pinned digest keeps the id
     @pytest.mark.parametrize("command,stdout_digest,file_digest", [
         # the stieltjes file holds the table at full working precision
-        ("stieltjes --n-max 6",
-         "c1cc000d11373b390a75708fe3b1cdaa9de9a39719869d78886985acce91e1f5",
-         "c80d8edfcc38fd7b4858412349156001b4b7a9a84e97c06d690483c6c24b5a0f"),
-        ("stieltjes --n-max 6 --format json",
-         "4128702713a17430416b573e78b122da21ed64c57464ca39a41f32e4a85d585f",
-         "63b0b37f0fbac223bca7fc3738781f59aab2b1e63eea61637a9e06e83721a6d0"),
-        ("stieltjes --n-max 29 --format json",
-         "9d83924f2bd9d2e1e2100e0e4ae4a772fe91726e90caf452f94043b1f8a3e0bf",
-         "8ff2b325c79276ae547af0cd5cab0b759eeb94963e5743f4b120a24d970f4aca"),
+        pytest.param("stieltjes --n-max 6",
+                     "c1cc000d11373b390a75708fe3b1cdaa9de9a39719869d78886985acce91e1f5",
+                     "c80d8edfcc38fd7b4858412349156001b4b7a9a84e97c06d690483c6c24b5a0f",
+                     id="stieltjes --n-max 6"),
+        pytest.param("stieltjes --n-max 6 --format json",
+                     "4128702713a17430416b573e78b122da21ed64c57464ca39a41f32e4a85d585f",
+                     "63b0b37f0fbac223bca7fc3738781f59aab2b1e63eea61637a9e06e83721a6d0",
+                     id="stieltjes --n-max 6 --format json"),
+        pytest.param("stieltjes --n-max 29 --format json",
+                     "9d83924f2bd9d2e1e2100e0e4ae4a772fe91726e90caf452f94043b1f8a3e0bf",
+                     "8ff2b325c79276ae547af0cd5cab0b759eeb94963e5743f4b120a24d970f4aca",
+                     id="stieltjes --n-max 29 --format json"),
         # every other command mirrors stdout
-        ("eta --method explicit --n-max 6 --format json",
-         "00d7a1f840482419c765fac14a660320b6659b454b68edacb5d5b09a7715d261",
-         "00d7a1f840482419c765fac14a660320b6659b454b68edacb5d5b09a7715d261"),
+        pytest.param("eta --method explicit --n-max 6 --format json",
+                     "00d7a1f840482419c765fac14a660320b6659b454b68edacb5d5b09a7715d261",
+                     "00d7a1f840482419c765fac14a660320b6659b454b68edacb5d5b09a7715d261",
+                     id="eta --method explicit --n-max 6 --format json"),
     ])
     def test_out_file_digest(self, capsys, tmp_path, command, stdout_digest,
                              file_digest):

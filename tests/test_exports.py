@@ -24,13 +24,23 @@ def test_exports_resolve(module):
     assert [name for name in exported if not hasattr(mod, name)] == []
 
 
+def test_package_exports_are_the_module_lists():
+    # each public name is declared once, in its module's __all__; the
+    # package exports exactly those lists and nothing of its own
+    modules = (zetali.errors, zetali.numerics, zetali.partitions, zetali.stieltjes,
+               zetali.coefficients, zetali.li, zetali.verify)
+    assert zetali.__all__ == ["__version__", *(name for mod in modules for name in mod.__all__)]
+    assert len(set(zetali.__all__)) == len(zetali.__all__)
+
+
 def test_callers_state_every_precision():
     # the library picks no precision: no exported callable defaults a
     # context or a bit count, and a context needs both of its fields
-    defaulted = []
+    defaulted, checked = [], set()
     for module in MODULES:
         mod = importlib.import_module(module)
         for name in getattr(mod, "__all__", ()):
+            checked.add(name)
             try:
                 params = inspect.signature(getattr(mod, name)).parameters
             except (TypeError, ValueError):  # not callable, or no signature
@@ -38,6 +48,7 @@ def test_callers_state_every_precision():
             defaulted += [f"{module}.{name}({p})" for p in ("ctx", "target_bits", "guard_bits")
                           if p in params and params[p].default is not inspect.Parameter.empty]
     assert defaulted == []
+    assert "cauchy_coefficients" in checked
     with pytest.raises(TypeError):
         PrecisionContext(192)
     # nor does the verification suite choose its own size or precision

@@ -37,7 +37,7 @@ from zetali import (
 from zetali.coefficients import _signed_walk, partition_product
 from zetali.numerics import from_decimal
 from zetali.partitions import _power_rows, _walk_partitions
-from zetali.stieltjes import PROVENANCE_FILE, CoefficientTable
+from zetali.stieltjes import CoefficientTable
 
 N_MAX = 12
 BENCH_N = 24  # in the band of the partition_sums benchmark workload
@@ -257,7 +257,7 @@ def synthetic_table(kind, count):
         digits = "".join(str(w).zfill(78)[:77] for w in words)
         sign = "-" if words[0] % 2 else ""
         values.append(from_decimal(f"{sign}0.{digits}e-{i // 2}", 512))
-    return CoefficientTable(kind, PROVENANCE_FILE, tuple(values), 512)
+    return CoefficientTable(kind, "file", tuple(values), 512)
 
 
 class TestSyntheticTablePin:
