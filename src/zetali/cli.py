@@ -59,6 +59,7 @@ from .li import (
 from .numerics import PrecisionContext, render, to_decimal
 from .stieltjes import (
     CoefficientTable,
+    _require,
     compute_gamma_table,
     gamma_contour,
     load_table,
@@ -112,13 +113,14 @@ def _table_context(args) -> PrecisionContext:
 
 
 def _emit(args, obj: dict, meta_keys, header: str, file_text: str | None = None) -> int:
-    """Write the rendered output to stdout and to ``--out`` (or
-    ``file_text`` there instead, when given)."""
+    """Write the rendered output to ``--out`` (or ``file_text`` there
+    instead, when given) and then to stdout."""
     text = render(args.format, obj, meta_keys, header)
-    sys.stdout.write(text)
+    # the file first: a run that cannot write it prints nothing
     if args.out:
         Path(args.out).write_text(text if file_text is None else file_text,
                                   encoding="utf-8")
+    sys.stdout.write(text)
     return 0
 
 
@@ -134,9 +136,7 @@ def _gamma_source(args, n_needed: int, ctx: PrecisionContext) -> CoefficientTabl
     cut to index ``n_needed``, or compute one."""
     if args.table:
         table = load_table(args.table)
-        if table.n_max < n_needed:
-            raise ValueError(
-                f"table {args.table} too short: need index {n_needed}")
+        _require(table, "gamma", n_needed)
         if table.precision_bits < args.prec:
             raise PrecisionInfeasibleError(
                 f"table {args.table} carries {table.precision_bits} bits, "

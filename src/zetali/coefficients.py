@@ -133,8 +133,6 @@ def eta_from_gamma_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) 
     n (p-1)! are applied and summed exactly, and the total is rounded
     once (:func:`~zetali.numerics.weighted_sum`).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     _require(g, "gamma", n - 1)
     weights = [n * modified_gamma(p) for p in range(n + 1)]
     walk = _signed_walk(g.values, n, ctx)
@@ -150,8 +148,6 @@ def gamma_from_eta_explicit(e: CoefficientTable, n: int, ctx: PrecisionContext) 
     with the products summed exactly and rounded once, as in
     :func:`eta_from_gamma_explicit`.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     _require(e, "eta", n - 1)
     with ctx.workprec():
         scaled = [e.values[i] / (1 + i) for i in range(n)]

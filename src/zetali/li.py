@@ -92,8 +92,6 @@ def lambda_tilde_binomial(e: CoefficientTable, n: int, ctx: PrecisionContext) ->
     C(n, j) |eta_{j-1}| < 2^-(target_bits+1), summed exactly and
     rounded to 53 bits.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     _require(e, "eta", n - 1)
     terms = [(math.comb(n, j), to_raw(e.values[j - 1])) for j in range(1, n + 1)]
     spread = weighted_sum(((w, (abs(man), exp)) for w, (man, exp) in terms), 53)
@@ -120,8 +118,6 @@ def lambda_tilde_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) ->
     rounded at working precision, the integer weights are applied and
     summed exactly, and the total is rounded once.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     _require(g, "gamma", n - 1)
     weights = _lambda_weights(n)
     walk = _signed_walk(g.values, n, ctx, least=1)
@@ -140,8 +136,6 @@ def term_distribution(g: CoefficientTable, n: int,
     sum_{m<=n} p(m) and the negated sum equals lambda_tilde_n up to
     rounding.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     _require(g, "gamma", n - 1)
     weights = _lambda_weights(n)
     bits = ctx.working_bits

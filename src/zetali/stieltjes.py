@@ -1,8 +1,9 @@
 """Stieltjes-constant tables, and the one table type for every family.
 
 :class:`CoefficientTable` holds a table of gamma_n or of eta_n, tagged
-with its kind and the route that built it; every route checks the kind
-and length it needs with :func:`_require`.
+with its kind and the route that built it.  One check,
+:func:`_require`, covers every table a route reads: its kind, a
+nonnegative index, and a length that reaches that index.
 
 The values tabulated here are the coefficients gamma_n of the regular
 part of the Laurent expansion of the Riemann zeta function about its
@@ -126,9 +127,11 @@ class CoefficientTable:
 
 def _require(table: CoefficientTable, kind: str, n_needed: int) -> None:
     """Raise ValueError unless ``table`` is a ``kind`` table reaching
-    index ``n_needed``."""
+    index ``n_needed`` >= 0."""
     if table.kind != kind:
         raise ValueError(f"need a table of kind {kind!r}, got kind {table.kind!r}")
+    if n_needed < 0:
+        raise ValueError(f"need a {kind} index of at least 0, got {n_needed}")
     if table.n_max < n_needed:
         raise ValueError(
             f"{kind} table too short: need index {n_needed}, have {table.n_max}")
@@ -245,8 +248,6 @@ def compute_gamma_table(n_max: int, ctx: PrecisionContext, *,
     it meets the exp series, so the build costs O(Mn) integer steps plus
     O(n + J^2 + nJ) mpf operations.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     if tail_terms is not None and tail_terms < 0:
         raise ValueError(f"tail_terms must be nonnegative, got {tail_terms}")
     m_cut, tail = euler_maclaurin_parameters(n_max, ctx, cutoff=cutoff)
@@ -311,8 +312,7 @@ def render_table(table: CoefficientTable, fmt: str = "json") -> str:
     binary value (Matula), so :func:`load_table` restores every bit.  The
     file format has no kind field, so an eta table is refused.
     """
-    if table.kind != "gamma":
-        raise ValueError(f"table files hold gamma tables, got kind {table.kind!r}")
+    _require(table, "gamma", 0)
     digits = decimal_digits(table.precision_bits) + 1
     obj = {"convention": "paper", "precision_bits": table.precision_bits,
            "n_max": table.n_max,
@@ -337,11 +337,18 @@ def _metadata_int(name: str, value) -> int:
                            f"got {value!r}")
 
 
-def _table_from_parts(convention, precision_bits, n_max, raw_values) -> CoefficientTable:
+def _table_from_parts(meta: dict) -> CoefficientTable:
+    """The table a file's four keys give; they are checked here, for both formats."""
+    missing = {"convention", "precision_bits", "n_max", "values"} - meta.keys()
+    if missing:
+        raise TableFormatError(f"missing keys: {sorted(missing)}")
+    convention, raw_values = meta["convention"], meta["values"]
+    if not isinstance(raw_values, list):
+        raise TableFormatError("values must be a list")
     if convention not in _CONVENTIONS:
         raise TableFormatError(f"unknown convention tag {convention!r}")
-    precision_bits = _metadata_int("precision_bits", precision_bits)
-    n_max = _metadata_int("n_max", n_max)
+    precision_bits = _metadata_int("precision_bits", meta["precision_bits"])
+    n_max = _metadata_int("n_max", meta["n_max"])
     if precision_bits < 1 or n_max < 0:
         raise TableFormatError("precision_bits/n_max out of range")
     if len(raw_values) != n_max + 1:
@@ -378,13 +385,7 @@ def load_table(path) -> CoefficientTable:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise TableFormatError(f"not valid JSON: {exc}") from exc
-        missing = {"convention", "precision_bits", "n_max", "values"} - obj.keys()
-        if missing:
-            raise TableFormatError(f"missing keys: {sorted(missing)}")
-        if not isinstance(obj["values"], list):
-            raise TableFormatError("values must be a list")
-        return _table_from_parts(obj["convention"], obj["precision_bits"],
-                                 obj["n_max"], obj["values"])
+        return _table_from_parts(obj)
     # CSV
     meta = {}
     rows = []
@@ -409,8 +410,6 @@ def load_table(path) -> CoefficientTable:
         rows.append((idx, value))
     if not header_seen:
         raise TableFormatError("no 'n,value' header found")
-    if "convention" not in meta or "precision_bits" not in meta:
-        raise TableFormatError("missing '# convention=' or '# precision_bits=' comment")
     for want, (idx, _) in enumerate(rows):
         try:
             got = int(idx)
@@ -418,5 +417,5 @@ def load_table(path) -> CoefficientTable:
             raise TableFormatError(f"bad index {idx!r}") from exc
         if got != want:
             raise TableFormatError(f"rows out of order: expected {want}, got {got}")
-    return _table_from_parts(meta["convention"], meta["precision_bits"],
-                             len(rows) - 1, [v for _, v in rows])
+    return _table_from_parts({**meta, "n_max": len(rows) - 1,
+                              "values": [v for _, v in rows]})

@@ -160,14 +160,14 @@ def run_verification(n_max: int, target_bits: int) -> list[dict]:
                           worst, mp.mpf(2) ** -80))
 
     # -- table stability under parameter doubling -------------------------
+    # gam itself against its doubled M and doubled guard, on gamma_0..n_stab
     n_stab = min(n_max, 16)
-    base = gam if n_stab == n_max else compute_gamma_table(n_stab, ctx)
-    m_cut, _ = euler_maclaurin_parameters(n_stab, ctx)
+    m_cut, _ = euler_maclaurin_parameters(n_max, ctx)
     double_m = compute_gamma_table(n_stab, ctx, cutoff=2 * m_cut)
     double_g = compute_gamma_table(n_stab, PrecisionContext(ctx.target_bits, 2 * ctx.guard_bits))
     with mp.workprec(ctx.working_bits + ctx.guard_bits):
         worst = max(abs(a - b) for other in (double_m, double_g)
-                    for a, b in zip(base.values, other.values))
+                    for a, b in zip(gam.values, other.values))
     checks.append(_result("gamma_table_stability", f"n<={n_stab}",
                           worst, mp.mpf(2) ** -target_bits))
 

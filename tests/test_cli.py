@@ -448,8 +448,8 @@ class TestVerifyCommand:
         assert "target_bits" in err
 
     def test_gamma_table_built_once_per_context(self, monkeypatch):
-        # gam, gam_big, and the doubled cutoff and doubled guard: at n_max
-        # <= 16 the stability base is the table gam already is
+        # gam, gam_big, and the doubled cutoff and doubled guard: the
+        # stability row compares gam itself, above n_max = 16 too
         calls = []
 
         def counting(*args, **kwargs):
@@ -459,6 +459,9 @@ class TestVerifyCommand:
         monkeypatch.setattr(zetali.verify, "compute_gamma_table", counting)
         assert all(c["status"] == "pass" for c in run_verification(5, 192))
         assert calls == [5, 4, 5, 5]
+        calls.clear()
+        assert all(c["status"] == "pass" for c in run_verification(17, 128))
+        assert calls == [17, 16, 16, 16]
 
 
 class TestParser:
@@ -473,6 +476,14 @@ class TestParser:
                                "--out", str(path))
         assert code == 0
         assert path.read_text() == out
+
+    def test_unwritable_out_prints_nothing(self, capsys, tmp_path):
+        # the --out file is written first, so a run that cannot write it
+        # prints nothing and exits 1
+        path = tmp_path / "missing" / "table.csv"
+        code, out, err = run_cli(capsys, "stieltjes", "--n-max", "2", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert "No such file or directory" in err
 
     def test_parser_builds(self):
         parser = build_parser()
@@ -577,11 +588,15 @@ class TestGoldenOutput:
     holds, the ``{table}`` ones too: no value of the 256-bit gamma_0 ..
     gamma_40 table moved on reload before either."""
 
+    # a pytest.param id names the command alone, as in test_out_file_digest;
+    # the plain tuples still carry their digest in the id
     @pytest.mark.parametrize("command,digest", [
-        ("eta --method explicit --n-max 12",
-         "7df025537839ce7b96e69394a2307e7e1c9cc0053cd3ad2c235888c92bac645d"),
-        ("gamma-invert --n-max 12",
-         "7a69f35f80764dd7a63c31c17e9776058e2d5c5f8f3c9d6ac3570e0055205481"),
+        pytest.param("eta --method explicit --n-max 12",
+                     "7df025537839ce7b96e69394a2307e7e1c9cc0053cd3ad2c235888c92bac645d",
+                     id="eta --method explicit --n-max 12"),
+        pytest.param("gamma-invert --n-max 12",
+                     "7a69f35f80764dd7a63c31c17e9776058e2d5c5f8f3c9d6ac3570e0055205481",
+                     id="gamma-invert --n-max 12"),
         ("li --method explicit --n-max 12",
          "db7a187751e7364ecc415e3f1f3e7cd6f7afa7301f46d86f3480490e055607d0"),
         ("histogram --n 12 --raw",
@@ -596,8 +611,9 @@ class TestGoldenOutput:
          "7a69f35f80764dd7a63c31c17e9776058e2d5c5f8f3c9d6ac3570e0055205481"),
         ("stieltjes --n-max 12 --format json",
          "fb0106d68bd0b068276ea38b9d8bd0df9492e2e30230678843de47f6999c2f1c"),
-        ("stieltjes --n-max 40 --table {table}",
-         "df560a3016bfa77bba301e3cb2c77681aa480780cd02d22478bbc85e23fd1335"),
+        pytest.param("stieltjes --n-max 40 --table {table}",
+                     "df560a3016bfa77bba301e3cb2c77681aa480780cd02d22478bbc85e23fd1335",
+                     id="stieltjes --n-max 40 --table {table}"),
         ("stieltjes --method contour --n-max 2 --prec 64",
          "8d24baf1dfd36d1f0369b28d1ee0e3297760cb8da2da45ed8b8eb14570ebf7cb"),
         ("eta --n-max 12",
@@ -624,18 +640,23 @@ class TestGoldenOutput:
          "a2b1d064a36bbc5ab513cdfa459c4cb7a042bd4d861e883c1968861d0774f935"),
         ("expand --target lambda --n 12",
          "c8306563524b27ec905b6a4ba72960048a45bc50518e40662ee54cd620272901"),
-        ("verify --n-max 5",
-         "45840972a378ed195eb1b46f84084931ef5705ec02e1bee4116fa278acd4e2bb"),
-        ("verify --n-max 5 --format json",
-         "3a65fa1f57e5a6025fc042c6d013aa6a9b7dfdc856aee59e850bb00d71738f5b"),
-        ("verify --n-max 2",
-         "ca496eb21ef8f2cd97dbe2e72f753d8c05a911d6adcfe0c1923600b12c7e6133"),
-        ("verify --n-max 20",
-         "c5c5126e846a6cbd4c3aa4fd5f049bde2801a79393790c4c984d724b6b6a49da"),
+        pytest.param("verify --n-max 5",
+                     "45840972a378ed195eb1b46f84084931ef5705ec02e1bee4116fa278acd4e2bb",
+                     id="verify --n-max 5"),
+        pytest.param("verify --n-max 5 --format json",
+                     "3a65fa1f57e5a6025fc042c6d013aa6a9b7dfdc856aee59e850bb00d71738f5b",
+                     id="verify --n-max 5 --format json"),
+        pytest.param("verify --n-max 2",
+                     "ca496eb21ef8f2cd97dbe2e72f753d8c05a911d6adcfe0c1923600b12c7e6133",
+                     id="verify --n-max 2"),
+        pytest.param("verify --n-max 20",
+                     "c5c5126e846a6cbd4c3aa4fd5f049bde2801a79393790c4c984d724b6b6a49da",
+                     id="verify --n-max 20"),
         ("li --n-max 12 --with-trend --format json",
          "d48b439e44645c888a07817a6424de5e91eb3acd80810e17cd45e0235411a2ab"),
-        ("li --n-max 8 --with-trend --table {table} --prec 128 --guard 16",
-         "c0e49206081fe011bfe5936d2975182b535cd5cc07bdd47d4d5fc5619af5fe54"),
+        pytest.param("li --n-max 8 --with-trend --table {table} --prec 128 --guard 16",
+                     "c0e49206081fe011bfe5936d2975182b535cd5cc07bdd47d4d5fc5619af5fe54",
+                     id="li --n-max 8 --with-trend --table {table} --prec 128 --guard 16"),
         ("li --n-max 59",
          "184b2a4e61bcdf88c0fef989f1a6ac3783b07fc492f9dca00929e40d9d403090"),
         ("histogram --n 22 --raw",

@@ -1,14 +1,21 @@
 """Every name a module exports in ``__all__`` exists, so an export left
-behind by a deleted name fails here, not only under ``import *``."""
+behind by a deleted name fails here, not only under ``import *``; and,
+read from the parsed source, every import and every private top-level
+name in ``src/zetali`` is used, so deleted code leaves no helper behind."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import zetali
 from zetali import PrecisionContext
+
+SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "zetali").glob("*.py"))
+TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC}
 
 # __main__ runs the command line when imported
 MODULES = ["zetali"] + [f"zetali.{info.name}"
@@ -54,3 +61,47 @@ def test_callers_state_every_precision():
     # nor does the verification suite choose its own size or precision
     params = inspect.signature(zetali.run_verification).parameters.values()
     assert all(p.default is inspect.Parameter.empty for p in params)
+
+
+def _declared_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def _loaded(tree):
+    """Every name read in ``tree``: a bare name, or an attribute read off
+    anything, which covers ``module._helper``."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_import_is_used(module):
+    # no linter runs here, so an import left behind by deleted code fails
+    # this test: each imported name is read in its module or exported
+    tree = TREES[module]
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names if alias.name != "*"}
+    assert sorted(imported - _loaded(tree) - _declared_all(tree)) == []
+
+
+def test_every_private_top_level_name_is_used():
+    # a private helper that nothing in src/ reads any more is dead code
+    defined = {(module, target.id if isinstance(target, ast.Name) else target.name)
+               for module, tree in TREES.items() for node in tree.body
+               for target in (node.targets if isinstance(node, ast.Assign) else [node])
+               if isinstance(target, (ast.Name, ast.FunctionDef, ast.ClassDef))}
+    private = {(module, name) for module, name in defined
+               if name.startswith("_") and not name.startswith("__")}
+    assert len(private) > 20  # the parse sees the helpers
+    used = set().union(*map(_loaded, TREES.values()),
+                       *({alias.name for node in ast.walk(tree)
+                          if isinstance(node, ast.ImportFrom) for alias in node.names}
+                         for tree in TREES.values()))
+    assert sorted(f"{module}.{name}" for module, name in private if name not in used) == []

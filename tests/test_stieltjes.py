@@ -70,6 +70,21 @@ class TestCoefficientTable:
             route(gamma40, eta40, path, ctx256)
         assert not path.exists()
 
+    @pytest.mark.parametrize("route,kind", [
+        (lambda g, e, c: eta_from_gamma_recurrence(g, -1, c), "gamma"),
+        (lambda g, e, c: eta_series_oracle(g, -1, c), "gamma"),
+        (lambda g, e, c: eta_from_gamma_explicit(g, 0, c), "gamma"),
+        (lambda g, e, c: lambda_tilde_explicit(g, 0, c), "gamma"),
+        (lambda g, e, c: term_distribution(g, 0, c), "gamma"),
+        (lambda g, e, c: lambda_tilde_binomial(e, 0, c), "eta"),
+        (lambda g, e, c: gamma_from_eta_explicit(e, 0, c), "eta"),
+    ], ids=["recurrence", "series_oracle", "eta_explicit", "lambda_explicit",
+            "term_distribution", "lambda_binomial", "gamma_from_eta"])
+    def test_index_below_range_rejected(self, route, kind, gamma40, eta40, ctx256):
+        # the table routes read index n_max, the scalar ones index n - 1
+        with pytest.raises(ValueError, match=f"need a {kind} index of at least 0, got -1"):
+            route(gamma40, eta40, ctx256)
+
 
 class TestComputeGammaTable:
     def test_gamma0_is_euler_constant(self, gamma40, ctx256):
