@@ -46,7 +46,7 @@ from .coefficients import (
     expand_gamma_symbolic,
     gamma_from_eta_explicit,
 )
-from .errors import PrecisionInfeasibleError, TableFormatError
+from .errors import PrecisionInfeasibleError
 from .li import (
     expand_lambda_symbolic,
     histogram,
@@ -187,8 +187,7 @@ def _cmd_gamma_invert(args) -> int:
     gamma = _gamma_source(args, args.n_max, ctx)
     eta = eta_from_gamma_recurrence(gamma, args.n_max, ctx)
     values = [gamma_from_eta_explicit(eta, n + 1, ctx) for n in range(args.n_max + 1)]
-    return _emit_values(args, {"convention": "paper",
-                               "precision_bits": min(ctx.working_bits, gamma.precision_bits)},
+    return _emit_values(args, {"convention": "paper", "precision_bits": eta.precision_bits},
                         values)
 
 
@@ -315,10 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="distribution of the oscillation's partition-sum terms")
     p.add_argument("--n", type=_positive_int, required=True,
                    help="oscillation index")
-    p.add_argument("--bins", type=_positive_int, default=40,
-                   help="number of equal-width bins (default 40)")
-    p.add_argument("--raw", action="store_true",
-                   help="emit the raw term values instead of binning")
+    shape = p.add_mutually_exclusive_group()
+    shape.add_argument("--bins", type=_positive_int, default=40,
+                       help="number of equal-width bins (default 40)")
+    shape.add_argument("--raw", action="store_true",
+                       help="emit the raw term values instead of binning")
     p.set_defaults(func=_cmd_histogram)
 
     p = sub.add_parser("expand", parents=[output],
@@ -357,7 +357,7 @@ def main(argv=None) -> int:
     except PrecisionInfeasibleError as exc:
         print(f"zetali: precision infeasible: {exc}", file=sys.stderr)
         return 2
-    except (TableFormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"zetali: error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,8 +45,6 @@ from fractions import Fraction
 import mpmath as mp
 
 from .numerics import (
-    BigRational,
-    BigReal,
     PrecisionContext,
     cauchy_coefficients,
     rational_to_str,
@@ -57,7 +55,7 @@ from .numerics import (
     to_raw,
     weighted_sum,
 )
-from .partitions import _dense, _power_rows, _tagged_walk, _walk_partitions
+from .partitions import _dense, _power_rows, _walk_partitions
 from .stieltjes import CoefficientTable, _require
 
 __all__ = [
@@ -80,7 +78,7 @@ def modified_gamma(p: int) -> int:
     return 1 if p == 0 else math.factorial(p - 1)
 
 
-def partition_product(values, k: tuple[int, ...]) -> BigReal:
+def partition_product(values, k: tuple[int, ...]) -> mp.mpf:
     """prod_i (-values[i])^(k_i) / k_i! over the nonzero multiplicities
     of the vector ``k``.
 
@@ -114,7 +112,7 @@ def eta_from_gamma_recurrence(g: CoefficientTable, n_max: int,
     table claims no more bits than g carries."""
     _require(g, "gamma", n_max)
     with ctx.workprec():
-        out: list[BigReal] = []
+        out: list[mp.mpf] = []
         for n in range(n_max + 1):
             acc = mp.mpf(0)
             for k in range(n):
@@ -124,7 +122,7 @@ def eta_from_gamma_recurrence(g: CoefficientTable, n_max: int,
                             min(ctx.working_bits, g.precision_bits))
 
 
-def eta_from_gamma_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) -> BigReal:
+def eta_from_gamma_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) -> mp.mpf:
     """eta_{n-1} by the closed partition sum
 
         eta_{n-1} = n * sum_{r(k)=n} (p-1)! prod_i (-gamma_i)^(k_i) / k_i!
@@ -140,7 +138,7 @@ def eta_from_gamma_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) 
                         ctx.working_bits)
 
 
-def gamma_from_eta_explicit(e: CoefficientTable, n: int, ctx: PrecisionContext) -> BigReal:
+def gamma_from_eta_explicit(e: CoefficientTable, n: int, ctx: PrecisionContext) -> mp.mpf:
     """gamma_{n-1} by inverting the partition sum:
 
         gamma_{n-1} = sum_{r(k)=n} prod_i (1/k_i!) (-eta_i / (1+i))^(k_i)
@@ -209,7 +207,7 @@ class SymbolicExpansion:
 
     target: str  # "eta" | "gamma" | "lambda_tilde"
     n: int
-    terms: dict[tuple[int, ...], BigRational]
+    terms: dict[tuple[int, ...], Fraction]
 
     def to_json_obj(self) -> dict:
         return {
@@ -232,8 +230,12 @@ def _expand(target: str, n: int, weights, entry,
     canonical order."""
     if n < 1:
         raise ValueError("n must be positive")
+    # the ring of (denominator, parts) pairs: denominators multiply and
+    # parts join, so each product carries the parts of its partition
+    rows = _power_rows(n, lambda j, c: (entry(j, c), ((j, c),)))
+    walk = _walk_partitions(n, rows, least, lambda x, y: (x[0] * y[0], x[1] + y[1]), (1, ()))
     by_r: list[list[tuple]] = [[] for _ in range(n + 1)]
-    for r, p, (denom, parts) in _tagged_walk(n, entry, least):
+    for r, p, (denom, parts) in walk:
         by_r[r].append((_dense(parts, n + 1), Fraction(weights[r][p], denom)))
     return SymbolicExpansion(target, n, dict(itertools.chain.from_iterable(by_r)))
 

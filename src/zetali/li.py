@@ -46,7 +46,7 @@ import mpmath as mp
 
 from .coefficients import SymbolicExpansion, _expand, _signed_walk, modified_gamma
 from .errors import PrecisionInfeasibleError
-from .numerics import BigReal, PrecisionContext, raw_to_mpf, to_raw, weighted_sum
+from .numerics import PrecisionContext, raw_to_mpf, to_raw, weighted_sum
 from .stieltjes import CoefficientTable, _require
 
 __all__ = [
@@ -70,7 +70,7 @@ class TermDistribution:
     """
 
     n: int
-    term_values: tuple[BigReal, ...]
+    term_values: tuple[mp.mpf, ...]
 
     def __len__(self) -> int:
         return len(self.term_values)
@@ -83,7 +83,7 @@ def lambda_context(target_bits: int, n: int) -> PrecisionContext:
     return PrecisionContext(target_bits, max(64, 10 * n))
 
 
-def lambda_tilde_binomial(e: CoefficientTable, n: int, ctx: PrecisionContext) -> BigReal:
+def lambda_tilde_binomial(e: CoefficientTable, n: int, ctx: PrecisionContext) -> mp.mpf:
     """lambda_tilde_n = - sum_{j=1}^{n} C(n, j) eta_{j-1}, with exact
     binomials, summed exactly and rounded once at working precision.
 
@@ -110,7 +110,7 @@ def _lambda_weights(n: int) -> list[list[int]]:
             for r in range(n + 1)]
 
 
-def lambda_tilde_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) -> BigReal:
+def lambda_tilde_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) -> mp.mpf:
     """The oscillation by direct partition sum over the Stieltjes
     constants; needs only gamma_0 .. gamma_{n-1}.
 
@@ -139,7 +139,7 @@ def term_distribution(g: CoefficientTable, n: int,
     _require(g, "gamma", n - 1)
     weights = _lambda_weights(n)
     bits = ctx.working_bits
-    by_r: list[list[BigReal]] = [[] for _ in range(n + 1)]
+    by_r: list[list[mp.mpf]] = [[] for _ in range(n + 1)]
     for r, p, (man, exp) in _signed_walk(g.values, n, ctx, least=1):
         by_r[r].append(raw_to_mpf(weights[r][p] * man, exp, bits))
     return TermDistribution(n, tuple(itertools.chain.from_iterable(by_r)))
@@ -162,14 +162,14 @@ def expand_lambda_symbolic(n: int) -> SymbolicExpansion:
 # Trend
 # --------------------------------------------------------------------------
 
-def trend_constant(gamma0: BigReal, ctx: PrecisionContext) -> BigReal:
+def trend_constant(gamma0: mp.mpf, ctx: PrecisionContext) -> mp.mpf:
     """c = (gamma_0 - 1 - log(2 pi)) / 2, about -1.1303307, from the
     caller's gamma_0."""
     with ctx.workprec():
         return (gamma0 - 1 - mp.log(2 * mp.pi)) / 2
 
 
-def lambda_trend(n: int, gamma0: BigReal, ctx: PrecisionContext) -> BigReal:
+def lambda_trend(n: int, gamma0: mp.mpf, ctx: PrecisionContext) -> mp.mpf:
     """Asymptotic trend (1 + n log n)/2 + c n of the smooth part."""
     if n < 1:
         raise ValueError("n must be positive")
@@ -184,7 +184,7 @@ def lambda_trend(n: int, gamma0: BigReal, ctx: PrecisionContext) -> BigReal:
 
 
 def histogram(d: TermDistribution, bins: int,
-              ctx: PrecisionContext) -> list[tuple[BigReal, BigReal, int]]:
+              ctx: PrecisionContext) -> list[tuple[mp.mpf, mp.mpf, int]]:
     """Equal-width binning of the term values over [min, max].
 
     With ``width = (max - min) / bins``, row 0 opens at the minimum

@@ -5,8 +5,8 @@ Everything numeric in this package runs under an explicit
 ``guard_bits`` of headroom that absorbs rounding and cancellation loss.
 The caller always states both: no route has a default context, and the
 library picks no precision of its own.
-Real values are mpmath floats (``BigReal``), exact coefficients are
-:class:`fractions.Fraction` (``BigRational``).  All operations use
+Real values are mpmath floats (``mp.mpf``), exact coefficients are
+:class:`fractions.Fraction`.  All operations use
 round-to-nearest and a fixed evaluation order, so identical inputs under
 an identical context produce bit-identical results, call by call, within
 one thread.  The working precision is mpmath's one process-wide setting,
@@ -47,11 +47,9 @@ from typing import Callable, Iterable
 import mpmath as mp
 from mpmath.libmp import fzero, to_str
 
-from .errors import NonInvertibleSeriesError, OrderMismatchError, PrecisionInfeasibleError
+from .errors import PrecisionInfeasibleError
 
 __all__ = [
-    "BigReal",
-    "BigRational",
     "PrecisionContext",
     "decimal_digits",
     "to_decimal",
@@ -65,8 +63,6 @@ __all__ = [
     "cauchy_coefficients",
 ]
 
-BigReal = mp.mpf
-BigRational = Fraction
 _make_mpf = mp.mp.make_mpf
 
 
@@ -121,7 +117,7 @@ def decimal_digits(bits: int) -> int:
     return -((-bits * 302) // 1000)
 
 
-def to_decimal(x: BigReal, bits: int) -> str:
+def to_decimal(x: mp.mpf, bits: int) -> str:
     """Serialize ``x`` to a decimal string at the digit count implied by
     ``bits``.  Output grammar: optional sign, digits, optional '.',
     optional 'e'+-exponent."""
@@ -196,7 +192,7 @@ def render(fmt: str, obj: dict, meta_keys: Iterable[str], header: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_raw(x: BigReal) -> tuple[int, int]:
+def to_raw(x: mp.mpf) -> tuple[int, int]:
     """``x`` as ``(man, exp)`` with ``x = man * 2^exp``; zero is ``(0, 0)``.
 
     Raises ValueError for inf and nan, so a non-finite value is refused
@@ -233,7 +229,7 @@ def rounded_product(bits: int) -> Callable:
     return mul
 
 
-def raw_to_mpf(man: int, exp: int, bits: int) -> BigReal:
+def raw_to_mpf(man: int, exp: int, bits: int) -> mp.mpf:
     """The ``mpf`` of ``man * 2^exp`` rounded to nearest-even at ``bits``
     bits, by the rounding of :func:`rounded_product`: the value and form
     ``from_man_exp(man, exp, bits, round_nearest)`` gives."""
@@ -250,7 +246,7 @@ def raw_to_mpf(man: int, exp: int, bits: int) -> BigReal:
     return _make_mpf((sign, man, exp + zeros, man.bit_length()))
 
 
-def weighted_sum(terms: Iterable[tuple[int, tuple[int, int]]], bits: int) -> BigReal:
+def weighted_sum(terms: Iterable[tuple[int, tuple[int, int]]], bits: int) -> mp.mpf:
     """``sum w * man * 2^exp`` over ``(int w, (man, exp))`` pairs, rounded
     once.
 
@@ -272,13 +268,13 @@ def weighted_sum(terms: Iterable[tuple[int, tuple[int, int]]], bits: int) -> Big
     return raw_to_mpf(acc, at, bits)
 
 
-def from_decimal(text: str, bits: int) -> BigReal:
+def from_decimal(text: str, bits: int) -> mp.mpf:
     """Parse a decimal string, rounding once to ``bits`` bits."""
     with mp.workprec(bits):
         return mp.mpf(text.strip())
 
 
-def rational_to_str(q: BigRational) -> str:
+def rational_to_str(q: Fraction) -> str:
     """Render a rational as ``num/den`` in lowest terms, denominator
     always explicit and positive."""
     return f"{q.numerator}/{q.denominator}"
@@ -289,7 +285,7 @@ def rational_to_str(q: BigRational) -> str:
 # --------------------------------------------------------------------------
 
 @functools.cache
-def bernoulli(m: int) -> BigRational:
+def bernoulli(m: int) -> Fraction:
     """Exact Bernoulli number B_m, from mpmath's ``bernfrac``.
 
     Convention: B_1 = -1/2; odd m > 1 gives exact zero (which keeps
@@ -313,7 +309,7 @@ def bernoulli(m: int) -> BigRational:
 def series_mul(a: tuple, b: tuple, ctx: PrecisionContext) -> tuple:
     """Cauchy product of two series of equal order, truncated at that order."""
     if len(a) != len(b):
-        raise OrderMismatchError(
+        raise ValueError(
             f"truncation orders differ: {len(a) - 1} != {len(b) - 1}")
     out = []
     with ctx.workprec():
@@ -332,7 +328,7 @@ def series_recip(a: tuple, ctx: PrecisionContext) -> tuple:
     forward recursion b_k = -(1/a_0) * sum_{i=1..k} a_i b_{k-i}.
     """
     if a[0] == 0:
-        raise NonInvertibleSeriesError("constant term is zero")
+        raise ZeroDivisionError("constant term is zero")
     out = []
     with ctx.workprec():
         inv0 = mp.mpf(1) / a[0]

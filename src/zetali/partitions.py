@@ -19,13 +19,14 @@ the package's canonical order.  It pushes only frames with children; a
 single last part and a last pair of equal parts are yielded in place.
 It yields ``(r, p, product)``, carrying the product of the caller's
 ``powers[j][k_j]`` over the parts fixed so far, one multiplication per
-added part, in any ring ``(mul, one)``: raw ``(mantissa, exponent)``
-pairs under :func:`~zetali.numerics.rounded_product` for the numeric
-sums; the free monoid of tuples ``((j, c),)`` under ``operator.add`` for
-the parts themselves (:func:`enumerate_constrained`, the public dense
-view); ``(denominator, parts)`` pairs for the exact expansions
-(:func:`_tagged_walk`).  Given a least ``r``, the walk also visits every
-smaller ``r`` down to it, for the oscillation's sum over all ``r <= n``.
+added part, in any ring ``(mul, one)``.  Two rings serve the coefficient
+sums, side by side in :mod:`zetali.coefficients`: raw ``(mantissa,
+exponent)`` pairs under :func:`~zetali.numerics.rounded_product` for the
+numeric sums, ``(denominator, parts)`` pairs for the exact ones
+(``_expand``).  The parts themselves (:func:`enumerate_constrained`) are
+tuples ``((j, c),)`` under ``operator.add``.  Given a least ``r``, the
+walk also visits every smaller ``r`` down to it, for the oscillation's
+sum over all ``r <= n``.
 """
 
 from __future__ import annotations
@@ -90,15 +91,6 @@ def _power_rows(n: int, entry) -> list[list]:
     """The walk's ``powers`` table for partitions of at most ``n``:
     ``rows[j][c] = entry(j, c)`` for ``j < n`` and ``c <= n // (j+1)``."""
     return [[entry(j, c) for c in range(n // (j + 1) + 1)] for j in range(n)]
-
-
-def _tagged_walk(n: int, entry, least: int | None = None) -> Iterator[tuple]:
-    """The walk over entries ``(entry(j, c), ((j, c),))`` in the ring of
-    ``(value, parts)`` pairs, where values multiply and parts join: each
-    product carries the parts of its partition."""
-    rows = _power_rows(n, lambda j, c: (entry(j, c), ((j, c),)))
-    return _walk_partitions(n, rows, least,
-                            lambda x, y: (x[0] * y[0], x[1] + y[1]), (1, ()))
 
 
 def _dense(parts, length: int) -> tuple[int, ...]:

@@ -62,7 +62,6 @@ from mpmath.libmp import from_int, mpf_log, to_fixed, to_str
 
 from .errors import PrecisionInfeasibleError, TableFormatError
 from .numerics import (
-    BigReal,
     PrecisionContext,
     _require_headroom,
     bernoulli,
@@ -100,7 +99,7 @@ class CoefficientTable:
 
     kind: str
     provenance: str
-    values: tuple[BigReal, ...]
+    values: tuple[mp.mpf, ...]
     precision_bits: int
 
     def __post_init__(self):
@@ -118,7 +117,7 @@ class CoefficientTable:
     def n_max(self) -> int:
         return len(self.values) - 1
 
-    def __getitem__(self, n: int) -> BigReal:
+    def __getitem__(self, n: int) -> mp.mpf:
         return self.values[n]
 
     def __len__(self) -> int:

@@ -506,6 +506,15 @@ class TestParser:
         assert out.out == ""
         assert "unrecognized arguments" in out.err
 
+    def test_bins_with_raw_exits_1(self, capsys):
+        # raw terms are not binned, so --bins would do nothing there
+        with pytest.raises(SystemExit) as err:
+            main("histogram --n 3 --raw --bins 5".split())
+        assert err.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "argument --bins: not allowed with argument --raw" in out.err
+
 
 class TestGoldenOutput:
     """SHA-256 digests of CLI output, each run exiting 0.  The first seven
@@ -601,12 +610,15 @@ class TestGoldenOutput:
          "db7a187751e7364ecc415e3f1f3e7cd6f7afa7301f46d86f3480490e055607d0"),
         ("histogram --n 12 --raw",
          "9f8701d9cfa05ac99fdb03c03927092c3fc9f775faa49e33b22604c6718ce257"),
-        ("expand --target eta --n 12 --format json",
-         "1dadcc79a5861c7519f8661db4e98b4ff1f690867a5b66ed6764f83b86424f95"),
-        ("expand --target gamma --n 12 --format json",
-         "8ed25dfc5197dcc10847d14002fc40d88c108c691acd415adf112119609018e0"),
-        ("expand --target lambda --n 12 --format json",
-         "cfd94ab9ec81861e5d287b87a16a27453b01ea633a7d5dd9bacdadac2fe0646b"),
+        pytest.param("expand --target eta --n 12 --format json",
+                     "1dadcc79a5861c7519f8661db4e98b4ff1f690867a5b66ed6764f83b86424f95",
+                     id="expand --target eta --n 12 --format json"),
+        pytest.param("expand --target gamma --n 12 --format json",
+                     "8ed25dfc5197dcc10847d14002fc40d88c108c691acd415adf112119609018e0",
+                     id="expand --target gamma --n 12 --format json"),
+        pytest.param("expand --target lambda --n 12 --format json",
+                     "cfd94ab9ec81861e5d287b87a16a27453b01ea633a7d5dd9bacdadac2fe0646b",
+                     id="expand --target lambda --n 12 --format json"),
         ("stieltjes --n-max 12",
          "7a69f35f80764dd7a63c31c17e9776058e2d5c5f8f3c9d6ac3570e0055205481"),
         ("stieltjes --n-max 12 --format json",
@@ -634,12 +646,15 @@ class TestGoldenOutput:
          "867c8aa14f396b0e9bb59f2fe5f8a4f18a94b7a75aa668bf6cf828141e426a9d"),
         ("histogram --n 12 --bins 20 --format json",
          "821b45adfb988bee836326ecc5ce4e2b3e5e20da7da8da34a500d8aa59cf962b"),
-        ("expand --target eta --n 12",
-         "135c13797013c057bef9685ea6d0544e06b251391d3b12acaa332a4fd5321af7"),
-        ("expand --target gamma --n 12",
-         "a2b1d064a36bbc5ab513cdfa459c4cb7a042bd4d861e883c1968861d0774f935"),
-        ("expand --target lambda --n 12",
-         "c8306563524b27ec905b6a4ba72960048a45bc50518e40662ee54cd620272901"),
+        pytest.param("expand --target eta --n 12",
+                     "135c13797013c057bef9685ea6d0544e06b251391d3b12acaa332a4fd5321af7",
+                     id="expand --target eta --n 12"),
+        pytest.param("expand --target gamma --n 12",
+                     "a2b1d064a36bbc5ab513cdfa459c4cb7a042bd4d861e883c1968861d0774f935",
+                     id="expand --target gamma --n 12"),
+        pytest.param("expand --target lambda --n 12",
+                     "c8306563524b27ec905b6a4ba72960048a45bc50518e40662ee54cd620272901",
+                     id="expand --target lambda --n 12"),
         pytest.param("verify --n-max 5",
                      "45840972a378ed195eb1b46f84084931ef5705ec02e1bee4116fa278acd4e2bb",
                      id="verify --n-max 5"),
@@ -661,10 +676,12 @@ class TestGoldenOutput:
          "184b2a4e61bcdf88c0fef989f1a6ac3783b07fc492f9dca00929e40d9d403090"),
         ("histogram --n 22 --raw",
          "0104e8482ca37da82ceb3daee7b863173b87e7d62acd05654a57ada9cafc6af2"),
-        ("expand --target lambda --n 25 --format json",
-         "ecb7c5ad3b19ffa3d0ef4ad18f6236d09bb216eee09e6ee922044bef36f472e6"),
-        ("expand --target eta --n 30 --format json",
-         "6ecab484b56717c5b0958c63a7f2da2ce428c4598bf174122e84db6e0932f684"),
+        pytest.param("expand --target lambda --n 25 --format json",
+                     "ecb7c5ad3b19ffa3d0ef4ad18f6236d09bb216eee09e6ee922044bef36f472e6",
+                     id="expand --target lambda --n 25 --format json"),
+        pytest.param("expand --target eta --n 30 --format json",
+                     "6ecab484b56717c5b0958c63a7f2da2ce428c4598bf174122e84db6e0932f684",
+                     id="expand --target eta --n 30 --format json"),
     ])
     def test_output_digest(self, capsys, tmp_path, gamma40, command, digest):
         if "{table}" in command:

@@ -40,6 +40,14 @@ def test_package_exports_are_the_module_lists():
     assert len(set(zetali.__all__)) == len(zetali.__all__)
 
 
+def test_no_public_name_is_a_second_name():
+    # every export is defined in the package: an alias such as
+    # ``X = mp.mpf`` would report mpmath's module and fail here
+    foreign = [name for name in zetali.__all__ if name != "__version__"
+               and not getattr(getattr(zetali, name), "__module__", "").startswith("zetali.")]
+    assert foreign == []
+
+
 def test_callers_state_every_precision():
     # the library picks no precision: no exported callable defaults a
     # context or a bit count, and a context needs both of its fields
