@@ -9,9 +9,9 @@ output is deterministic: byte-identical across runs with identical flags.
 
 Exit codes: 0 success, 1 usage or I/O error (including failed
 verification, a flag the subcommand does not use, such as ``--prec`` on
-``expand`` or ``--guard`` on ``verify``, and ``--table`` with
-``--method contour``, which starts from no table), 2 precision
-infeasible.
+``expand`` or ``--guard`` on ``verify``, ``--table`` with ``--method
+contour``, which starts from no table, and ``--guard N`` with
+``stieltjes --table``, which builds nothing), 2 precision infeasible.
 
 Values print at ceil(target_bits * 0.302) significant digits.  The one
 exception is ``stieltjes --out``: the file written there is a
@@ -23,7 +23,9 @@ target, and ``--guard auto`` (the default) adds max(64, 2 n_max) guard
 bits for ``stieltjes``, ``eta`` and ``gamma-invert``, whose tables feed
 binomial sums that lose bits about linearly in the index, and
 max(64, 10 n) bits for ``li`` and ``histogram``
-(:func:`~zetali.li.lambda_context`).  ``--guard N`` sets N bits instead.
+(:func:`~zetali.li.lambda_context`).  ``--guard N`` sets N bits instead;
+with ``--table``, the guard sets the working precision of the sums that
+``eta``, ``gamma-invert``, ``li`` and ``histogram`` form from the table.
 ``verify`` takes no ``--guard``: it fixes its own contexts.
 """
 
@@ -151,6 +153,9 @@ def _gamma_source(args, n_needed: int, ctx: PrecisionContext) -> CoefficientTabl
 
 
 def _cmd_stieltjes(args) -> int:
+    # a loaded table is printed, not built, so no guard could act on it
+    if args.table and args.guard != "auto":
+        raise ValueError("--guard cannot be combined with --table on stieltjes")
     ctx = _table_context(args)
     if args.method == "contour":
         table = gamma_contour(args.n_max, ctx)

@@ -20,6 +20,13 @@ ways plus the inverse map:
 * ``gamma_from_eta_explicit`` — the inverse partition sum
   gamma_{n-1} = sum_{r(k)=n} prod_i (1/k_i!) (-eta_i/(1+i))^{k_i}.
 
+The two partition sums, and ``li.lambda_tilde_explicit``, read the exact
+(unrounded) sum of each index from ``_index_sums``, which keeps the sums
+it has formed on the input table, keyed by route and working precision;
+only indices not yet kept there are walked.  Exact sums do not depend on
+their order, so a kept sum gives the value a fresh walk would, bit for
+bit.
+
 ``expand_eta_symbolic`` / ``expand_gamma_symbolic`` evaluate the two
 partition sums with symbolic inputs, giving exact rational coefficients
 per monomial; these pin down the algebra without any floating point.
@@ -48,12 +55,12 @@ from .numerics import (
     PrecisionContext,
     cauchy_coefficients,
     rational_to_str,
+    raw_to_mpf,
     rounded_product,
     series_derivative,
     series_mul,
     series_recip,
     to_raw,
-    weighted_sum,
 )
 from .partitions import _dense, _power_rows, _walk_partitions
 from .stieltjes import CoefficientTable, _require
@@ -122,6 +129,51 @@ def eta_from_gamma_recurrence(g: CoefficientTable, n_max: int,
                             min(ctx.working_bits, g.precision_bits))
 
 
+def _index_sums(table: CoefficientTable, n: int, ctx: PrecisionContext,
+                least: int | None = None) -> list[tuple[int, int]]:
+    """The exact partition sums E_r for every r in ``[least, n]``
+    (``least`` defaults to n), as raw ``(man, exp)`` pairs, of the sum
+    that ``table`` feeds:
+
+    * over a gamma table (route ``"eta"``), eta_{r-1} is E_r rounded,
+      E_r = sum_{r(k)=r} r (p-1)! prod_i (-gamma_i)^(k_i) / k_i!;
+    * over an eta table (route ``"gamma"``), gamma_{r-1} is E_r rounded,
+      E_r = sum_{r(k)=r} prod_i (1/k_i!) (-eta_i / (1+i))^(k_i).
+
+    Each product is rounded at working precision by :func:`_signed_walk`
+    and the integer-weighted products are added exactly, so E_r does not
+    depend on the order of the terms or on which walk formed them.  The
+    sums are kept in the table's store under (route, working bits), and
+    only a request with an index not yet there walks: one walk over
+    every r from the smallest missing index up to n.
+    """
+    least = n if least is None else least
+    route = "eta" if table.kind == "gamma" else "gamma"
+    sums = table._sums.setdefault((route, ctx.working_bits), {})
+    missing = next((r for r in range(least, n + 1) if r not in sums), None)
+    if missing is not None:
+        if route == "eta":
+            values = table.values
+            weights = [[r * modified_gamma(p) for p in range(r + 1)] for r in range(n + 1)]
+        else:
+            with ctx.workprec():
+                values = [table.values[i] / (1 + i) for i in range(n)]
+            weights = [[1] * (r + 1) for r in range(n + 1)]
+        # the exact sum of index r so far is acc[r] * 2^at[r], as in
+        # weighted_sum, whose rounding of it is raw_to_mpf's
+        acc = [0] * (n + 1)
+        at = [0] * (n + 1)
+        for r, p, (man, exp) in _signed_walk(values, n, ctx, missing):
+            if exp < at[r]:
+                acc[r] = (acc[r] << (at[r] - exp)) + weights[r][p] * man
+                at[r] = exp
+            else:
+                acc[r] += (weights[r][p] * man) << (exp - at[r])
+        for r in range(missing, n + 1):
+            sums[r] = acc[r], at[r]
+    return [sums[r] for r in range(least, n + 1)]
+
+
 def eta_from_gamma_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) -> mp.mpf:
     """eta_{n-1} by the closed partition sum
 
@@ -129,13 +181,12 @@ def eta_from_gamma_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) 
 
     Each product is rounded at working precision; the integer weights
     n (p-1)! are applied and summed exactly, and the total is rounded
-    once (:func:`~zetali.numerics.weighted_sum`).
+    once.  The exact sum is kept on ``g`` (:func:`_index_sums`), so a
+    repeated request at the same working precision walks nothing.
     """
     _require(g, "gamma", n - 1)
-    weights = [n * modified_gamma(p) for p in range(n + 1)]
-    walk = _signed_walk(g.values, n, ctx)
-    return weighted_sum(((weights[p], product) for _, p, product in walk),
-                        ctx.working_bits)
+    (man, exp), = _index_sums(g, n, ctx)
+    return raw_to_mpf(man, exp, ctx.working_bits)
 
 
 def gamma_from_eta_explicit(e: CoefficientTable, n: int, ctx: PrecisionContext) -> mp.mpf:
@@ -143,15 +194,12 @@ def gamma_from_eta_explicit(e: CoefficientTable, n: int, ctx: PrecisionContext) 
 
         gamma_{n-1} = sum_{r(k)=n} prod_i (1/k_i!) (-eta_i / (1+i))^(k_i)
 
-    with the products summed exactly and rounded once, as in
-    :func:`eta_from_gamma_explicit`.
+    with the products summed exactly, kept on ``e`` and rounded once, as
+    in :func:`eta_from_gamma_explicit`.
     """
     _require(e, "eta", n - 1)
-    with ctx.workprec():
-        scaled = [e.values[i] / (1 + i) for i in range(n)]
-    walk = _signed_walk(scaled, n, ctx)
-    return weighted_sum(((1, product) for _, _, product in walk),
-                        ctx.working_bits)
+    (man, exp), = _index_sums(e, n, ctx)
+    return raw_to_mpf(man, exp, ctx.working_bits)
 
 
 def eta_series_oracle(g: CoefficientTable, n_max: int,

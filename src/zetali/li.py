@@ -21,9 +21,12 @@ famous open problem; this module only computes it, two independent ways:
                          (p-1)! C(n, r) r prod_i (-gamma_i)^(k_i) / k_i!
 
   (vectors with r > n would carry a zero binomial factor, so the
-  enumeration simply stops at r = n).  One partition walk visits every
-  r <= n, forming each shared prefix product once; the weighted
-  products are added exactly and the total is rounded once.
+  enumeration simply stops at r = n).  This is the binomial transform
+  above with each eta_{r-1} left as its exact partition sum E_r:
+  lambda_tilde_n = - sum_{r<=n} C(n, r) E_r, rounded once.  The E_r are
+  those of ``coefficients.eta_from_gamma_explicit``, kept on the gamma
+  table per working precision, so one walk forms only those not yet
+  kept, every missing r <= n at once.
 
 ``term_distribution`` exposes the individual partition-sum terms — one
 value per vector, sum_{m<=n} p(m) of them — whose near-symmetric pileup
@@ -44,7 +47,13 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .coefficients import SymbolicExpansion, _expand, _signed_walk, modified_gamma
+from .coefficients import (
+    SymbolicExpansion,
+    _expand,
+    _index_sums,
+    _signed_walk,
+    modified_gamma,
+)
 from .errors import PrecisionInfeasibleError
 from .numerics import PrecisionContext, raw_to_mpf, to_raw, weighted_sum
 from .stieltjes import CoefficientTable, _require
@@ -114,16 +123,18 @@ def lambda_tilde_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) ->
     """The oscillation by direct partition sum over the Stieltjes
     constants; needs only gamma_0 .. gamma_{n-1}.
 
-    One walk visits the partitions of every r <= n; each product is
-    rounded at working precision, the integer weights are applied and
-    summed exactly, and the total is rounded once.
+    The binomial transform of the explicit eta left unrounded:
+    lambda_tilde_n = - sum_{r=1}^{n} C(n, r) E_r, where eta_{r-1} is the
+    exact partition sum E_r rounded.  The E_r are kept on ``g``
+    (:func:`~zetali.coefficients._index_sums`), so only indices not yet
+    summed there at this working precision are walked, all in one walk;
+    the binomials are applied exactly and the total is rounded once.
     """
     _require(g, "gamma", n - 1)
-    weights = _lambda_weights(n)
-    walk = _signed_walk(g.values, n, ctx, least=1)
+    sums = _index_sums(g, n, ctx, least=1)
     # negated in the exact weights: rounding to nearest is symmetric
-    return weighted_sum(((-weights[r][p], product)
-                         for r, p, product in walk), ctx.working_bits)
+    return weighted_sum(((-math.comb(n, r), raw) for r, raw in enumerate(sums, 1)),
+                        ctx.working_bits)
 
 
 def term_distribution(g: CoefficientTable, n: int,

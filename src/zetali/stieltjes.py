@@ -53,7 +53,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
@@ -95,12 +95,19 @@ class CoefficientTable:
     ``provenance`` names the route that built the values, and
     ``precision_bits`` the precision they carry: the working precision
     of the build, or less when its input carried less.
+
+    A table also keeps the exact per-index partition sums the explicit
+    routes of :mod:`zetali.coefficients` have formed from it, keyed by
+    route and working precision, so a repeated request walks nothing.
+    That store is not compared, hashed or shown, and lives exactly as
+    long as the table: ``dataclasses.replace`` starts an empty one.
     """
 
     kind: str
     provenance: str
     values: tuple[mp.mpf, ...]
     precision_bits: int
+    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:

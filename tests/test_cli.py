@@ -195,6 +195,24 @@ class TestStieltjesCommand:
         assert code == 2
         assert "precision infeasible" in err
 
+    def test_table_with_guard_exits_1(self, capsys, tmp_path):
+        # stieltjes prints a loaded table and builds nothing, so a guard
+        # would change no byte; the routes that sum over the table keep it
+        path = tmp_path / "t.json"
+        code, _, _ = run_cli(capsys, "stieltjes", "--n-max", "3", "--format", "json",
+                             "--out", str(path))
+        assert code == 0
+        code, out, err = run_cli(capsys, "stieltjes", "--n-max", "3",
+                                 "--table", str(path), "--guard", "4")
+        assert (code, out) == (1, "")
+        assert "--guard cannot be combined with --table on stieltjes" in err
+        for argv in (("stieltjes", "--n-max", "3"), ("eta", "--n-max", "3"),
+                     ("gamma-invert", "--n-max", "3"), ("li", "--n-max", "3"),
+                     ("histogram", "--n", "3")):
+            guard = () if argv[0] == "stieltjes" else ("--guard", "64")
+            code, out, _ = run_cli(capsys, *argv, "--table", str(path), *guard)
+            assert code == 0 and out
+
 
 class TestEtaCommand:
     def test_methods_agree(self, capsys):
@@ -606,8 +624,9 @@ class TestGoldenOutput:
         pytest.param("gamma-invert --n-max 12",
                      "7a69f35f80764dd7a63c31c17e9776058e2d5c5f8f3c9d6ac3570e0055205481",
                      id="gamma-invert --n-max 12"),
-        ("li --method explicit --n-max 12",
-         "db7a187751e7364ecc415e3f1f3e7cd6f7afa7301f46d86f3480490e055607d0"),
+        pytest.param("li --method explicit --n-max 12",
+                     "db7a187751e7364ecc415e3f1f3e7cd6f7afa7301f46d86f3480490e055607d0",
+                     id="li --method explicit --n-max 12"),
         ("histogram --n 12 --raw",
          "9f8701d9cfa05ac99fdb03c03927092c3fc9f775faa49e33b22604c6718ce257"),
         pytest.param("expand --target eta --n 12 --format json",
@@ -634,14 +653,16 @@ class TestGoldenOutput:
          "69086980112388f6f65c9c252d8e583cc82ef063fba4b25792e506bdda629707"),
         ("eta --method contour --n-max 2 --prec 64",
          "7e05d75bcd6182e38ebef9346a37489070816188083517fa01b77d6b95b25742"),
-        ("gamma-invert --n-max 12 --format json",
-         "fb0106d68bd0b068276ea38b9d8bd0df9492e2e30230678843de47f6999c2f1c"),
+        pytest.param("gamma-invert --n-max 12 --format json",
+                     "fb0106d68bd0b068276ea38b9d8bd0df9492e2e30230678843de47f6999c2f1c",
+                     id="gamma-invert --n-max 12 --format json"),
         ("li --n-max 12",
          "7550e57aa2997db485d3c545a621b7bf20131ce1e873f6e3e334a43b6c9aecb9"),
         ("li --n-max 12 --with-trend",
          "248e54542e04f7c16547309f4bcc6e4631de6e22d3d5067257ef3c68a1eddb69"),
-        ("li --method explicit --n-max 12 --with-trend --format json",
-         "fbcb43b927080be1d79f3d06beaf230ff900c131503c9a42078052cf4587379d"),
+        pytest.param("li --method explicit --n-max 12 --with-trend --format json",
+                     "fbcb43b927080be1d79f3d06beaf230ff900c131503c9a42078052cf4587379d",
+                     id="li --method explicit --n-max 12 --with-trend --format json"),
         ("li --n-max 0",
          "867c8aa14f396b0e9bb59f2fe5f8a4f18a94b7a75aa668bf6cf828141e426a9d"),
         ("histogram --n 12 --bins 20 --format json",

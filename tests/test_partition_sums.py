@@ -13,9 +13,11 @@ these, not merely close.  ``term_distribution`` rounds
 each weighted term on its own, and its reference does the same.
 """
 
+import dataclasses
 import hashlib
 import math
 import operator
+import random
 
 import mpmath as mp
 import pytest
@@ -34,6 +36,7 @@ from zetali import (
     partition_count,
     term_distribution,
 )
+from zetali import coefficients
 from zetali.coefficients import _signed_walk, partition_product
 from zetali.numerics import from_decimal
 from zetali.partitions import _power_rows, _walk_partitions
@@ -289,3 +292,108 @@ class TestSyntheticTablePin:
                     put("bin", ctx, n, *row)
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.DIGEST
+
+
+STORE_N = 24
+STORE_CTXS = (PrecisionContext(192, 64), PrecisionContext(128, 32))
+# route -> (function, the kind of table it reads, its plain reference)
+STORE_ROUTES = {
+    "eta": (eta_from_gamma_explicit, "gamma", reference_eta),
+    "gamma": (gamma_from_eta_explicit, "eta", reference_gamma),
+    "lambda": (lambda_tilde_explicit, "gamma", reference_lambda),
+}
+
+
+class TestIndexSumStore:
+    """The explicit routes keep their exact per-index sums on the table
+    they read, keyed by route and working precision.  Whatever requests
+    came before, on whatever table and at whatever context, each value
+    must be bit for bit the plain reference's, and the store must not
+    show in the table's equality, hash or repr."""
+
+    @pytest.fixture(scope="class")
+    def references(self):
+        """``_mpf_`` of each route's reference for every n <= STORE_N at
+        both contexts, from tables no route has read."""
+        tables = {kind: synthetic_table(kind, STORE_N) for kind in ("gamma", "eta")}
+        return {(route, ctx, n): reference(tables[kind], n, ctx)._mpf_
+                for route, (_, kind, reference) in STORE_ROUTES.items()
+                for ctx in STORE_CTXS for n in range(1, STORE_N + 1)}
+
+    @staticmethod
+    def fresh():
+        return {kind: synthetic_table(kind, STORE_N) for kind in ("gamma", "eta")}
+
+    @staticmethod
+    def check(references, tables, route, n, ctx):
+        function, kind, _ = STORE_ROUTES[route]
+        assert function(tables[kind], n, ctx)._mpf_ == references[route, ctx, n]
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    @pytest.mark.parametrize("route", list(STORE_ROUTES))
+    def test_any_order(self, references, route, order):
+        indices = list(range(1, STORE_N + 1))
+        if order == "descending":
+            indices.reverse()
+        elif order == "shuffled":
+            random.Random(route).shuffle(indices)
+        tables = self.fresh()
+        for n in indices:
+            self.check(references, tables, route, n, STORE_CTXS[0])
+
+    def test_two_contexts_on_one_table(self, references):
+        # a sum at one working precision must never serve another
+        tables = self.fresh()
+        indices = list(range(1, STORE_N + 1))
+        random.Random("contexts").shuffle(indices)
+        for i, n in enumerate(indices):
+            for ctx in STORE_CTXS[::1 if i % 2 else -1]:
+                for route in STORE_ROUTES:
+                    self.check(references, tables, route, n, ctx)
+        bits = sorted(ctx.working_bits for ctx in STORE_CTXS)
+        assert sorted(tables["gamma"]._sums) == [("eta", b) for b in bits]
+        assert sorted(tables["eta"]._sums) == [("gamma", b) for b in bits]
+
+    def test_eta_and_lambda_interleaved(self, references):
+        # lambda_tilde_n reads the eta sums E_1 .. E_n on the same table
+        tables = self.fresh()
+        indices = list(range(1, STORE_N + 1))
+        random.Random("interleaved").shuffle(indices)
+        for i, n in enumerate(indices):
+            pair = ("eta", "lambda") if i % 2 else ("lambda", "eta")
+            for route in pair:
+                self.check(references, tables, route, n, STORE_CTXS[0])
+
+    def test_repeated_requests_walk_nothing(self, monkeypatch):
+        walks = []
+
+        def counted(values, n, ctx, least=None):
+            walks.append((n, least))
+            return _signed_walk(values, n, ctx, least)
+
+        monkeypatch.setattr(coefficients, "_signed_walk", counted)
+        g, ctx = self.fresh()["gamma"], STORE_CTXS[0]
+        eta_from_gamma_explicit(g, 5, ctx)
+        lambda_tilde_explicit(g, 8, ctx)
+        lambda_tilde_explicit(g, 10, ctx)
+        assert walks == [(5, 5), (8, 1), (10, 9)]
+        for n in range(1, 11):
+            eta_from_gamma_explicit(g, n, ctx)
+            lambda_tilde_explicit(g, n, ctx)
+        assert len(walks) == 3
+        # another working precision is another store
+        eta_from_gamma_explicit(g, 5, STORE_CTXS[1])
+        assert walks[3:] == [(5, 5)]
+
+    def test_store_out_of_sight(self):
+        g, other = self.fresh()["gamma"], self.fresh()["gamma"]
+        shown = repr(g), hash(g)
+        lambda_tilde_explicit(g, 6, STORE_CTXS[0])
+        assert g._sums and not other._sums
+        assert (repr(g), hash(g)) == shown
+        assert g == other and hash(g) == hash(other) and repr(g) == repr(other)
+        # replace builds a new table, with a store of its own
+        copy = dataclasses.replace(g)
+        assert copy == g and not copy._sums
+        eta_from_gamma_explicit(copy, 3, STORE_CTXS[1])
+        assert list(g._sums) == [("eta", STORE_CTXS[0].working_bits)]
