@@ -26,7 +26,8 @@ famous open problem; this module only computes it, two independent ways:
   lambda_tilde_n = - sum_{r<=n} C(n, r) E_r, rounded once.  The E_r are
   those of ``coefficients.eta_from_gamma_explicit``, kept on the gamma
   table per working precision, so one walk forms only those not yet
-  kept, every missing r <= n at once.
+  kept, every missing r <= n at once.  The rounded lambda_tilde_n is
+  kept there too, so a repeated request is a lookup.
 
 ``term_distribution`` exposes the individual partition-sum terms — one
 value per vector, sum_{m<=n} p(m) of them — whose near-symmetric pileup
@@ -129,12 +130,17 @@ def lambda_tilde_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) ->
     (:func:`~zetali.coefficients._index_sums`), so only indices not yet
     summed there at this working precision are walked, all in one walk;
     the binomials are applied exactly and the total is rounded once.
+    The rounded result is kept on ``g`` too, under ("lambda", working
+    bits), so a repeated request returns it without the transform.
     """
     _require(g, "gamma", n - 1)
-    sums = _index_sums(g, n, ctx, least=1)
-    # negated in the exact weights: rounding to nearest is symmetric
-    return weighted_sum(((-math.comb(n, r), raw) for r, raw in enumerate(sums, 1)),
-                        ctx.working_bits)
+    kept = g._sums.setdefault(("lambda", ctx.working_bits), {})
+    if n not in kept:
+        sums = _index_sums(g, n, ctx, least=1)
+        # negated in the exact weights: rounding to nearest is symmetric
+        kept[n] = weighted_sum(((-math.comb(n, r), raw) for r, raw in enumerate(sums, 1)),
+                               ctx.working_bits)
+    return kept[n]
 
 
 def term_distribution(g: CoefficientTable, n: int,
@@ -213,12 +219,18 @@ def histogram(d: TermDistribution, bins: int,
     vals = d.term_values
     if not vals:
         raise ValueError("empty distribution")
-    # compared exactly as integers v / 2^at, each value converted once
-    # and held only as its key (a list of (man, exp) pairs as well would
-    # double the memory); mpmath gives zero the exponent 0, as to_raw
-    # does.  index() takes the first extreme, as min() and max() do
-    at = min(v.exp for v in vals)
-    keys = [man << (exp - at) for man, exp in map(to_raw, vals)]
+    # compared exactly as integers v / 2^at: each value's _mpf_ tuple
+    # (sign, man, exp, bc) is read once, into a list of references, not
+    # copies, and the only new numbers held are the keys.  mpmath gives
+    # zero the exponent 0 and marks inf and nan by a zero mantissa with a
+    # nonzero exponent, whose key is 0 too; they are refused as to_raw
+    # refuses them.  index() takes the first extreme, as min() and max() do
+    raws = [v._mpf_ for v in vals]
+    at = min([exp for _, _, exp, _ in raws])
+    keys = [-man << (exp - at) if sign else man << (exp - at)
+            for sign, man, exp, _ in raws]
+    if 0 in keys and any(exp and not man for _, man, exp, _ in raws):
+        raise ValueError("non-finite value")
     lo, hi = vals[keys.index(min(keys))], vals[keys.index(max(keys))]
     with ctx.workprec():
         width = (hi - lo) / bins

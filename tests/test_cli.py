@@ -627,8 +627,9 @@ class TestGoldenOutput:
         pytest.param("li --method explicit --n-max 12",
                      "db7a187751e7364ecc415e3f1f3e7cd6f7afa7301f46d86f3480490e055607d0",
                      id="li --method explicit --n-max 12"),
-        ("histogram --n 12 --raw",
-         "9f8701d9cfa05ac99fdb03c03927092c3fc9f775faa49e33b22604c6718ce257"),
+        pytest.param("histogram --n 12 --raw",
+                     "9f8701d9cfa05ac99fdb03c03927092c3fc9f775faa49e33b22604c6718ce257",
+                     id="histogram --n 12 --raw"),
         pytest.param("expand --target eta --n 12 --format json",
                      "1dadcc79a5861c7519f8661db4e98b4ff1f690867a5b66ed6764f83b86424f95",
                      id="expand --target eta --n 12 --format json"),
@@ -656,17 +657,21 @@ class TestGoldenOutput:
         pytest.param("gamma-invert --n-max 12 --format json",
                      "fb0106d68bd0b068276ea38b9d8bd0df9492e2e30230678843de47f6999c2f1c",
                      id="gamma-invert --n-max 12 --format json"),
-        ("li --n-max 12",
-         "7550e57aa2997db485d3c545a621b7bf20131ce1e873f6e3e334a43b6c9aecb9"),
-        ("li --n-max 12 --with-trend",
-         "248e54542e04f7c16547309f4bcc6e4631de6e22d3d5067257ef3c68a1eddb69"),
+        pytest.param("li --n-max 12",
+                     "7550e57aa2997db485d3c545a621b7bf20131ce1e873f6e3e334a43b6c9aecb9",
+                     id="li --n-max 12"),
+        pytest.param("li --n-max 12 --with-trend",
+                     "248e54542e04f7c16547309f4bcc6e4631de6e22d3d5067257ef3c68a1eddb69",
+                     id="li --n-max 12 --with-trend"),
         pytest.param("li --method explicit --n-max 12 --with-trend --format json",
                      "fbcb43b927080be1d79f3d06beaf230ff900c131503c9a42078052cf4587379d",
                      id="li --method explicit --n-max 12 --with-trend --format json"),
-        ("li --n-max 0",
-         "867c8aa14f396b0e9bb59f2fe5f8a4f18a94b7a75aa668bf6cf828141e426a9d"),
-        ("histogram --n 12 --bins 20 --format json",
-         "821b45adfb988bee836326ecc5ce4e2b3e5e20da7da8da34a500d8aa59cf962b"),
+        pytest.param("li --n-max 0",
+                     "867c8aa14f396b0e9bb59f2fe5f8a4f18a94b7a75aa668bf6cf828141e426a9d",
+                     id="li --n-max 0"),
+        pytest.param("histogram --n 12 --bins 20 --format json",
+                     "821b45adfb988bee836326ecc5ce4e2b3e5e20da7da8da34a500d8aa59cf962b",
+                     id="histogram --n 12 --bins 20 --format json"),
         pytest.param("expand --target eta --n 12",
                      "135c13797013c057bef9685ea6d0544e06b251391d3b12acaa332a4fd5321af7",
                      id="expand --target eta --n 12"),
@@ -693,10 +698,12 @@ class TestGoldenOutput:
         pytest.param("li --n-max 8 --with-trend --table {table} --prec 128 --guard 16",
                      "c0e49206081fe011bfe5936d2975182b535cd5cc07bdd47d4d5fc5619af5fe54",
                      id="li --n-max 8 --with-trend --table {table} --prec 128 --guard 16"),
-        ("li --n-max 59",
-         "184b2a4e61bcdf88c0fef989f1a6ac3783b07fc492f9dca00929e40d9d403090"),
-        ("histogram --n 22 --raw",
-         "0104e8482ca37da82ceb3daee7b863173b87e7d62acd05654a57ada9cafc6af2"),
+        pytest.param("li --n-max 59",
+                     "184b2a4e61bcdf88c0fef989f1a6ac3783b07fc492f9dca00929e40d9d403090",
+                     id="li --n-max 59"),
+        pytest.param("histogram --n 22 --raw",
+                     "0104e8482ca37da82ceb3daee7b863173b87e7d62acd05654a57ada9cafc6af2",
+                     id="histogram --n 22 --raw"),
         pytest.param("expand --target lambda --n 25 --format json",
                      "ecb7c5ad3b19ffa3d0ef4ad18f6236d09bb216eee09e6ee922044bef36f472e6",
                      id="expand --target lambda --n 25 --format json"),

@@ -301,8 +301,9 @@ class TestHistogram:
                 assert [c for _, _, c in rows] == counts, (n, bins)
 
     def test_one_conversion_per_value(self, gamma40, ctx256, monkeypatch):
-        # each value is turned into (man, exp) once, and each interior
-        # bound once; the extremes and the bins reuse those integers
+        # each value's _mpf_ is read once, without to_raw; each interior
+        # bound goes through to_raw once; the extremes and the bins
+        # reuse those integers
         dist = term_distribution(gamma40, 10, ctx256)
         calls = []
 
@@ -314,7 +315,13 @@ class TestHistogram:
         for bins in (1, 9, 40):
             calls.clear()
             histogram(dist, bins, ctx256)
-            assert len(calls) <= len(dist) + bins, bins
+            assert len(calls) == bins - 1, bins
+
+    @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan])
+    def test_non_finite_rejected(self, ctx256, bad):
+        for values in ([bad], [0, 1.5, bad, -2]):
+            with pytest.raises(ValueError, match="non-finite"):
+                histogram(self._dist(values, ctx256), 3, ctx256)
 
     def test_empty_rejected(self, ctx256):
         with pytest.raises(ValueError):

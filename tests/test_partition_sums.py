@@ -36,9 +36,9 @@ from zetali import (
     partition_count,
     term_distribution,
 )
-from zetali import coefficients
+from zetali import coefficients, li
 from zetali.coefficients import _signed_walk, partition_product
-from zetali.numerics import from_decimal
+from zetali.numerics import from_decimal, weighted_sum
 from zetali.partitions import _power_rows, _walk_partitions
 from zetali.stieltjes import CoefficientTable
 
@@ -351,8 +351,23 @@ class TestIndexSumStore:
                 for route in STORE_ROUTES:
                     self.check(references, tables, route, n, ctx)
         bits = sorted(ctx.working_bits for ctx in STORE_CTXS)
-        assert sorted(tables["gamma"]._sums) == [("eta", b) for b in bits]
+        assert sorted(tables["gamma"]._sums) == [
+            (route, b) for route in ("eta", "lambda") for b in bits]
         assert sorted(tables["eta"]._sums) == [("gamma", b) for b in bits]
+
+    def test_lambda_kept_per_context(self, references):
+        # each working precision keeps its own rounded lambda_tilde_n,
+        # equal to a fresh table's, and a repeat returns it unchanged
+        g = self.fresh()["gamma"]
+        for n in (7, 3, STORE_N):
+            for ctx in STORE_CTXS + STORE_CTXS[::-1]:
+                assert (lambda_tilde_explicit(g, n, ctx)._mpf_
+                        == references["lambda", ctx, n])
+        for ctx in STORE_CTXS:
+            kept = g._sums["lambda", ctx.working_bits]
+            assert sorted(kept) == [3, 7, STORE_N]
+            for n, value in kept.items():
+                assert value._mpf_ == references["lambda", ctx, n]
 
     def test_eta_and_lambda_interleaved(self, references):
         # lambda_tilde_n reads the eta sums E_1 .. E_n on the same table
@@ -385,6 +400,25 @@ class TestIndexSumStore:
         eta_from_gamma_explicit(g, 5, STORE_CTXS[1])
         assert walks[3:] == [(5, 5)]
 
+    def test_repeated_lambda_sums_nothing(self, monkeypatch):
+        sums = []
+
+        def counted(terms, bits):
+            sums.append(bits)
+            return weighted_sum(terms, bits)
+
+        monkeypatch.setattr(li, "weighted_sum", counted)
+        g, ctx = self.fresh()["gamma"], STORE_CTXS[0]
+        first = [lambda_tilde_explicit(g, n, ctx) for n in range(1, 11)]
+        assert len(sums) == 10
+        for n in (10, 1, 5, 10):
+            assert lambda_tilde_explicit(g, n, ctx) is first[n - 1]
+        assert len(sums) == 10
+        # another working precision sums again, once
+        lambda_tilde_explicit(g, 5, STORE_CTXS[1])
+        lambda_tilde_explicit(g, 5, STORE_CTXS[1])
+        assert sums[10:] == [STORE_CTXS[1].working_bits]
+
     def test_store_out_of_sight(self):
         g, other = self.fresh()["gamma"], self.fresh()["gamma"]
         shown = repr(g), hash(g)
@@ -396,4 +430,5 @@ class TestIndexSumStore:
         copy = dataclasses.replace(g)
         assert copy == g and not copy._sums
         eta_from_gamma_explicit(copy, 3, STORE_CTXS[1])
-        assert list(g._sums) == [("eta", STORE_CTXS[0].working_bits)]
+        bits = STORE_CTXS[0].working_bits
+        assert sorted(g._sums) == [("eta", bits), ("lambda", bits)]
