@@ -87,9 +87,9 @@ class TermDistribution:
 
 
 def lambda_context(target_bits: int, n: int) -> PrecisionContext:
-    """Context for oscillation work at index n, with max(64, 10 n) guard
-    bits: the weights C(n, j) amplify the rounding of an eta table built
-    under it by up to 2^n."""
+    """Context for oscillation work at every index up to n, with max(64,
+    10 n) guard bits: the weights C(m, j), m <= n, amplify the rounding
+    of an eta table built under it by up to 2^n."""
     return PrecisionContext(target_bits, max(64, 10 * n))
 
 

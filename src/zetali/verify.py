@@ -13,8 +13,8 @@ expansions), so a sign or weight regression cannot hide inside a
 floating-point tolerance.
 
 The whole suite is deterministic: fixed evaluation order, fixed
-precision contexts derived from ``target_bits``, no randomness — two
-runs produce identical bytes.
+precision contexts derived from ``target_bits`` (the oscillation rows at
+``li``'s), no randomness — two runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -93,13 +93,6 @@ def _worst(ctx: PrecisionContext, pairs) -> mp.mpf:
         return max((abs(a - b) / max(1, abs(a)) for a, b in pairs), default=mp.mpf(0))
 
 
-def _negated_sum(values, ctx: PrecisionContext) -> mp.mpf:
-    """Minus the plain left-to-right sum of ``values`` (not ``mp.fsum``) at
-    ``ctx``'s working precision, the summation the tolerance allows for."""
-    with ctx.workprec():
-        return -sum(values, mp.mpf(0))
-
-
 def _result(name, scope, disc, threshold) -> dict:
     """One report row; the check passes iff ``disc < threshold``."""
     return {"name": name, "scope": scope,
@@ -115,9 +108,9 @@ def run_verification(n_max: int, target_bits: int) -> list[dict]:
     and ``status`` (``"pass"`` or ``"fail"``).
 
     ``target_bits`` must be at least 128: the fixed tolerances below are
-    calibrated for a 64-bit guard on top of that.  The oscillation
-    cross-check uses its own per-index guard policy for the sums, on top
-    of tables computed once at the strongest guard needed.
+    calibrated for a 64-bit guard on top of that.  The oscillation rows
+    run at the one context ``li`` uses for every index up to ``n_max``,
+    ``lambda_context(target_bits, n_max)``, tables and sums alike.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -147,15 +140,14 @@ def run_verification(n_max: int, target_bits: int) -> list[dict]:
     checks.append(_result("gamma_eta_roundtrip", f"n<={n_max}",
                           worst, mp.mpf(2) ** -100))
 
-    # -- oscillation two ways, guard policy -------------------------------
+    # -- oscillation two ways, at li's context ----------------------------
     ctx_big = lambda_context(target_bits, n_max)
     gam_big = compute_gamma_table(n_max - 1, ctx_big)
     eta_big = eta_from_gamma_recurrence(gam_big, n_max - 1, ctx_big)
-    ctx_n = {n: lambda_context(target_bits, n) for n in range(1, n_max + 1)}
     # each binomial value serves this check and the distribution sums
-    lam = {n: lambda_tilde_binomial(eta_big, n, ctx_n[n]) for n in ctx_n}
-    worst = _worst(ctx_big, ((lam[n], lambda_tilde_explicit(gam_big, n, ctx_n[n]))
-                             for n in ctx_n))
+    lam = {n: lambda_tilde_binomial(eta_big, n, ctx_big) for n in range(1, n_max + 1)}
+    worst = _worst(ctx_big, ((lam[n], lambda_tilde_explicit(gam_big, n, ctx_big))
+                             for n in lam))
     checks.append(_result("lambda_binomial_vs_explicit", f"n<={n_max}",
                           worst, mp.mpf(2) ** -80))
 
@@ -197,14 +189,16 @@ def run_verification(n_max: int, target_bits: int) -> list[dict]:
     # -- term distributions: sums and zero-centered mode ------------------
     n_hi = min(n_max, 10)
     if n_hi >= 3:
-        dists = {n: term_distribution(gam_big, n, ctx_n[n]) for n in range(3, n_hi + 1)}
-        worst = max(_worst(ctx_n[n], [(lam[n], _negated_sum(d.term_values, ctx_n[n]))])
-                    for n, d in dists.items())
-        tightest = min(mp.mpf(2) ** -(ctx_n[n].working_bits - 10 * n) for n in dists)
+        dists = {n: term_distribution(gam_big, n, ctx_big) for n in range(3, n_hi + 1)}
+        # minus the plain left-to-right sum (not mp.fsum), the summation
+        # the tolerance allows for, drawn at ctx_big's precision by _worst
+        worst = _worst(ctx_big, ((lam[n], -sum(d.term_values, mp.mpf(0)))
+                                 for n, d in dists.items()))
+        tightest = min(mp.mpf(2) ** -(ctx_big.working_bits - 10 * n) for n in dists)
         checks.append(_result("distribution_sum", f"3<=n<={n_hi}",
                               worst, tightest))
         # zero's bin is the last one when zero lies at or beyond its edge
-        hists = [histogram(d, 9, ctx_n[n]) for n, d in dists.items()]
+        hists = [histogram(d, 9, ctx_big) for d in dists.values()]
         bad = sum(next((c for lo, hi, c in rows if lo <= 0 < hi), rows[-1][2])
                   != max(c for _, _, c in rows) for rows in hists)
         checks.append(_result("histogram_zero_bin_modal",

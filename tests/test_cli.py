@@ -5,14 +5,17 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
+import zetali.coefficients
 import zetali.verify
 from zetali import (
     PrecisionContext,
     compute_gamma_table,
     from_decimal,
+    lambda_context,
     load_table,
     run_verification,
     save_table,
+    summatory_partition_count,
 )
 from zetali.cli import build_parser, main, output_schema
 from helpers import classic_table_text
@@ -481,6 +484,36 @@ class TestVerifyCommand:
         assert all(c["status"] == "pass" for c in run_verification(17, 128))
         assert calls == [17, 16, 16, 16]
 
+    def test_oscillation_rows_share_one_context(self, monkeypatch):
+        # all four oscillation routes run at li's context for n_max, so
+        # the explicit lambda row walks each index once through the kept
+        # sums; the eta rows walk at 192 bits, apart from it
+        contexts = set()
+        walked = {}
+
+        def recording(route):
+            def wrapped(*args):  # each route takes its context third
+                contexts.add(args[2])
+                return route(*args)
+            return wrapped
+
+        for name in ("lambda_tilde_binomial", "lambda_tilde_explicit",
+                     "term_distribution", "histogram"):
+            monkeypatch.setattr(zetali.verify, name,
+                                recording(getattr(zetali.verify, name)))
+        walk = zetali.coefficients._signed_walk
+
+        def counting_walk(values, n, ctx, least=None):
+            for item in walk(values, n, ctx, least):
+                walked[ctx.working_bits] = walked.get(ctx.working_bits, 0) + 1
+                yield item
+
+        monkeypatch.setattr(zetali.coefficients, "_signed_walk", counting_walk)
+        assert all(c["status"] == "pass" for c in run_verification(10, 128))
+        ctx = lambda_context(128, 10)
+        assert contexts == {ctx}
+        assert walked[ctx.working_bits] == summatory_partition_count(10) == 138
+
 
 class TestParser:
     def test_unknown_command_exits_1(self, capsys):
@@ -613,10 +646,21 @@ class TestGoldenOutput:
     back bit for bit; no value of these three tables moved on reload
     before, only the extra digit changes the files.  Every stdout digest
     holds, the ``{table}`` ones too: no value of the 256-bit gamma_0 ..
-    gamma_40 table moved on reload before either."""
+    gamma_40 table moved on reload before either.
 
-    # a pytest.param id names the command alone, as in test_out_file_digest;
-    # the plain tuples still carry their digest in the id
+    ``verify --n-max 20`` was pinned again when the oscillation rows
+    moved from one ``lambda_context(target_bits, n)`` per index to the one
+    context ``li`` uses for the whole table,
+    ``lambda_context(target_bits, n_max)``, which gives every index more
+    guard bits.  Three cells move: ``max_discrepancy`` of
+    ``lambda_binomial_vs_explicit`` from 1.1605e-77 to 5.6945e-115, that
+    of ``distribution_sum`` from 3.4816e-77 to 2.2813e-117, and the
+    ``distribution_sum`` threshold, 2^-(working - 10 n) at n = 3, from
+    9.2730e-69 to 1.0645e-109; every check still passes.  ``verify
+    --n-max 2`` and ``5`` hold: below n = 7 both rules give 64 guard
+    bits."""
+
+    # a pytest.param id names the command alone, as in test_out_file_digest
     @pytest.mark.parametrize("command,digest", [
         pytest.param("eta --method explicit --n-max 12",
                      "7df025537839ce7b96e69394a2307e7e1c9cc0053cd3ad2c235888c92bac645d",
@@ -639,21 +683,27 @@ class TestGoldenOutput:
         pytest.param("expand --target lambda --n 12 --format json",
                      "cfd94ab9ec81861e5d287b87a16a27453b01ea633a7d5dd9bacdadac2fe0646b",
                      id="expand --target lambda --n 12 --format json"),
-        ("stieltjes --n-max 12",
-         "7a69f35f80764dd7a63c31c17e9776058e2d5c5f8f3c9d6ac3570e0055205481"),
-        ("stieltjes --n-max 12 --format json",
-         "fb0106d68bd0b068276ea38b9d8bd0df9492e2e30230678843de47f6999c2f1c"),
+        pytest.param("stieltjes --n-max 12",
+                     "7a69f35f80764dd7a63c31c17e9776058e2d5c5f8f3c9d6ac3570e0055205481",
+                     id="stieltjes --n-max 12"),
+        pytest.param("stieltjes --n-max 12 --format json",
+                     "fb0106d68bd0b068276ea38b9d8bd0df9492e2e30230678843de47f6999c2f1c",
+                     id="stieltjes --n-max 12 --format json"),
         pytest.param("stieltjes --n-max 40 --table {table}",
                      "df560a3016bfa77bba301e3cb2c77681aa480780cd02d22478bbc85e23fd1335",
                      id="stieltjes --n-max 40 --table {table}"),
-        ("stieltjes --method contour --n-max 2 --prec 64",
-         "8d24baf1dfd36d1f0369b28d1ee0e3297760cb8da2da45ed8b8eb14570ebf7cb"),
-        ("eta --n-max 12",
-         "e6e760073c3938dea6d636e7543431ab1121c3b818ba394b366e8072a17ecd5f"),
-        ("eta --method series --n-max 12",
-         "69086980112388f6f65c9c252d8e583cc82ef063fba4b25792e506bdda629707"),
-        ("eta --method contour --n-max 2 --prec 64",
-         "7e05d75bcd6182e38ebef9346a37489070816188083517fa01b77d6b95b25742"),
+        pytest.param("stieltjes --method contour --n-max 2 --prec 64",
+                     "8d24baf1dfd36d1f0369b28d1ee0e3297760cb8da2da45ed8b8eb14570ebf7cb",
+                     id="stieltjes --method contour --n-max 2 --prec 64"),
+        pytest.param("eta --n-max 12",
+                     "e6e760073c3938dea6d636e7543431ab1121c3b818ba394b366e8072a17ecd5f",
+                     id="eta --n-max 12"),
+        pytest.param("eta --method series --n-max 12",
+                     "69086980112388f6f65c9c252d8e583cc82ef063fba4b25792e506bdda629707",
+                     id="eta --method series --n-max 12"),
+        pytest.param("eta --method contour --n-max 2 --prec 64",
+                     "7e05d75bcd6182e38ebef9346a37489070816188083517fa01b77d6b95b25742",
+                     id="eta --method contour --n-max 2 --prec 64"),
         pytest.param("gamma-invert --n-max 12 --format json",
                      "fb0106d68bd0b068276ea38b9d8bd0df9492e2e30230678843de47f6999c2f1c",
                      id="gamma-invert --n-max 12 --format json"),
@@ -691,10 +741,11 @@ class TestGoldenOutput:
                      "ca496eb21ef8f2cd97dbe2e72f753d8c05a911d6adcfe0c1923600b12c7e6133",
                      id="verify --n-max 2"),
         pytest.param("verify --n-max 20",
-                     "c5c5126e846a6cbd4c3aa4fd5f049bde2801a79393790c4c984d724b6b6a49da",
+                     "4ec17a155546df4476556ffaa316c0f3d0e9d2a61dd33297948837191f5f6426",
                      id="verify --n-max 20"),
-        ("li --n-max 12 --with-trend --format json",
-         "d48b439e44645c888a07817a6424de5e91eb3acd80810e17cd45e0235411a2ab"),
+        pytest.param("li --n-max 12 --with-trend --format json",
+                     "d48b439e44645c888a07817a6424de5e91eb3acd80810e17cd45e0235411a2ab",
+                     id="li --n-max 12 --with-trend --format json"),
         pytest.param("li --n-max 8 --with-trend --table {table} --prec 128 --guard 16",
                      "c0e49206081fe011bfe5936d2975182b535cd5cc07bdd47d4d5fc5619af5fe54",
                      id="li --n-max 8 --with-trend --table {table} --prec 128 --guard 16"),
