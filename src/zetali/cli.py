@@ -40,6 +40,7 @@ from pathlib import Path
 import mpmath as mp
 
 from .coefficients import (
+    _index_sums,
     eta_contour,
     eta_from_gamma_explicit,
     eta_from_gamma_recurrence,
@@ -179,6 +180,8 @@ def _cmd_eta(args) -> int:
         elif args.method == "series":
             table = eta_series_oracle(gamma, args.n_max, ctx)
         else:
+            # one walk forms every index's exact sum; the loop rounds them
+            _index_sums(gamma, args.n_max + 1, ctx, least=1)
             values = tuple(eta_from_gamma_explicit(gamma, n + 1, ctx)
                            for n in range(args.n_max + 1))
             table = CoefficientTable("eta", "explicit", values,
@@ -191,6 +194,7 @@ def _cmd_gamma_invert(args) -> int:
     ctx = _table_context(args)
     gamma = _gamma_source(args, args.n_max, ctx)
     eta = eta_from_gamma_recurrence(gamma, args.n_max, ctx)
+    _index_sums(eta, args.n_max + 1, ctx, least=1)
     values = [gamma_from_eta_explicit(eta, n + 1, ctx) for n in range(args.n_max + 1)]
     return _emit_values(args, {"convention": "paper", "precision_bits": eta.precision_bits},
                         values)
@@ -206,6 +210,7 @@ def _cmd_li(args) -> int:
         route, table = lambda_tilde_binomial, eta
     else:
         route, table = lambda_tilde_explicit, gamma
+        _index_sums(gamma, n_max, ctx, least=1)
     records = []
     for n in range(1, n_max + 1):
         osc = route(table, n, ctx)

@@ -22,10 +22,12 @@ ways plus the inverse map:
 
 The two partition sums, and ``li.lambda_tilde_explicit``, read the exact
 (unrounded) sum of each index from ``_index_sums``, which keeps the sums
-it has formed on the input table, keyed by route and working precision;
-only indices not yet kept there are walked.  Exact sums do not depend on
-their order, so a kept sum gives the value a fresh walk would, bit for
-bit.
+it has formed on the input table per working precision and walks only
+indices not yet kept; a command that asks for every index up to N fills
+them in one walk.  Exact sums do not depend on their order, so a kept
+sum gives the value a fresh walk would, bit for bit.  ``_kept`` keeps
+each route's rounded value there too, so a repeated request is a lookup;
+the store's keys are written in this module only.
 
 ``expand_eta_symbolic`` / ``expand_gamma_symbolic`` evaluate the two
 partition sums with symbolic inputs, giving exact rational coefficients
@@ -135,24 +137,23 @@ def _index_sums(table: CoefficientTable, n: int, ctx: PrecisionContext,
     (``least`` defaults to n), as raw ``(man, exp)`` pairs, of the sum
     that ``table`` feeds:
 
-    * over a gamma table (route ``"eta"``), eta_{r-1} is E_r rounded,
+    * over a gamma table, eta_{r-1} is E_r rounded,
       E_r = sum_{r(k)=r} r (p-1)! prod_i (-gamma_i)^(k_i) / k_i!;
-    * over an eta table (route ``"gamma"``), gamma_{r-1} is E_r rounded,
+    * over an eta table, gamma_{r-1} is E_r rounded,
       E_r = sum_{r(k)=r} prod_i (1/k_i!) (-eta_i / (1+i))^(k_i).
 
     Each product is rounded at working precision by :func:`_signed_walk`
     and the integer-weighted products are added exactly, so E_r does not
     depend on the order of the terms or on which walk formed them.  The
-    sums are kept in the table's store under (route, working bits), and
+    sums are kept in the table's store under ("sums", working bits), and
     only a request with an index not yet there walks: one walk over
     every r from the smallest missing index up to n.
     """
     least = n if least is None else least
-    route = "eta" if table.kind == "gamma" else "gamma"
-    sums = table._sums.setdefault((route, ctx.working_bits), {})
+    sums = table._sums.setdefault(("sums", ctx.working_bits), {})
     missing = next((r for r in range(least, n + 1) if r not in sums), None)
     if missing is not None:
-        if route == "eta":
+        if table.kind == "gamma":
             values = table.values
             weights = [[r * modified_gamma(p) for p in range(r + 1)] for r in range(n + 1)]
         else:
@@ -174,6 +175,29 @@ def _index_sums(table: CoefficientTable, n: int, ctx: PrecisionContext,
     return [sums[r] for r in range(least, n + 1)]
 
 
+def _kept(table: CoefficientTable, route: str, n: int, ctx: PrecisionContext,
+          rounding, least: int | None = None) -> mp.mpf:
+    """``rounding(n, sums, bits)`` of the exact sums ``_index_sums(table,
+    n, ctx, least)`` at working precision ``bits``: the value of
+    ``route`` (``"eta"``, ``"gamma"`` or ``"lambda"``) at index n, kept
+    in the table's store under (route, working bits), so a repeated
+    request neither reads the sums nor rounds them again."""
+    bits = ctx.working_bits
+    kept = table._sums.get((route, bits))
+    if kept is None:
+        kept = table._sums[route, bits] = {}
+    value = kept.get(n)
+    if value is None:
+        value = kept[n] = rounding(n, _index_sums(table, n, ctx, least), bits)
+    return value
+
+
+def _round_one(n: int, sums: list[tuple[int, int]], bits: int) -> mp.mpf:
+    """The one exact sum of ``sums`` rounded to ``bits``."""
+    (man, exp), = sums
+    return raw_to_mpf(man, exp, bits)
+
+
 def eta_from_gamma_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) -> mp.mpf:
     """eta_{n-1} by the closed partition sum
 
@@ -181,12 +205,12 @@ def eta_from_gamma_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) 
 
     Each product is rounded at working precision; the integer weights
     n (p-1)! are applied and summed exactly, and the total is rounded
-    once.  The exact sum is kept on ``g`` (:func:`_index_sums`), so a
-    repeated request at the same working precision walks nothing.
+    once.  The exact sum is kept on ``g`` (:func:`_index_sums`), and so
+    is the rounded eta_{n-1} (:func:`_kept`): a repeated request at the
+    same working precision walks nothing and is a lookup.
     """
     _require(g, "gamma", n - 1)
-    (man, exp), = _index_sums(g, n, ctx)
-    return raw_to_mpf(man, exp, ctx.working_bits)
+    return _kept(g, "eta", n, ctx, _round_one)
 
 
 def gamma_from_eta_explicit(e: CoefficientTable, n: int, ctx: PrecisionContext) -> mp.mpf:
@@ -194,12 +218,12 @@ def gamma_from_eta_explicit(e: CoefficientTable, n: int, ctx: PrecisionContext) 
 
         gamma_{n-1} = sum_{r(k)=n} prod_i (1/k_i!) (-eta_i / (1+i))^(k_i)
 
-    with the products summed exactly, kept on ``e`` and rounded once, as
-    in :func:`eta_from_gamma_explicit`.
+    with the products summed exactly and rounded once; the exact sum and
+    the rounded gamma_{n-1} are kept on ``e``, as in
+    :func:`eta_from_gamma_explicit`.
     """
     _require(e, "eta", n - 1)
-    (man, exp), = _index_sums(e, n, ctx)
-    return raw_to_mpf(man, exp, ctx.working_bits)
+    return _kept(e, "gamma", n, ctx, _round_one)
 
 
 def eta_series_oracle(g: CoefficientTable, n_max: int,

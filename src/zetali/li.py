@@ -51,7 +51,7 @@ import mpmath as mp
 from .coefficients import (
     SymbolicExpansion,
     _expand,
-    _index_sums,
+    _kept,
     _signed_walk,
     modified_gamma,
 )
@@ -130,17 +130,19 @@ def lambda_tilde_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) ->
     (:func:`~zetali.coefficients._index_sums`), so only indices not yet
     summed there at this working precision are walked, all in one walk;
     the binomials are applied exactly and the total is rounded once.
-    The rounded result is kept on ``g`` too, under ("lambda", working
-    bits), so a repeated request returns it without the transform.
+    The rounded result is kept on ``g`` too
+    (:func:`~zetali.coefficients._kept`), so a repeated request returns
+    it without the transform.
     """
     _require(g, "gamma", n - 1)
-    kept = g._sums.setdefault(("lambda", ctx.working_bits), {})
-    if n not in kept:
-        sums = _index_sums(g, n, ctx, least=1)
-        # negated in the exact weights: rounding to nearest is symmetric
-        kept[n] = weighted_sum(((-math.comb(n, r), raw) for r, raw in enumerate(sums, 1)),
-                               ctx.working_bits)
-    return kept[n]
+    return _kept(g, "lambda", n, ctx, _negated_transform, least=1)
+
+
+def _negated_transform(n: int, sums: list[tuple[int, int]], bits: int) -> mp.mpf:
+    """- sum_{r=1}^{n} C(n, r) E_r over the exact sums E_1 .. E_n, rounded
+    once to ``bits``."""
+    # negated in the exact weights: rounding to nearest is symmetric
+    return weighted_sum(((-math.comb(n, r), raw) for r, raw in enumerate(sums, 1)), bits)
 
 
 def term_distribution(g: CoefficientTable, n: int,

@@ -96,12 +96,12 @@ class CoefficientTable:
     ``precision_bits`` the precision they carry: the working precision
     of the build, or less when its input carried less.
 
-    A table also keeps what the explicit routes have formed from it,
-    keyed by route and working precision: the exact per-index partition
-    sums of :mod:`zetali.coefficients` (``"eta"`` or ``"gamma"``, as
-    ``(man, exp)`` pairs), so a repeated request walks nothing, and the
-    rounded lambda_tilde_n of ``li.lambda_tilde_explicit``
-    (``"lambda"``), so a repeated one is a lookup.  That store is not
+    A table also keeps what the three explicit routes have formed from
+    it, per working precision: the exact per-index partition sums, as
+    ``(man, exp)`` pairs, so a request walks only indices not yet summed,
+    and the rounded result of each route (eta, gamma and
+    lambda_tilde_n), so a repeated request is a lookup.  Its keys are
+    written in :mod:`zetali.coefficients` only.  That store is not
     compared, hashed or shown, and lives exactly as long as the table:
     ``dataclasses.replace`` starts an empty one.
     """

@@ -515,6 +515,46 @@ class TestVerifyCommand:
         assert walked[ctx.working_bits] == summatory_partition_count(10) == 138
 
 
+class TestOneWalkPerTable:
+    """A command that asks for every index up to N walks each table it
+    reads once per working precision: one walk over r = 1 .. N fills the
+    table's exact sums, and the per-index loop only rounds them."""
+
+    @staticmethod
+    def count_walks(monkeypatch):
+        walks = []
+        walk = zetali.coefficients._signed_walk
+
+        def counted(values, n, ctx, least=None):
+            walks.append((n, least, ctx.working_bits))
+            return walk(values, n, ctx, least)
+
+        monkeypatch.setattr(zetali.coefficients, "_signed_walk", counted)
+        return walks
+
+    @pytest.mark.parametrize("argv, walk", [
+        pytest.param(("eta", "--method", "explicit", "--n-max", "12"),
+                     (13, 1, 192 + 64), id="eta explicit"),
+        pytest.param(("gamma-invert", "--n-max", "12"),
+                     (13, 1, 192 + 64), id="gamma-invert"),
+        pytest.param(("li", "--method", "explicit", "--n-max", "12"),
+                     (12, 1, lambda_context(192, 12).working_bits), id="li explicit"),
+    ])
+    def test_command(self, capsys, monkeypatch, argv, walk):
+        walks = self.count_walks(monkeypatch)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert walks == [walk]
+
+    def test_verify(self, monkeypatch):
+        walks = self.count_walks(monkeypatch)
+        assert all(c["status"] == "pass" for c in run_verification(10, 128))
+        bits, big = 128 + 64, lambda_context(128, 10).working_bits
+        # eta over the gamma table, gamma over the eta table, then
+        # lambda_tilde over li's gamma table
+        assert walks == [(11, 1, bits), (11, 1, bits), (10, 1, big)]
+
+
 class TestParser:
     def test_unknown_command_exits_1(self, capsys):
         with pytest.raises(SystemExit) as err:

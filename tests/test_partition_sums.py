@@ -350,24 +350,52 @@ class TestIndexSumStore:
             for ctx in STORE_CTXS[::1 if i % 2 else -1]:
                 for route in STORE_ROUTES:
                     self.check(references, tables, route, n, ctx)
+        # the exact sums, and each route's rounded values, per precision
         bits = sorted(ctx.working_bits for ctx in STORE_CTXS)
         assert sorted(tables["gamma"]._sums) == [
-            (route, b) for route in ("eta", "lambda") for b in bits]
-        assert sorted(tables["eta"]._sums) == [("gamma", b) for b in bits]
+            (key, b) for key in ("eta", "lambda", "sums") for b in bits]
+        assert sorted(tables["eta"]._sums) == [
+            (key, b) for key in ("gamma", "sums") for b in bits]
 
-    def test_lambda_kept_per_context(self, references):
-        # each working precision keeps its own rounded lambda_tilde_n,
-        # equal to a fresh table's, and a repeat returns it unchanged
-        g = self.fresh()["gamma"]
+    @pytest.mark.parametrize("route", list(STORE_ROUTES))
+    def test_kept_per_context(self, references, route):
+        # each working precision keeps its own rounded value, equal to a
+        # fresh table's, and a repeat returns it unchanged
+        function, kind, _ = STORE_ROUTES[route]
+        table = self.fresh()[kind]
         for n in (7, 3, STORE_N):
             for ctx in STORE_CTXS + STORE_CTXS[::-1]:
-                assert (lambda_tilde_explicit(g, n, ctx)._mpf_
-                        == references["lambda", ctx, n])
+                assert function(table, n, ctx)._mpf_ == references[route, ctx, n]
         for ctx in STORE_CTXS:
-            kept = g._sums["lambda", ctx.working_bits]
+            kept = table._sums[route, ctx.working_bits]
             assert sorted(kept) == [3, 7, STORE_N]
             for n, value in kept.items():
-                assert value._mpf_ == references["lambda", ctx, n]
+                assert value._mpf_ == references[route, ctx, n]
+
+    @pytest.mark.parametrize("route", ["eta", "gamma"])
+    def test_repeated_eta_gamma_rounds_nothing(self, monkeypatch, route):
+        calls = []
+
+        def counted(name, function):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return wrapped
+
+        for name in ("_index_sums", "raw_to_mpf"):
+            monkeypatch.setattr(coefficients, name,
+                                counted(name, getattr(coefficients, name)))
+        function, kind, _ = STORE_ROUTES[route]
+        table, ctx = self.fresh()[kind], STORE_CTXS[0]
+        first = [function(table, n, ctx) for n in range(1, 11)]
+        assert calls == ["_index_sums", "raw_to_mpf"] * 10
+        for n in (10, 1, 5, 10):
+            assert function(table, n, ctx) is first[n - 1]
+        assert len(calls) == 20
+        # another working precision reads and rounds again, once
+        function(table, 5, STORE_CTXS[1])
+        function(table, 5, STORE_CTXS[1])
+        assert calls[20:] == ["_index_sums", "raw_to_mpf"]
 
     def test_eta_and_lambda_interleaved(self, references):
         # lambda_tilde_n reads the eta sums E_1 .. E_n on the same table
@@ -431,4 +459,4 @@ class TestIndexSumStore:
         assert copy == g and not copy._sums
         eta_from_gamma_explicit(copy, 3, STORE_CTXS[1])
         bits = STORE_CTXS[0].working_bits
-        assert sorted(g._sums) == [("eta", bits), ("lambda", bits)]
+        assert sorted(g._sums) == [("lambda", bits), ("sums", bits)]
