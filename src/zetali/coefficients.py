@@ -26,8 +26,10 @@ it has formed on the input table per working precision and walks only
 indices not yet kept; a command that asks for every index up to N fills
 them in one walk.  Exact sums do not depend on their order, so a kept
 sum gives the value a fresh walk would, bit for bit.  ``_kept`` keeps
-each route's rounded value there too, so a repeated request is a lookup;
-the store's keys are written in this module only.
+each route's rounded value there too, so a repeated request is a lookup,
+and ``_kept_terms`` keeps the term distribution of ``li.term_distribution``
+packed from its second request on, up to 2 MiB a table; the store's keys
+are written in this module only.
 
 ``expand_eta_symbolic`` / ``expand_gamma_symbolic`` evaluate the two
 partition sums with symbolic inputs, giving exact rational coefficients
@@ -56,6 +58,8 @@ import mpmath as mp
 from .numerics import (
     PrecisionContext,
     cauchy_coefficients,
+    pack_mpfs,
+    packed_size,
     rational_to_str,
     raw_to_mpf,
     rounded_product,
@@ -63,6 +67,7 @@ from .numerics import (
     series_mul,
     series_recip,
     to_raw,
+    unpack_mpfs,
 )
 from .partitions import _dense, _power_rows, _walk_partitions
 from .stieltjes import CoefficientTable, _require
@@ -190,6 +195,43 @@ def _kept(table: CoefficientTable, route: str, n: int, ctx: PrecisionContext,
     if value is None:
         value = kept[n] = rounding(n, _index_sums(table, n, ctx, least), bits)
     return value
+
+
+#: the bytes of packed term distributions one table keeps, at most
+_PACKED_CAP = 2 << 20
+
+
+def _kept_terms(table: CoefficientTable, n: int, ctx: PrecisionContext,
+                walk) -> tuple[mp.mpf, ...]:
+    """``walk()``, the ``mpf`` terms of index n at ``ctx``'s working
+    precision, kept packed (:func:`~zetali.numerics.pack_mpfs`) in the
+    table's store under ("distribution", working bits) from the second
+    request on.  The first request leaves only a marker, so a one-shot
+    caller keeps nothing; the second walks and packs; every later one
+    unpacks, and gets what ``walk()`` returns, ``_mpf_`` for ``_mpf_``,
+    in its order.  A table keeps at most 2 MiB of packed terms: a
+    distribution that would pass that is not kept, and nothing is
+    evicted."""
+    bits = ctx.working_bits
+    kept = table._sums.get(("distribution", bits))
+    if kept is None:
+        kept = table._sums["distribution", bits] = {}
+    packed = kept.get(n)
+    if packed is not None:
+        return unpack_mpfs(*packed, bits)
+    terms = walk()
+    if n not in kept:
+        kept[n] = None
+    elif _packed_bytes(table) + packed_size(len(terms), bits) <= _PACKED_CAP:
+        kept[n] = pack_mpfs(terms, bits)
+    return terms
+
+
+def _packed_bytes(table: CoefficientTable) -> int:
+    """The bytes of the term distributions ``table`` keeps packed."""
+    return sum(packed_size(len(exps), bits)
+               for (route, bits), kept in table._sums.items() if route == "distribution"
+               for _, exps in filter(None, kept.values()))
 
 
 def _round_one(n: int, sums: list[tuple[int, int]], bits: int) -> mp.mpf:

@@ -33,7 +33,11 @@ famous open problem; this module only computes it, two independent ways:
 value per vector, sum_{m<=n} p(m) of them — whose near-symmetric pileup
 around zero is what makes the oscillation so much smaller than its
 largest terms; ``histogram`` bins them for plotting, placing each value
-by exact integer comparison with the bin bounds it returns.
+by exact integer comparison with the bin bounds it returns.  A gamma
+table that serves one (n, working precision) distribution a second time
+keeps it packed, at about a fifth of the memory of its ``mpf`` terms
+and at most 2 MiB a table, so every later request skips the walk; a
+first request keeps only a marker.
 
 The trend takes gamma_0 from the caller, who already holds the gamma
 table, so no second table is built for it.
@@ -52,6 +56,7 @@ from .coefficients import (
     SymbolicExpansion,
     _expand,
     _kept,
+    _kept_terms,
     _signed_walk,
     modified_gamma,
 )
@@ -154,14 +159,26 @@ def term_distribution(g: CoefficientTable, n: int,
     the sum), rounded once at working precision.  The length is
     sum_{m<=n} p(m) and the negated sum equals lambda_tilde_n up to
     rounding.
+
+    The first request for a (table, n, working precision) walks and
+    keeps nothing but a marker on ``g``; the second walks and keeps the
+    terms packed there, at about bits / 8 + 9 bytes a term, and every
+    later one rebuilds them from the packed form without a walk, bit
+    for bit (:func:`~zetali.coefficients._kept_terms`).  A table keeps
+    at most 2 MiB of packed terms; once a distribution would pass that,
+    it is walked on every request.
     """
     _require(g, "gamma", n - 1)
-    weights = _lambda_weights(n)
-    bits = ctx.working_bits
-    by_r: list[list[mp.mpf]] = [[] for _ in range(n + 1)]
-    for r, p, (man, exp) in _signed_walk(g.values, n, ctx, least=1):
-        by_r[r].append(raw_to_mpf(weights[r][p] * man, exp, bits))
-    return TermDistribution(n, tuple(itertools.chain.from_iterable(by_r)))
+
+    def walk():
+        weights = _lambda_weights(n)
+        bits = ctx.working_bits
+        by_r: list[list[mp.mpf]] = [[] for _ in range(n + 1)]
+        for r, p, (man, exp) in _signed_walk(g.values, n, ctx, least=1):
+            by_r[r].append(raw_to_mpf(weights[r][p] * man, exp, bits))
+        return tuple(itertools.chain.from_iterable(by_r))
+
+    return TermDistribution(n, _kept_terms(g, n, ctx, walk))
 
 
 def expand_lambda_symbolic(n: int) -> SymbolicExpansion:

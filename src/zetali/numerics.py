@@ -20,6 +20,10 @@ by exactly mpmath's rule, on the signed mantissa, so every product is
 the value ``mpf * mpf`` would give, without an ``mpf`` per product.
 :func:`weighted_sum` adds integer-weighted pairs exactly and rounds once
 (:func:`raw_to_mpf`), so its result does not depend on the order.
+:func:`pack_mpfs` holds many finite values in one ``bytes`` buffer of
+signed mantissas plus an array of exponents, a fifth to a quarter of the
+memory of their ``mpf`` objects, and :func:`unpack_mpfs` gives back
+every ``_mpf_``; a table keeps its repeated term distributions so.
 
 :func:`render` writes every CSV and JSON output of the package.  Its JSON
 is byte for byte what the stdlib's ``json.dumps`` writes with
@@ -40,6 +44,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -244,6 +249,37 @@ def raw_to_mpf(man: int, exp: int, bits: int) -> mp.mpf:
     zeros = (man & -man).bit_length() - 1
     sign, man = (1, -man >> zeros) if man < 0 else (0, man >> zeros)
     return _make_mpf((sign, man, exp + zeros, man.bit_length()))
+
+
+def packed_size(count: int, bits: int) -> int:
+    """The bytes :func:`pack_mpfs` gives ``count`` values of ``bits`` bits."""
+    return count * (bits // 8 + 9)
+
+
+def pack_mpfs(values, bits: int) -> tuple[bytes, array]:
+    """Finite ``mpf`` values of at most ``bits`` bits, packed: their
+    signed mantissas in one ``bytes`` buffer, ``bits // 8 + 1`` bytes
+    each, little-endian, and their exponents in an ``array('q')``.  That
+    is :func:`packed_size`, about ``bits / 8 + 9`` bytes a value against
+    about 285 for an ``mpf``; :func:`unpack_mpfs` gives the values back."""
+    width = bits // 8 + 1
+    raws = [v._mpf_ for v in values]
+    buf = b"".join([(-man if sign else man).to_bytes(width, "little", signed=True)
+                    for sign, man, _, _ in raws])
+    return buf, array("q", [exp for _, _, exp, _ in raws])
+
+
+def unpack_mpfs(buf: bytes, exps: array, bits: int) -> tuple[mp.mpf, ...]:
+    """The values :func:`pack_mpfs` packed at ``bits``, in their order,
+    each with the ``_mpf_`` it had."""
+    width = bits // 8 + 1
+    view = memoryview(buf)
+    mans = [int.from_bytes(view[i:i + width], "little", signed=True)
+            for i in range(0, len(buf), width)]
+    # zero comes back as (0, 0, 0, 0), which is fzero
+    return tuple([_make_mpf((1, -man, exp, man.bit_length()) if man < 0
+                            else (0, man, exp, man.bit_length()))
+                  for man, exp in zip(mans, exps)])
 
 
 def weighted_sum(terms: Iterable[tuple[int, tuple[int, int]]], bits: int) -> mp.mpf:

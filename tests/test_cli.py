@@ -463,6 +463,11 @@ class TestVerifyCommand:
         validate(obj, "verify_report")
         assert obj["passed"] is True
 
+    def test_nonpositive_n_max_refused(self):
+        with pytest.raises(ValueError) as err:
+            run_verification(0, 192)
+        assert str(err.value) == "n_max must be positive"
+
     def test_prec_floor(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n-max", "4", "--prec", "64")
         assert code == 1
@@ -596,6 +601,18 @@ class TestParser:
         out = capsys.readouterr()
         assert out.out == ""
         assert "unrecognized arguments" in out.err
+
+    @pytest.mark.parametrize("flag,message", [
+        ("--n-max", "argument --n-max: must be nonnegative"),
+        ("--guard", "argument --guard: guard must be 'auto' or nonnegative"),
+    ])
+    def test_negative_flag_exits_1(self, capsys, flag, message):
+        with pytest.raises(SystemExit) as err:
+            main(["li", flag, "-1"])
+        assert err.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines()[-1] == f"zetali li: error: {message}"
 
     def test_bins_with_raw_exits_1(self, capsys):
         # raw terms are not binned, so --bins would do nothing there

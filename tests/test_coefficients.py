@@ -224,6 +224,11 @@ class TestSymbolicEta:
             keys = list(expand_eta_symbolic(n).terms)
             assert keys == sorted(keys)
 
+    def test_nonpositive_index_refused(self):
+        with pytest.raises(ValueError) as err:
+            expand_eta_symbolic(0)
+        assert str(err.value) == "n must be positive"
+
     def test_json_shape(self):
         obj = expand_eta_symbolic(2).to_json_obj()
         assert obj == {

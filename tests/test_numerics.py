@@ -23,7 +23,15 @@ from zetali import (
     to_decimal,
 )
 from zetali.cli import main
-from zetali.numerics import raw_to_mpf, rounded_product, to_raw, weighted_sum
+from zetali.numerics import (
+    pack_mpfs,
+    packed_size,
+    raw_to_mpf,
+    rounded_product,
+    to_raw,
+    unpack_mpfs,
+    weighted_sum,
+)
 from helpers import eval_series
 
 CTX = PrecisionContext(128, 64)
@@ -63,6 +71,11 @@ class TestDecimalSerialization:
         assert decimal_digits(192) == 58
         assert decimal_digits(53) == 17
         assert decimal_digits(1000) == 302
+
+    def test_nonpositive_bits_refused(self):
+        with pytest.raises(ValueError) as err:
+            decimal_digits(0)
+        assert str(err.value) == "bits must be positive"
 
     def test_grammar(self):
         pat = re.compile(r"^[+-]?[0-9]*(\.[0-9]*)?([eE][+-]?[0-9]+)?$")
@@ -318,6 +331,29 @@ class TestRawToMpf:
         for _ in range(500):
             man = rng.getrandbits(rng.randrange(1, 3 * bits)) << rng.randrange(0, 2 * bits)
             self._check(rng.choice((-1, 1)) * man, rng.randrange(-3 * bits, 3 * bits), bits)
+
+
+class TestPackMpfs:
+    """:func:`pack_mpfs` then :func:`unpack_mpfs` gives back every value,
+    ``_mpf_`` for ``_mpf_`` and in order, in :func:`packed_size` bytes."""
+
+    @pytest.mark.parametrize("bits", [1, 53, 256, 432, 1000])
+    def test_round_trip(self, bits):
+        rng = random.Random(bits)
+        with mp.workprec(bits):
+            values = [mp.mpf(0), mp.mpf(1), -mp.mpf(1), mp.mpf(2) ** -5000,
+                      -mp.mpf(3) ** 700]
+            for _ in range(200):
+                man = rng.getrandbits(rng.randrange(1, bits + 1))
+                values.append(mp.ldexp(rng.choice((-1, 1)) * man, rng.randrange(-4 * bits, 4 * bits)))
+        buf, exps = pack_mpfs(values, bits)
+        assert len(buf) + exps.itemsize * len(exps) == packed_size(len(values), bits)
+        got = unpack_mpfs(buf, exps, bits)
+        assert isinstance(got, tuple) and all(isinstance(v, mp.mpf) for v in got)
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in values]
+
+    def test_empty(self):
+        assert unpack_mpfs(*pack_mpfs([], 64), 64) == ()
 
 
 class TestToRaw:

@@ -36,7 +36,7 @@ from zetali import (
     partition_count,
     term_distribution,
 )
-from zetali import coefficients, li
+from zetali import cli, coefficients, li, numerics
 from zetali.coefficients import _signed_walk, partition_product
 from zetali.numerics import from_decimal, weighted_sum
 from zetali.partitions import _power_rows, _walk_partitions
@@ -460,3 +460,121 @@ class TestIndexSumStore:
         eta_from_gamma_explicit(copy, 3, STORE_CTXS[1])
         bits = STORE_CTXS[0].working_bits
         assert sorted(g._sums) == [("lambda", bits), ("sums", bits)]
+
+
+class TestPackedDistributions:
+    """A gamma table keeps a term distribution it has served twice at one
+    working precision, packed, so later requests skip the walk.  A first
+    request keeps only a marker; a distribution served packed is bit for
+    bit a fresh table's, in the same order; the table keeps at most 2 MiB
+    of packed terms and evicts nothing."""
+
+    @staticmethod
+    def mpfs(dist):
+        return [v._mpf_ for v in dist.term_values]
+
+    @staticmethod
+    def counted_walks(monkeypatch):
+        walks = []
+
+        def counted(values, n, ctx, least=None):
+            walks.append((n, ctx.working_bits))
+            return _signed_walk(values, n, ctx, least)
+
+        monkeypatch.setattr(li, "_signed_walk", counted)
+        return walks
+
+    def test_second_request_packs_third_walks_nothing(self, monkeypatch):
+        walks = self.counted_walks(monkeypatch)
+        g, ctx = synthetic_table("gamma", STORE_N), STORE_CTXS[0]
+        bits = ctx.working_bits
+        first = term_distribution(g, 12, ctx)
+        assert g._sums["distribution", bits] == {12: None}
+        second = term_distribution(g, 12, ctx)
+        buf, exps = g._sums["distribution", bits][12]
+        assert len(exps) == len(first) == 271
+        assert len(buf) + exps.itemsize * len(exps) == coefficients._packed_bytes(g)
+        assert walks == [(12, bits)] * 2
+        for _ in range(3):
+            again = term_distribution(g, 12, ctx)
+            assert again.n == 12 and self.mpfs(again) == self.mpfs(first)
+        assert len(walks) == 2
+        assert self.mpfs(second) == self.mpfs(first)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 16])
+    def test_served_packed_is_fresh(self, n):
+        g, ctx = synthetic_table("gamma", STORE_N), STORE_CTXS[0]
+        for _ in range(3):
+            served = term_distribution(g, n, ctx)
+        assert g._sums["distribution", ctx.working_bits][n] is not None
+        fresh = term_distribution(synthetic_table("gamma", STORE_N), n, ctx)
+        assert served == fresh
+        assert self.mpfs(served) == self.mpfs(fresh)
+
+    def test_two_contexts_keep_separate_entries(self, monkeypatch):
+        fresh = {ctx: self.mpfs(term_distribution(synthetic_table("gamma", STORE_N), 10, ctx))
+                 for ctx in STORE_CTXS}
+        walks = self.counted_walks(monkeypatch)
+        g = synthetic_table("gamma", STORE_N)
+        for ctx in STORE_CTXS * 4:
+            assert self.mpfs(term_distribution(g, 10, ctx)) == fresh[ctx]
+        bits = [ctx.working_bits for ctx in STORE_CTXS]
+        assert walks == [(10, b) for b in bits] * 2
+        assert sorted(g._sums) == sorted(("distribution", b) for b in bits)
+        for b in bits:
+            assert sorted(g._sums["distribution", b]) == [10]
+            assert g._sums["distribution", b][10] is not None
+
+    def test_cap_holds(self, monkeypatch):
+        assert coefficients._PACKED_CAP == 2 * 1024 * 1024
+        g = synthetic_table("gamma", STORE_N)
+        big, ctx = PrecisionContext(1936, 64), STORE_CTXS[0]
+        big_size = numerics.packed_size(7337, big.working_bits)
+        for _ in range(2):
+            term_distribution(g, 24, big)
+        assert coefficients._packed_bytes(g) == big_size
+        # 23 would pass the cap: served, walked each time, never kept
+        assert big_size + numerics.packed_size(5762, ctx.working_bits) > coefficients._PACKED_CAP
+        walks = self.counted_walks(monkeypatch)
+        served = [term_distribution(g, 23, ctx) for _ in range(3)]
+        assert len(walks) == 3
+        assert g._sums["distribution", ctx.working_bits] == {23: None}
+        fresh = term_distribution(synthetic_table("gamma", STORE_N), 23, ctx)
+        assert all(self.mpfs(d) == self.mpfs(fresh) for d in served)
+        # a smaller one still fits, and is kept
+        for _ in range(2):
+            term_distribution(g, 20, ctx)
+        total = big_size + numerics.packed_size(2713, ctx.working_bits)
+        assert coefficients._packed_bytes(g) == total <= coefficients._PACKED_CAP
+        assert g._sums["distribution", ctx.working_bits][20] is not None
+
+    def test_cli_histogram_packs_nothing(self, monkeypatch, capsys):
+        tables, packs = [], []
+        kept_terms = li._kept_terms
+
+        def seen(table, *args):
+            tables.append(table)
+            return kept_terms(table, *args)
+
+        monkeypatch.setattr(li, "_kept_terms", seen)
+        monkeypatch.setattr(coefficients, "pack_mpfs",
+                            lambda *args: packs.append(args))
+        assert cli.main(["histogram", "--n", "12", "--raw"]) == 0
+        capsys.readouterr()
+        assert len(tables) == 1 and not packs
+        assert [kept for (route, _), kept in tables[0]._sums.items()
+                if route == "distribution"] == [{12: None}]
+        assert coefficients._packed_bytes(tables[0]) == 0
+
+    def test_store_out_of_sight(self):
+        g, other = synthetic_table("gamma", STORE_N), synthetic_table("gamma", STORE_N)
+        shown = repr(g), hash(g)
+        for _ in range(2):
+            term_distribution(g, 8, STORE_CTXS[0])
+        assert coefficients._packed_bytes(g) > 0
+        assert (repr(g), hash(g)) == shown
+        assert g == other and hash(g) == hash(other) and repr(g) == repr(other)
+        copy = dataclasses.replace(g)
+        assert copy == g and not copy._sums
+        term_distribution(copy, 8, STORE_CTXS[0])
+        assert copy._sums == {("distribution", STORE_CTXS[0].working_bits): {8: None}}

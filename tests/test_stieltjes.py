@@ -226,6 +226,16 @@ class TestEulerMaclaurinParameters:
         ctx = PrecisionContext(target, guard)
         assert euler_maclaurin_parameters(n_max, ctx, cutoff=cutoff) == expected
 
+    def test_first_cutoff_reaches_the_bound(self):
+        # the adaptive cutoff max(16, 2 n, 0.35 (target + 8)) meets the
+        # bound at once, and pinning that cutoff gives the same (M, J)
+        for target in (1, 8, 53, 64, 113, 192, 256, 400, 700, 1000):
+            for n_max in (0, 1, 3, 10, 30, 60):
+                ctx = PrecisionContext(target, 0)
+                m_cut, tail = euler_maclaurin_parameters(n_max, ctx)
+                assert m_cut == max(16, 2 * n_max, 35 * (target + 8) // 100)
+                assert euler_maclaurin_parameters(n_max, ctx, cutoff=m_cut) == (m_cut, tail)
+
     def test_pinned_cutoff_unreachable(self):
         with pytest.raises(PrecisionInfeasibleError):
             euler_maclaurin_parameters(40, PrecisionContext(192, 64), cutoff=16)
@@ -366,6 +376,31 @@ class TestTableFiles:
                         "n,value\n0,0.5\n1,nan\n")
         with pytest.raises(TableFormatError, match="non-finite"):
             load_table(path)
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("bad.json", "{not json",
+         "not valid JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        ("bad.csv", "# convention=paper\n# precision_bits=64\nn,value\n0 0.5\n",
+         "bad row '0 0.5'"),
+        ("bad.csv", "# convention=paper\n# precision_bits=64\n",
+         "no 'n,value' header found"),
+        ("bad.csv", "# convention=paper\n# precision_bits=64\nn,value\nzero,0.5\n",
+         "bad index 'zero'"),
+        ("bad.json", json.dumps({"convention": "paper", "precision_bits": 0,
+                                 "n_max": 0, "values": ["1"]}),
+         "precision_bits/n_max out of range"),
+        ("bad.json", json.dumps({"convention": "paper", "precision_bits": 64,
+                                 "n_max": -1, "values": []}),
+         "precision_bits/n_max out of range"),
+    ], ids=["invalid-json", "csv-row-without-comma", "csv-without-header",
+            "csv-index-not-integer", "precision-bits-0", "n-max-negative"])
+    def test_refusal_message(self, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(TableFormatError) as err:
+            load_table(path)
+        assert str(err.value) == message
 
     def test_literature_table_ingestion(self, gamma40, classic_stieltjes, tmp_path):
         # classic-normalization values from an independent source
