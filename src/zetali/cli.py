@@ -40,14 +40,13 @@ from pathlib import Path
 import mpmath as mp
 
 from .coefficients import (
-    _index_sums,
     eta_contour,
-    eta_from_gamma_explicit,
+    eta_explicit_table,
     eta_from_gamma_recurrence,
     eta_series_oracle,
     expand_eta_symbolic,
     expand_gamma_symbolic,
-    gamma_from_eta_explicit,
+    gamma_explicit_table,
 )
 from .errors import PrecisionInfeasibleError
 from .li import (
@@ -55,7 +54,7 @@ from .li import (
     histogram,
     lambda_context,
     lambda_tilde_binomial,
-    lambda_tilde_explicit,
+    lambda_tilde_explicit_table,
     lambda_trend,
     term_distribution,
 )
@@ -174,30 +173,19 @@ def _cmd_eta(args) -> int:
     if args.method == "contour":
         table = eta_contour(args.n_max, ctx)
     else:
-        gamma = _gamma_source(args, args.n_max, ctx)
-        if args.method == "recurrence":
-            table = eta_from_gamma_recurrence(gamma, args.n_max, ctx)
-        elif args.method == "series":
-            table = eta_series_oracle(gamma, args.n_max, ctx)
-        else:
-            # one walk forms every index's exact sum; the loop rounds them
-            _index_sums(gamma, args.n_max + 1, ctx, least=1)
-            values = tuple(eta_from_gamma_explicit(gamma, n + 1, ctx)
-                           for n in range(args.n_max + 1))
-            table = CoefficientTable("eta", "explicit", values,
-                                     min(ctx.working_bits, gamma.precision_bits))
+        route = {"recurrence": eta_from_gamma_recurrence, "series": eta_series_oracle,
+                 "explicit": eta_explicit_table}[args.method]
+        table = route(_gamma_source(args, args.n_max, ctx), args.n_max, ctx)
     return _emit_values(args, {"provenance": table.provenance,
                                "precision_bits": table.precision_bits}, table.values)
 
 
 def _cmd_gamma_invert(args) -> int:
     ctx = _table_context(args)
-    gamma = _gamma_source(args, args.n_max, ctx)
-    eta = eta_from_gamma_recurrence(gamma, args.n_max, ctx)
-    _index_sums(eta, args.n_max + 1, ctx, least=1)
-    values = [gamma_from_eta_explicit(eta, n + 1, ctx) for n in range(args.n_max + 1)]
-    return _emit_values(args, {"convention": "paper", "precision_bits": eta.precision_bits},
-                        values)
+    eta = eta_from_gamma_recurrence(_gamma_source(args, args.n_max, ctx), args.n_max, ctx)
+    gamma = gamma_explicit_table(eta, args.n_max, ctx)
+    return _emit_values(args, {"convention": "paper", "precision_bits": gamma.precision_bits},
+                        gamma.values)
 
 
 def _cmd_li(args) -> int:
@@ -207,13 +195,11 @@ def _cmd_li(args) -> int:
     if args.method == "binomial" and n_max > 0:
         # the eta table for the top index serves every smaller index
         eta = eta_from_gamma_recurrence(gamma, n_max - 1, ctx)
-        route, table = lambda_tilde_binomial, eta
+        values = [lambda_tilde_binomial(eta, n, ctx) for n in range(1, n_max + 1)]
     else:
-        route, table = lambda_tilde_explicit, gamma
-        _index_sums(gamma, n_max, ctx, least=1)
+        values = lambda_tilde_explicit_table(gamma, n_max, ctx)
     records = []
-    for n in range(1, n_max + 1):
-        osc = route(table, n, ctx)
+    for n, osc in enumerate(values, 1):
         row = {"n": n, "lambda_tilde": to_decimal(osc, args.prec)}
         if args.with_trend:
             # the estimate is the exact sum; it rounds only when printed

@@ -20,16 +20,14 @@ ways plus the inverse map:
 * ``gamma_from_eta_explicit`` — the inverse partition sum
   gamma_{n-1} = sum_{r(k)=n} prod_i (1/k_i!) (-eta_i/(1+i))^{k_i}.
 
-The two partition sums, and ``li.lambda_tilde_explicit``, read the exact
-(unrounded) sum of each index from ``_index_sums``, which keeps the sums
-it has formed on the input table per working precision and walks only
-indices not yet kept; a command that asks for every index up to N fills
-them in one walk.  Exact sums do not depend on their order, so a kept
-sum gives the value a fresh walk would, bit for bit.  ``_kept`` keeps
-each route's rounded value there too, so a repeated request is a lookup,
-and ``_kept_terms`` keeps the term distribution of ``li.term_distribution``
-packed from its second request on, up to 2 MiB a table; the store's keys
-are written in this module only.
+``eta_explicit_table``, ``gamma_explicit_table`` and
+``li.lambda_tilde_explicit_table`` give every index up to N: one walk
+forms the exact sum of each (``_index_sums``, which keeps nothing), and
+each is rounded as its per-index route rounds it, bit for bit.  A table
+keeps two things, under keys written in this module only: ``_kept``
+keeps each per-index route's rounded value per working precision, so a
+repeated request is a lookup, and ``_kept_terms`` keeps each term
+distribution of ``li.term_distribution`` packed, up to 2 MiB a table.
 
 ``expand_eta_symbolic`` / ``expand_gamma_symbolic`` evaluate the two
 partition sums with symbolic inputs, giving exact rational coefficients
@@ -78,6 +76,8 @@ __all__ = [
     "eta_from_gamma_recurrence",
     "eta_from_gamma_explicit",
     "gamma_from_eta_explicit",
+    "eta_explicit_table",
+    "gamma_explicit_table",
     "eta_series_oracle",
     "eta_contour",
     "expand_eta_symbolic",
@@ -140,7 +140,7 @@ def _index_sums(table: CoefficientTable, n: int, ctx: PrecisionContext,
                 least: int | None = None) -> list[tuple[int, int]]:
     """The exact partition sums E_r for every r in ``[least, n]``
     (``least`` defaults to n), as raw ``(man, exp)`` pairs, of the sum
-    that ``table`` feeds:
+    that ``table`` feeds, all from one walk:
 
     * over a gamma table, eta_{r-1} is E_r rounded,
       E_r = sum_{r(k)=r} r (p-1)! prod_i (-gamma_i)^(k_i) / k_i!;
@@ -149,35 +149,27 @@ def _index_sums(table: CoefficientTable, n: int, ctx: PrecisionContext,
 
     Each product is rounded at working precision by :func:`_signed_walk`
     and the integer-weighted products are added exactly, so E_r does not
-    depend on the order of the terms or on which walk formed them.  The
-    sums are kept in the table's store under ("sums", working bits), and
-    only a request with an index not yet there walks: one walk over
-    every r from the smallest missing index up to n.
+    depend on the order of the terms or on which walk formed them.
     """
     least = n if least is None else least
-    sums = table._sums.setdefault(("sums", ctx.working_bits), {})
-    missing = next((r for r in range(least, n + 1) if r not in sums), None)
-    if missing is not None:
-        if table.kind == "gamma":
-            values = table.values
-            weights = [[r * modified_gamma(p) for p in range(r + 1)] for r in range(n + 1)]
+    if table.kind == "gamma":
+        values = table.values
+        weights = [[r * modified_gamma(p) for p in range(r + 1)] for r in range(n + 1)]
+    else:
+        with ctx.workprec():
+            values = [table.values[i] / (1 + i) for i in range(n)]
+        weights = [[1] * (r + 1) for r in range(n + 1)]
+    # the exact sum of index r so far is acc[r] * 2^at[r], as in
+    # weighted_sum, whose rounding of it is raw_to_mpf's
+    acc = [0] * (n + 1)
+    at = [0] * (n + 1)
+    for r, p, (man, exp) in _signed_walk(values, n, ctx, least):
+        if exp < at[r]:
+            acc[r] = (acc[r] << (at[r] - exp)) + weights[r][p] * man
+            at[r] = exp
         else:
-            with ctx.workprec():
-                values = [table.values[i] / (1 + i) for i in range(n)]
-            weights = [[1] * (r + 1) for r in range(n + 1)]
-        # the exact sum of index r so far is acc[r] * 2^at[r], as in
-        # weighted_sum, whose rounding of it is raw_to_mpf's
-        acc = [0] * (n + 1)
-        at = [0] * (n + 1)
-        for r, p, (man, exp) in _signed_walk(values, n, ctx, missing):
-            if exp < at[r]:
-                acc[r] = (acc[r] << (at[r] - exp)) + weights[r][p] * man
-                at[r] = exp
-            else:
-                acc[r] += (weights[r][p] * man) << (exp - at[r])
-        for r in range(missing, n + 1):
-            sums[r] = acc[r], at[r]
-    return [sums[r] for r in range(least, n + 1)]
+            acc[r] += (weights[r][p] * man) << (exp - at[r])
+    return list(zip(acc[least:], at[least:]))
 
 
 def _kept(table: CoefficientTable, route: str, n: int, ctx: PrecisionContext,
@@ -186,11 +178,9 @@ def _kept(table: CoefficientTable, route: str, n: int, ctx: PrecisionContext,
     n, ctx, least)`` at working precision ``bits``: the value of
     ``route`` (``"eta"``, ``"gamma"`` or ``"lambda"``) at index n, kept
     in the table's store under (route, working bits), so a repeated
-    request neither reads the sums nor rounds them again."""
+    request neither walks nor rounds again."""
     bits = ctx.working_bits
-    kept = table._sums.get((route, bits))
-    if kept is None:
-        kept = table._sums[route, bits] = {}
+    kept = table._sums.setdefault((route, bits), {})
     value = kept.get(n)
     if value is None:
         value = kept[n] = rounding(n, _index_sums(table, n, ctx, least), bits)
@@ -205,24 +195,18 @@ def _kept_terms(table: CoefficientTable, n: int, ctx: PrecisionContext,
                 walk) -> tuple[mp.mpf, ...]:
     """``walk()``, the ``mpf`` terms of index n at ``ctx``'s working
     precision, kept packed (:func:`~zetali.numerics.pack_mpfs`) in the
-    table's store under ("distribution", working bits) from the second
-    request on.  The first request leaves only a marker, so a one-shot
-    caller keeps nothing; the second walks and packs; every later one
-    unpacks, and gets what ``walk()`` returns, ``_mpf_`` for ``_mpf_``,
-    in its order.  A table keeps at most 2 MiB of packed terms: a
-    distribution that would pass that is not kept, and nothing is
-    evicted."""
+    table's store under ("distribution", working bits).  The first
+    request walks and packs; every later one unpacks, and gets what
+    ``walk()`` returns, ``_mpf_`` for ``_mpf_``, in its order.  A table
+    keeps at most 2 MiB of packed terms: a distribution that would pass
+    that is not kept, and nothing is evicted."""
     bits = ctx.working_bits
-    kept = table._sums.get(("distribution", bits))
-    if kept is None:
-        kept = table._sums["distribution", bits] = {}
+    kept = table._sums.setdefault(("distribution", bits), {})
     packed = kept.get(n)
     if packed is not None:
         return unpack_mpfs(*packed, bits)
     terms = walk()
-    if n not in kept:
-        kept[n] = None
-    elif _packed_bytes(table) + packed_size(len(terms), bits) <= _PACKED_CAP:
+    if _packed_bytes(table) + packed_size(len(terms), bits) <= _PACKED_CAP:
         kept[n] = pack_mpfs(terms, bits)
     return terms
 
@@ -231,13 +215,12 @@ def _packed_bytes(table: CoefficientTable) -> int:
     """The bytes of the term distributions ``table`` keeps packed."""
     return sum(packed_size(len(exps), bits)
                for (route, bits), kept in table._sums.items() if route == "distribution"
-               for _, exps in filter(None, kept.values()))
+               for _, exps in kept.values())
 
 
 def _round_one(n: int, sums: list[tuple[int, int]], bits: int) -> mp.mpf:
     """The one exact sum of ``sums`` rounded to ``bits``."""
-    (man, exp), = sums
-    return raw_to_mpf(man, exp, bits)
+    return raw_to_mpf(*sums[0], bits)
 
 
 def eta_from_gamma_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) -> mp.mpf:
@@ -247,9 +230,9 @@ def eta_from_gamma_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) 
 
     Each product is rounded at working precision; the integer weights
     n (p-1)! are applied and summed exactly, and the total is rounded
-    once.  The exact sum is kept on ``g`` (:func:`_index_sums`), and so
-    is the rounded eta_{n-1} (:func:`_kept`): a repeated request at the
-    same working precision walks nothing and is a lookup.
+    once.  The rounded eta_{n-1} is kept on ``g`` (:func:`_kept`): a
+    repeated request at the same working precision walks nothing and is
+    a lookup.  :func:`eta_explicit_table` gives every index at once.
     """
     _require(g, "gamma", n - 1)
     return _kept(g, "eta", n, ctx, _round_one)
@@ -260,12 +243,35 @@ def gamma_from_eta_explicit(e: CoefficientTable, n: int, ctx: PrecisionContext) 
 
         gamma_{n-1} = sum_{r(k)=n} prod_i (1/k_i!) (-eta_i / (1+i))^(k_i)
 
-    with the products summed exactly and rounded once; the exact sum and
-    the rounded gamma_{n-1} are kept on ``e``, as in
-    :func:`eta_from_gamma_explicit`.
+    with the products summed exactly and rounded once; the rounded
+    gamma_{n-1} is kept on ``e``, as in :func:`eta_from_gamma_explicit`.
+    :func:`gamma_explicit_table` gives every index at once.
     """
     _require(e, "eta", n - 1)
     return _kept(e, "gamma", n, ctx, _round_one)
+
+
+def eta_explicit_table(g: CoefficientTable, n_max: int,
+                       ctx: PrecisionContext) -> CoefficientTable:
+    """eta_0 .. eta_n_max by the closed partition sum, each the value
+    :func:`eta_from_gamma_explicit` gives, bit for bit, from one walk
+    over every index; the table claims no more bits than g carries."""
+    _require(g, "gamma", n_max)
+    bits = ctx.working_bits
+    values = [raw_to_mpf(man, exp, bits) for man, exp in _index_sums(g, n_max + 1, ctx, 1)]
+    return CoefficientTable("eta", "explicit", values, min(bits, g.precision_bits))
+
+
+def gamma_explicit_table(e: CoefficientTable, n_max: int,
+                         ctx: PrecisionContext) -> CoefficientTable:
+    """gamma_0 .. gamma_n_max by the inverse partition sum, each the
+    value :func:`gamma_from_eta_explicit` gives, bit for bit, from one
+    walk over every index; the table claims no more bits than e
+    carries."""
+    _require(e, "eta", n_max)
+    bits = ctx.working_bits
+    values = [raw_to_mpf(man, exp, bits) for man, exp in _index_sums(e, n_max + 1, ctx, 1)]
+    return CoefficientTable("gamma", "explicit", values, min(bits, e.precision_bits))
 
 
 def eta_series_oracle(g: CoefficientTable, n_max: int,

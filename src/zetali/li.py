@@ -4,10 +4,16 @@ The quantity of interest is the binomial transform
 
     lambda_tilde_n = - sum_{j=1}^{n} C(n, j) * eta_{j-1}
 
-— the oscillation that remains after subtracting the smooth trend
-(1 + n log n)/2 + c n, with c = (gamma_0 - 1 - log(2 pi)) / 2, from the
-Li sequence.  Whether this oscillation stays bounded by the trend is a
-famous open problem; this module only computes it, two independent ways:
+— the oscillation lambda_n - lambda_bar_n left after subtracting from
+the Li sequence its exact smooth part
+
+    lambda_bar_n = 1 - (n/2)(gamma_0 + log pi + 2 log 2)
+                   + sum_{j=2}^{n} (-1)^j C(n, j) (1 - 2^-j) zeta(j),
+
+whose asymptotic form is the trend (1 + n log n)/2 + c n, c = (gamma_0
+- 1 - log(2 pi)) / 2; the two differ by a constant tending to 1/4.
+Whether the oscillation stays small against the smooth part is a famous
+open problem; this module only computes it, two independent ways:
 
 * ``lambda_tilde_binomial`` — the transform above with exact integer
   binomials, summed exactly and rounded once.  The weights amplify the
@@ -23,21 +29,19 @@ famous open problem; this module only computes it, two independent ways:
   (vectors with r > n would carry a zero binomial factor, so the
   enumeration simply stops at r = n).  This is the binomial transform
   above with each eta_{r-1} left as its exact partition sum E_r:
-  lambda_tilde_n = - sum_{r<=n} C(n, r) E_r, rounded once.  The E_r are
-  those of ``coefficients.eta_from_gamma_explicit``, kept on the gamma
-  table per working precision, so one walk forms only those not yet
-  kept, every missing r <= n at once.  The rounded lambda_tilde_n is
-  kept there too, so a repeated request is a lookup.
+  lambda_tilde_n = - sum_{r<=n} C(n, r) E_r, rounded once, with the E_r
+  of ``coefficients.eta_from_gamma_explicit`` formed in one walk.  A
+  repeated request is a lookup in the gamma table's store, and
+  ``lambda_tilde_explicit_table`` walks once for every index up to N.
 
 ``term_distribution`` exposes the individual partition-sum terms — one
 value per vector, sum_{m<=n} p(m) of them — whose near-symmetric pileup
 around zero is what makes the oscillation so much smaller than its
 largest terms; ``histogram`` bins them for plotting, placing each value
 by exact integer comparison with the bin bounds it returns.  A gamma
-table that serves one (n, working precision) distribution a second time
-keeps it packed, at about a fifth of the memory of its ``mpf`` terms
-and at most 2 MiB a table, so every later request skips the walk; a
-first request keeps only a marker.
+table keeps each (n, working precision) distribution it serves packed,
+at about a fifth of the memory of its ``mpf`` terms and at most 2 MiB a
+table, so every later request skips the walk.
 
 The trend takes gamma_0 from the caller, who already holds the gamma
 table, so no second table is built for it.
@@ -55,6 +59,7 @@ import mpmath as mp
 from .coefficients import (
     SymbolicExpansion,
     _expand,
+    _index_sums,
     _kept,
     _kept_terms,
     _signed_walk,
@@ -69,6 +74,7 @@ __all__ = [
     "lambda_context",
     "lambda_tilde_binomial",
     "lambda_tilde_explicit",
+    "lambda_tilde_explicit_table",
     "expand_lambda_symbolic",
     "trend_constant",
     "lambda_trend",
@@ -131,16 +137,24 @@ def lambda_tilde_explicit(g: CoefficientTable, n: int, ctx: PrecisionContext) ->
 
     The binomial transform of the explicit eta left unrounded:
     lambda_tilde_n = - sum_{r=1}^{n} C(n, r) E_r, where eta_{r-1} is the
-    exact partition sum E_r rounded.  The E_r are kept on ``g``
-    (:func:`~zetali.coefficients._index_sums`), so only indices not yet
-    summed there at this working precision are walked, all in one walk;
-    the binomials are applied exactly and the total is rounded once.
-    The rounded result is kept on ``g`` too
-    (:func:`~zetali.coefficients._kept`), so a repeated request returns
-    it without the transform.
+    exact partition sum E_r rounded.  One walk forms E_1 .. E_n; the
+    binomials are applied exactly and the total is rounded once.  The
+    result is kept on ``g`` (:func:`~zetali.coefficients._kept`), so a
+    repeated request at the same working precision is a lookup.
     """
     _require(g, "gamma", n - 1)
     return _kept(g, "lambda", n, ctx, _negated_transform, least=1)
+
+
+def lambda_tilde_explicit_table(g: CoefficientTable, n_max: int,
+                                ctx: PrecisionContext) -> tuple[mp.mpf, ...]:
+    """lambda_tilde_1 .. lambda_tilde_n_max, each the value
+    :func:`lambda_tilde_explicit` gives, bit for bit, from one walk that
+    forms every E_r, r <= n_max, once."""
+    _require(g, "gamma", max(0, n_max - 1))
+    sums = _index_sums(g, n_max, ctx, least=1)
+    return tuple(_negated_transform(n, sums[:n], ctx.working_bits)
+                 for n in range(1, n_max + 1))
 
 
 def _negated_transform(n: int, sums: list[tuple[int, int]], bits: int) -> mp.mpf:
@@ -161,12 +175,11 @@ def term_distribution(g: CoefficientTable, n: int,
     rounding.
 
     The first request for a (table, n, working precision) walks and
-    keeps nothing but a marker on ``g``; the second walks and keeps the
-    terms packed there, at about bits / 8 + 9 bytes a term, and every
-    later one rebuilds them from the packed form without a walk, bit
-    for bit (:func:`~zetali.coefficients._kept_terms`).  A table keeps
-    at most 2 MiB of packed terms; once a distribution would pass that,
-    it is walked on every request.
+    keeps the terms packed on ``g``, at about bits / 8 + 9 bytes a term;
+    every later one rebuilds them from that form without a walk, bit for
+    bit (:func:`~zetali.coefficients._kept_terms`).  A table keeps at
+    most 2 MiB of packed terms; once a distribution would pass that, it
+    is walked on every request.
     """
     _require(g, "gamma", n - 1)
 

@@ -96,17 +96,15 @@ class CoefficientTable:
     ``precision_bits`` the precision they carry: the working precision
     of the build, or less when its input carried less.
 
-    A table also keeps what the three explicit routes have formed from
-    it, per working precision: the exact per-index partition sums, as
-    ``(man, exp)`` pairs, so a request walks only indices not yet summed,
-    and the rounded result of each route (eta, gamma and
-    lambda_tilde_n), so a repeated request is a lookup.  A gamma table
-    keeps each term distribution it has served twice at one working
-    precision, packed (a marker after the first request), up to 2 MiB of
-    packed terms in all; past that it keeps no more.  Its keys are
-    written in :mod:`zetali.coefficients` only.  That store is not
-    compared, hashed or shown, and lives exactly as long as the table:
-    ``dataclasses.replace`` starts an empty one.
+    A table keeps two things, per working precision: the rounded value
+    each per-index explicit route (eta, gamma and lambda_tilde_n) has
+    formed from it, so a repeated request is a lookup, and, on a gamma
+    table, each term distribution it has served, packed, up to 2 MiB of
+    packed terms in all; past that it keeps no more.  The batch routes
+    keep nothing.  The keys are written in :mod:`zetali.coefficients`
+    only.  That store is not compared, hashed or shown, and lives
+    exactly as long as the table: ``dataclasses.replace`` starts an
+    empty one.
     """
 
     kind: str

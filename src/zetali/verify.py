@@ -24,20 +24,19 @@ from fractions import Fraction
 import mpmath as mp
 
 from .coefficients import (
-    _index_sums,
-    eta_from_gamma_explicit,
+    eta_explicit_table,
     eta_from_gamma_recurrence,
     eta_series_oracle,
     expand_eta_symbolic,
     expand_gamma_symbolic,
-    gamma_from_eta_explicit,
+    gamma_explicit_table,
 )
 from .li import (
     expand_lambda_symbolic,
     histogram,
     lambda_context,
     lambda_tilde_binomial,
-    lambda_tilde_explicit,
+    lambda_tilde_explicit_table,
     term_distribution,
 )
 from .numerics import PrecisionContext, to_decimal
@@ -129,18 +128,14 @@ def run_verification(n_max: int, target_bits: int) -> list[dict]:
     gam = compute_gamma_table(n_max, ctx)
     eta = eta_from_gamma_recurrence(gam, n_max, ctx)
     tol = mp.mpf(2) ** -128
-    # each explicit row fills its table's sums in one walk, as the CLI does
-    _index_sums(gam, n_max + 1, ctx, least=1)
-    worst = _worst(ctx, ((eta.values[n], eta_from_gamma_explicit(gam, n + 1, ctx))
-                         for n in range(n_max + 1)))
+    # each explicit row walks its table once, as the CLI does
+    worst = _worst(ctx, zip(eta.values, eta_explicit_table(gam, n_max, ctx).values))
     checks.append(_result("eta_explicit_vs_recurrence", f"n<={n_max}", worst, tol))
     worst = _worst(ctx, zip(eta.values, eta_series_oracle(gam, n_max, ctx).values))
     checks.append(_result("eta_series_vs_recurrence", f"n<={n_max}", worst, tol))
 
     # -- gamma -> eta -> gamma round trip --------------------------------
-    _index_sums(eta, n_max + 1, ctx, least=1)
-    worst = _worst(ctx, ((gam.values[n], gamma_from_eta_explicit(eta, n + 1, ctx))
-                         for n in range(n_max + 1)))
+    worst = _worst(ctx, zip(gam.values, gamma_explicit_table(eta, n_max, ctx).values))
     checks.append(_result("gamma_eta_roundtrip", f"n<={n_max}",
                           worst, mp.mpf(2) ** -100))
 
@@ -150,9 +145,8 @@ def run_verification(n_max: int, target_bits: int) -> list[dict]:
     eta_big = eta_from_gamma_recurrence(gam_big, n_max - 1, ctx_big)
     # each binomial value serves this check and the distribution sums
     lam = {n: lambda_tilde_binomial(eta_big, n, ctx_big) for n in range(1, n_max + 1)}
-    _index_sums(gam_big, n_max, ctx_big, least=1)
-    worst = _worst(ctx_big, ((lam[n], lambda_tilde_explicit(gam_big, n, ctx_big))
-                             for n in lam))
+    worst = _worst(ctx_big, zip(lam.values(),
+                                lambda_tilde_explicit_table(gam_big, n_max, ctx_big)))
     checks.append(_result("lambda_binomial_vs_explicit", f"n<={n_max}",
                           worst, mp.mpf(2) ** -80))
 

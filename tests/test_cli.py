@@ -491,8 +491,8 @@ class TestVerifyCommand:
 
     def test_oscillation_rows_share_one_context(self, monkeypatch):
         # all four oscillation routes run at li's context for n_max, so
-        # the explicit lambda row walks each index once through the kept
-        # sums; the eta rows walk at 192 bits, apart from it
+        # the explicit lambda batch walks each index once; the eta rows
+        # walk at 192 bits, apart from it
         contexts = set()
         walked = {}
 
@@ -502,7 +502,7 @@ class TestVerifyCommand:
                 return route(*args)
             return wrapped
 
-        for name in ("lambda_tilde_binomial", "lambda_tilde_explicit",
+        for name in ("lambda_tilde_binomial", "lambda_tilde_explicit_table",
                      "term_distribution", "histogram"):
             monkeypatch.setattr(zetali.verify, name,
                                 recording(getattr(zetali.verify, name)))

@@ -113,3 +113,18 @@ def test_every_private_top_level_name_is_used():
                           if isinstance(node, ast.ImportFrom) for alias in node.names}
                          for tree in TREES.values()))
     assert sorted(f"{module}.{name}" for module, name in private if name not in used) == []
+
+
+@pytest.mark.parametrize("module", ["cli", "verify"])
+def test_front_ends_reach_nothing_private_of_the_sums(module):
+    # the batch routes serve every multi-index command, so the command
+    # line and the verification suite need no private helper of the
+    # modules that hold the partition sums, imported or read off them
+    tree, sums_modules = TREES[module], {"coefficients", "li"}
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module in sums_modules
+                for alias in node.names if alias.name.startswith("_")]
+    read = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in sums_modules
+            and node.attr.startswith("_")]
+    assert imported + read == []

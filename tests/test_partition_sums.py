@@ -27,11 +27,14 @@ from zetali import (
     PrecisionContext,
     compute_gamma_table,
     enumerate_constrained,
+    eta_explicit_table,
     eta_from_gamma_explicit,
+    gamma_explicit_table,
     gamma_from_eta_explicit,
     histogram,
     lambda_context,
     lambda_tilde_explicit,
+    lambda_tilde_explicit_table,
     modified_gamma,
     partition_count,
     term_distribution,
@@ -305,11 +308,12 @@ STORE_ROUTES = {
 
 
 class TestIndexSumStore:
-    """The explicit routes keep their exact per-index sums on the table
-    they read, keyed by route and working precision.  Whatever requests
-    came before, on whatever table and at whatever context, each value
-    must be bit for bit the plain reference's, and the store must not
-    show in the table's equality, hash or repr."""
+    """The per-index explicit routes keep their rounded values on the
+    table they read, keyed by route and working precision, and keep no
+    exact sums there.  Whatever requests came before, on whatever table
+    and at whatever context, each value must be bit for bit the plain
+    reference's, and the store must not show in the table's equality,
+    hash or repr."""
 
     @pytest.fixture(scope="class")
     def references(self):
@@ -350,12 +354,11 @@ class TestIndexSumStore:
             for ctx in STORE_CTXS[::1 if i % 2 else -1]:
                 for route in STORE_ROUTES:
                     self.check(references, tables, route, n, ctx)
-        # the exact sums, and each route's rounded values, per precision
+        # each route's rounded values, per precision, and no exact sums
         bits = sorted(ctx.working_bits for ctx in STORE_CTXS)
         assert sorted(tables["gamma"]._sums) == [
-            (key, b) for key in ("eta", "lambda", "sums") for b in bits]
-        assert sorted(tables["eta"]._sums) == [
-            (key, b) for key in ("gamma", "sums") for b in bits]
+            (key, b) for key in ("eta", "lambda") for b in bits]
+        assert sorted(tables["eta"]._sums) == [("gamma", b) for b in bits]
 
     @pytest.mark.parametrize("route", list(STORE_ROUTES))
     def test_kept_per_context(self, references, route):
@@ -398,14 +401,21 @@ class TestIndexSumStore:
         assert calls[20:] == ["_index_sums", "raw_to_mpf"]
 
     def test_eta_and_lambda_interleaved(self, references):
-        # lambda_tilde_n reads the eta sums E_1 .. E_n on the same table
+        # eta and lambda_tilde requests on one gamma table, between batch
+        # runs over it: no request changes what another one returns
         tables = self.fresh()
         indices = list(range(1, STORE_N + 1))
         random.Random("interleaved").shuffle(indices)
+        ctx = STORE_CTXS[0]
         for i, n in enumerate(indices):
             pair = ("eta", "lambda") if i % 2 else ("lambda", "eta")
             for route in pair:
-                self.check(references, tables, route, n, STORE_CTXS[0])
+                self.check(references, tables, route, n, ctx)
+            if i % 5 == 0:
+                assert [x._mpf_ for x in lambda_tilde_explicit_table(tables["gamma"], n, ctx)] \
+                    == [references["lambda", ctx, m] for m in range(1, n + 1)]
+                assert [x._mpf_ for x in eta_explicit_table(tables["gamma"], n - 1, ctx)] \
+                    == [references["eta", ctx, m] for m in range(1, n + 1)]
 
     def test_repeated_requests_walk_nothing(self, monkeypatch):
         walks = []
@@ -419,10 +429,12 @@ class TestIndexSumStore:
         eta_from_gamma_explicit(g, 5, ctx)
         lambda_tilde_explicit(g, 8, ctx)
         lambda_tilde_explicit(g, 10, ctx)
-        assert walks == [(5, 5), (8, 1), (10, 9)]
-        for n in range(1, 11):
-            eta_from_gamma_explicit(g, n, ctx)
-            lambda_tilde_explicit(g, n, ctx)
+        # no sums are kept: each new request walks every index it reads
+        assert walks == [(5, 5), (8, 1), (10, 1)]
+        for _ in range(2):
+            eta_from_gamma_explicit(g, 5, ctx)
+            lambda_tilde_explicit(g, 8, ctx)
+            lambda_tilde_explicit(g, 10, ctx)
         assert len(walks) == 3
         # another working precision is another store
         eta_from_gamma_explicit(g, 5, STORE_CTXS[1])
@@ -459,15 +471,82 @@ class TestIndexSumStore:
         assert copy == g and not copy._sums
         eta_from_gamma_explicit(copy, 3, STORE_CTXS[1])
         bits = STORE_CTXS[0].working_bits
-        assert sorted(g._sums) == [("lambda", bits), ("sums", bits)]
+        assert sorted(g._sums) == [("lambda", bits)]
+
+
+BATCH_N = 25
+# route -> (its batch, its per-index function, the kind of table both read)
+BATCHES = {
+    "eta": (eta_explicit_table, eta_from_gamma_explicit, "gamma"),
+    "gamma": (gamma_explicit_table, gamma_from_eta_explicit, "eta"),
+    "lambda": (lambda_tilde_explicit_table, lambda_tilde_explicit, "gamma"),
+}
+
+
+class TestBatches:
+    """Each batch gives every index up to N from one walk, ``_mpf_`` for
+    ``_mpf_`` what its per-index route gives, and keeps nothing on the
+    table it reads; no route keeps exact sums there."""
+
+    @pytest.mark.parametrize("ctx", STORE_CTXS, ids=["192+64", "128+32"])
+    @pytest.mark.parametrize("route", list(BATCHES))
+    def test_equals_per_index_route(self, route, ctx):
+        batch, single, kind = BATCHES[route]
+        table = synthetic_table(kind, BATCH_N + 1)
+        got = batch(table, BATCH_N, ctx)
+        assert not table._sums
+        if route == "lambda":
+            values, indices = got, range(1, BATCH_N + 1)
+        else:
+            assert (got.kind, got.provenance, got.precision_bits) == (
+                route, "explicit", min(ctx.working_bits, table.precision_bits))
+            values, indices = got.values, range(1, BATCH_N + 2)
+        assert [v._mpf_ for v in values] == [single(table, n, ctx)._mpf_ for n in indices]
+
+    @pytest.mark.parametrize("route", list(BATCHES))
+    def test_one_walk(self, monkeypatch, route):
+        walks = []
+
+        def counted(values, n, ctx, least=None):
+            walks.append((n, least))
+            return _signed_walk(values, n, ctx, least)
+
+        monkeypatch.setattr(coefficients, "_signed_walk", counted)
+        batch, _, kind = BATCHES[route]
+        batch(synthetic_table(kind, 13), 12, STORE_CTXS[0])
+        assert walks == [(12 if route == "lambda" else 13, 1)]
+
+    def test_edges(self):
+        g = synthetic_table("gamma", 3)
+        assert lambda_tilde_explicit_table(g, 0, STORE_CTXS[0]) == ()
+        for route, (batch, _, kind) in BATCHES.items():
+            other = synthetic_table("eta" if kind == "gamma" else "gamma", 3)
+            with pytest.raises(ValueError, match="need a table of kind"):
+                batch(other, 2, STORE_CTXS[0])
+            with pytest.raises(ValueError, match="table too short"):
+                batch(synthetic_table(kind, 3), 5, STORE_CTXS[0])
+
+    def test_no_route_keeps_exact_sums(self):
+        g, e = synthetic_table("gamma", 13), synthetic_table("eta", 13)
+        for ctx in STORE_CTXS:
+            for n in (4, 9):
+                eta_from_gamma_explicit(g, n, ctx)
+                gamma_from_eta_explicit(e, n, ctx)
+                lambda_tilde_explicit(g, n, ctx)
+                term_distribution(g, n, ctx)
+            for batch, _, kind in BATCHES.values():
+                batch(g if kind == "gamma" else e, 12, ctx)
+        # rounded values per route, and packed distributions: nothing else
+        assert {route for route, _ in g._sums} == {"eta", "lambda", "distribution"}
+        assert {route for route, _ in e._sums} == {"gamma"}
 
 
 class TestPackedDistributions:
-    """A gamma table keeps a term distribution it has served twice at one
-    working precision, packed, so later requests skip the walk.  A first
-    request keeps only a marker; a distribution served packed is bit for
-    bit a fresh table's, in the same order; the table keeps at most 2 MiB
-    of packed terms and evicts nothing."""
+    """A gamma table keeps each term distribution it serves at one
+    working precision, packed from the first request on, so later
+    requests skip the walk.  A distribution served packed is bit for bit
+    a fresh table's, in the same order; the table keeps at most 2 MiB of
+    packed terms and evicts nothing."""
 
     @staticmethod
     def mpfs(dist):
@@ -484,27 +563,24 @@ class TestPackedDistributions:
         monkeypatch.setattr(li, "_signed_walk", counted)
         return walks
 
-    def test_second_request_packs_third_walks_nothing(self, monkeypatch):
+    def test_first_request_packs_second_walks_nothing(self, monkeypatch):
         walks = self.counted_walks(monkeypatch)
         g, ctx = synthetic_table("gamma", STORE_N), STORE_CTXS[0]
         bits = ctx.working_bits
         first = term_distribution(g, 12, ctx)
-        assert g._sums["distribution", bits] == {12: None}
-        second = term_distribution(g, 12, ctx)
         buf, exps = g._sums["distribution", bits][12]
         assert len(exps) == len(first) == 271
         assert len(buf) + exps.itemsize * len(exps) == coefficients._packed_bytes(g)
-        assert walks == [(12, bits)] * 2
+        assert walks == [(12, bits)]
         for _ in range(3):
             again = term_distribution(g, 12, ctx)
             assert again.n == 12 and self.mpfs(again) == self.mpfs(first)
-        assert len(walks) == 2
-        assert self.mpfs(second) == self.mpfs(first)
+        assert len(walks) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 9, 16])
     def test_served_packed_is_fresh(self, n):
         g, ctx = synthetic_table("gamma", STORE_N), STORE_CTXS[0]
-        for _ in range(3):
+        for _ in range(2):
             served = term_distribution(g, n, ctx)
         assert g._sums["distribution", ctx.working_bits][n] is not None
         fresh = term_distribution(synthetic_table("gamma", STORE_N), n, ctx)
@@ -519,7 +595,7 @@ class TestPackedDistributions:
         for ctx in STORE_CTXS * 4:
             assert self.mpfs(term_distribution(g, 10, ctx)) == fresh[ctx]
         bits = [ctx.working_bits for ctx in STORE_CTXS]
-        assert walks == [(10, b) for b in bits] * 2
+        assert walks == [(10, b) for b in bits]
         assert sorted(g._sums) == sorted(("distribution", b) for b in bits)
         for b in bits:
             assert sorted(g._sums["distribution", b]) == [10]
@@ -530,41 +606,43 @@ class TestPackedDistributions:
         g = synthetic_table("gamma", STORE_N)
         big, ctx = PrecisionContext(1936, 64), STORE_CTXS[0]
         big_size = numerics.packed_size(7337, big.working_bits)
-        for _ in range(2):
-            term_distribution(g, 24, big)
+        term_distribution(g, 24, big)
         assert coefficients._packed_bytes(g) == big_size
         # 23 would pass the cap: served, walked each time, never kept
         assert big_size + numerics.packed_size(5762, ctx.working_bits) > coefficients._PACKED_CAP
         walks = self.counted_walks(monkeypatch)
         served = [term_distribution(g, 23, ctx) for _ in range(3)]
         assert len(walks) == 3
-        assert g._sums["distribution", ctx.working_bits] == {23: None}
+        assert g._sums["distribution", ctx.working_bits] == {}
         fresh = term_distribution(synthetic_table("gamma", STORE_N), 23, ctx)
         assert all(self.mpfs(d) == self.mpfs(fresh) for d in served)
         # a smaller one still fits, and is kept
-        for _ in range(2):
-            term_distribution(g, 20, ctx)
+        term_distribution(g, 20, ctx)
         total = big_size + numerics.packed_size(2713, ctx.working_bits)
         assert coefficients._packed_bytes(g) == total <= coefficients._PACKED_CAP
         assert g._sums["distribution", ctx.working_bits][20] is not None
 
-    def test_cli_histogram_packs_nothing(self, monkeypatch, capsys):
+    def test_cli_histogram_packs_once(self, monkeypatch, capsys):
+        # the one distribution a histogram command serves is packed once
         tables, packs = [], []
-        kept_terms = li._kept_terms
+        kept_terms, pack = li._kept_terms, coefficients.pack_mpfs
 
         def seen(table, *args):
             tables.append(table)
             return kept_terms(table, *args)
 
+        def counted(*args):
+            packs.append(args)
+            return pack(*args)
+
         monkeypatch.setattr(li, "_kept_terms", seen)
-        monkeypatch.setattr(coefficients, "pack_mpfs",
-                            lambda *args: packs.append(args))
+        monkeypatch.setattr(coefficients, "pack_mpfs", counted)
         assert cli.main(["histogram", "--n", "12", "--raw"]) == 0
         capsys.readouterr()
-        assert len(tables) == 1 and not packs
-        assert [kept for (route, _), kept in tables[0]._sums.items()
-                if route == "distribution"] == [{12: None}]
-        assert coefficients._packed_bytes(tables[0]) == 0
+        assert len(tables) == 1 and len(packs) == 1
+        bits = lambda_context(192, 12).working_bits
+        assert sorted(tables[0]._sums) == [("distribution", bits)]
+        assert coefficients._packed_bytes(tables[0]) == numerics.packed_size(271, bits)
 
     def test_store_out_of_sight(self):
         g, other = synthetic_table("gamma", STORE_N), synthetic_table("gamma", STORE_N)
@@ -577,4 +655,5 @@ class TestPackedDistributions:
         copy = dataclasses.replace(g)
         assert copy == g and not copy._sums
         term_distribution(copy, 8, STORE_CTXS[0])
-        assert copy._sums == {("distribution", STORE_CTXS[0].working_bits): {8: None}}
+        assert list(copy._sums) == [("distribution", STORE_CTXS[0].working_bits)]
+        assert list(copy._sums["distribution", STORE_CTXS[0].working_bits]) == [8]
