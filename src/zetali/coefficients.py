@@ -27,7 +27,8 @@ each is rounded as its per-index route rounds it, bit for bit.  A table
 keeps two things, under keys written in this module only: ``_kept``
 keeps each per-index route's rounded value per working precision, so a
 repeated request is a lookup, and ``_kept_terms`` keeps each term
-distribution of ``li.term_distribution`` packed, up to 2 MiB a table.
+distribution of ``li.term_distribution`` in the packed form its walk
+wrote, up to 2 MiB a table.
 
 ``expand_eta_symbolic`` / ``expand_gamma_symbolic`` evaluate the two
 partition sums with symbolic inputs, giving exact rational coefficients
@@ -56,7 +57,6 @@ import mpmath as mp
 from .numerics import (
     PrecisionContext,
     cauchy_coefficients,
-    pack_mpfs,
     packed_size,
     rational_to_str,
     raw_to_mpf,
@@ -193,29 +193,38 @@ _PACKED_CAP = 2 << 20
 
 def _kept_terms(table: CoefficientTable, n: int, ctx: PrecisionContext,
                 walk) -> tuple[mp.mpf, ...]:
-    """``walk()``, the ``mpf`` terms of index n at ``ctx``'s working
-    precision, kept packed (:func:`~zetali.numerics.pack_mpfs`) in the
-    table's store under ("distribution", working bits).  The first
-    request walks and packs; every later one unpacks, and gets what
-    ``walk()`` returns, ``_mpf_`` for ``_mpf_``, in its order.  A table
-    keeps at most 2 MiB of packed terms: a distribution that would pass
-    that is not kept, and nothing is evicted."""
+    """The ``mpf`` terms of index n at ``ctx``'s working precision, built
+    in one pass (:func:`~zetali.numerics.unpack_mpfs`) from their packed
+    form ``walk()``, :func:`~zetali.numerics.pack_raw` at that
+    precision.  The table's store keeps that form under ("distribution",
+    working bits), so only the first request walks.  A table keeps at
+    most 2 MiB of packed terms: a distribution that would pass that is
+    not kept, and nothing is evicted."""
     bits = ctx.working_bits
     kept = table._sums.setdefault(("distribution", bits), {})
-    packed = kept.get(n)
-    if packed is not None:
-        return unpack_mpfs(*packed, bits)
-    terms = walk()
-    if _packed_bytes(table) + packed_size(len(terms), bits) <= _PACKED_CAP:
-        kept[n] = pack_mpfs(terms, bits)
-    return terms
+    parts = kept.get(n)
+    if parts is None:
+        parts = walk()
+        if _packed_bytes(table) + _parts_size(parts, bits) <= _PACKED_CAP:
+            kept[n] = parts
+        else:
+            # handed over one at a time, so that each part is freed as
+            # soon as its terms are built, not held beside all of them
+            pending = parts[::-1]
+            parts = (pending.pop() for _ in range(len(pending)))
+    return unpack_mpfs(parts, bits)
+
+
+def _parts_size(parts, bits: int) -> int:
+    """The bytes of one packed distribution."""
+    return packed_size(sum(len(codes) for _, codes in parts), bits)
 
 
 def _packed_bytes(table: CoefficientTable) -> int:
     """The bytes of the term distributions ``table`` keeps packed."""
-    return sum(packed_size(len(exps), bits)
+    return sum(_parts_size(parts, bits)
                for (route, bits), kept in table._sums.items() if route == "distribution"
-               for _, exps in kept.values())
+               for parts in kept.values())
 
 
 def _round_one(n: int, sums: list[tuple[int, int]], bits: int) -> mp.mpf:

@@ -38,10 +38,13 @@ open problem; this module only computes it, two independent ways:
 value per vector, sum_{m<=n} p(m) of them — whose near-symmetric pileup
 around zero is what makes the oscillation so much smaller than its
 largest terms; ``histogram`` bins them for plotting, placing each value
-by exact integer comparison with the bin bounds it returns.  A gamma
-table keeps each (n, working precision) distribution it serves packed,
-at about a fifth of the memory of its ``mpf`` terms and at most 2 MiB a
-table, so every later request skips the walk.
+by exact integer comparison with the bin bounds it returns, without a
+per-value copy or key.  The walk rounds each term straight into a
+packed form, about bits / 8 + 9 bytes a term against about 285 for an
+``mpf``, and every request builds its ``mpf`` terms from that form in
+one pass.  A gamma table keeps each (n, working precision) distribution
+it serves so, at most 2 MiB a table, and every later request skips the
+walk.
 
 The trend takes gamma_0 from the caller, who already holds the gamma
 table, so no second table is built for it.
@@ -49,10 +52,12 @@ table, so no second table is built for it.
 
 from __future__ import annotations
 
-import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import filterfalse, repeat
+from operator import itemgetter, lshift, sub
 
 import mpmath as mp
 
@@ -66,7 +71,7 @@ from .coefficients import (
     modified_gamma,
 )
 from .errors import PrecisionInfeasibleError
-from .numerics import PrecisionContext, raw_to_mpf, to_raw, weighted_sum
+from .numerics import PrecisionContext, pack_raw, raw_to_mpf, to_raw, weighted_sum
 from .stieltjes import CoefficientTable, _require
 
 __all__ = [
@@ -174,22 +179,20 @@ def term_distribution(g: CoefficientTable, n: int,
     sum_{m<=n} p(m) and the negated sum equals lambda_tilde_n up to
     rounding.
 
-    The first request for a (table, n, working precision) walks and
-    keeps the terms packed on ``g``, at about bits / 8 + 9 bytes a term;
-    every later one rebuilds them from that form without a walk, bit for
-    bit (:func:`~zetali.coefficients._kept_terms`).  A table keeps at
-    most 2 MiB of packed terms; once a distribution would pass that, it
-    is walked on every request.
+    The walk rounds each term straight into a packed form
+    (:func:`~zetali.numerics.pack_raw`, about bits / 8 + 9 bytes a term)
+    and every request builds the ``mpf`` terms from it in one pass.  The
+    first request for a (table, n, working precision) keeps that form on
+    ``g``, and every later one skips the walk, bit for bit
+    (:func:`~zetali.coefficients._kept_terms`).  A table keeps at most
+    2 MiB of packed terms; once a distribution would pass that, it is
+    walked on every request.
     """
     _require(g, "gamma", n - 1)
 
     def walk():
-        weights = _lambda_weights(n)
-        bits = ctx.working_bits
-        by_r: list[list[mp.mpf]] = [[] for _ in range(n + 1)]
-        for r, p, (man, exp) in _signed_walk(g.values, n, ctx, least=1):
-            by_r[r].append(raw_to_mpf(weights[r][p] * man, exp, bits))
-        return tuple(itertools.chain.from_iterable(by_r))
+        return pack_raw(_signed_walk(g.values, n, ctx, least=1), _lambda_weights(n),
+                        ctx.working_bits)
 
     return TermDistribution(n, _kept_terms(g, n, ctx, walk))
 
@@ -240,7 +243,7 @@ def histogram(d: TermDistribution, bins: int,
     itself and row i > 0 at ``min + i * width`` rounded at working
     precision (at the minimum too when ``width`` is 0).  A value goes to
     the last bin whose returned lower bound it reaches, compared exactly
-    as integers on one exponent, so every counted value lies within its
+    as integers, so every counted value lies within its
     row's bounds: a value equal to a returned bound counts in the bin
     that bound opens, and the maximum counts in the last bin (if all
     values coincide, everything lands there).  Returns (lower, upper,
@@ -251,19 +254,25 @@ def histogram(d: TermDistribution, bins: int,
     vals = d.term_values
     if not vals:
         raise ValueError("empty distribution")
-    # compared exactly as integers v / 2^at: each value's _mpf_ tuple
-    # (sign, man, exp, bc) is read once, into a list of references, not
-    # copies, and the only new numbers held are the keys.  mpmath gives
-    # zero the exponent 0 and marks inf and nan by a zero mantissa with a
-    # nonzero exponent, whose key is 0 too; they are refused as to_raw
-    # refuses them.  index() takes the first extreme, as min() and max() do
+    # compared exactly, as integers on the smallest exponent: each
+    # value's _mpf_ tuple (sign, man, exp, bc) is read once, into lists of
+    # references, not copies.  mpmath gives zero the exponent 0 and marks
+    # inf and nan by a zero mantissa with a nonzero exponent; they are
+    # refused as to_raw refuses them
     raws = [v._mpf_ for v in vals]
-    at = min([exp for _, _, exp, _ in raws])
-    keys = [-man << (exp - at) if sign else man << (exp - at)
-            for sign, man, exp, _ in raws]
-    if 0 in keys and any(exp and not man for _, man, exp, _ in raws):
+    if 0 in map(itemgetter(1), raws) and any(exp and not man for _, man, exp, _ in raws):
         raise ValueError("non-finite value")
-    lo, hi = vals[keys.index(min(keys))], vals[keys.index(max(keys))]
+    at = min(map(itemgetter(2), raws))
+    ups = list(filterfalse(itemgetter(0), raws))  # zero and above
+    downs = list(filter(itemgetter(0), raws))
+
+    def scaled(part):  # |v| / 2^at of each value, made and dropped in turn
+        return map(lshift, map(itemgetter(1), part),
+                   map(sub, map(itemgetter(2), part), repeat(at)))
+
+    low = -max(scaled(downs)) if downs else min(scaled(ups))
+    high = max(scaled(ups)) if ups else -min(scaled(downs))
+    lo, hi = (raw_to_mpf(key, at, key.bit_length()) for key in (low, high))
     with ctx.workprec():
         width = (hi - lo) / bins
         lowers = [lo] + [lo + i * width if width else lo for i in range(1, bins)]
@@ -272,11 +281,13 @@ def histogram(d: TermDistribution, bins: int,
         man, exp = to_raw(x)
         return man << (exp - at) if exp >= at else -(-man >> (at - exp))
 
-    # interior bounds only, as integers on the values' exponent: v
-    # reaches a bound exactly when it reaches the bound's ceiling; when
-    # width is 0 every value equals every bound and lands in the last bin
+    # interior bounds only: v reaches a bound exactly when v / 2^at
+    # reaches the bound's ceiling E, so v >= 0 reaches the E <= |v| / 2^at
+    # and v < 0 the E with -E >= |v| / 2^at; when width is 0 every value
+    # equals every bound and lands in the last bin
     edges = [ceil_scaled(x) for x in lowers[1:]]
-    counts = [0] * bins
-    for key in keys:
-        counts[bisect_right(edges, key)] += 1
-    return list(zip(lowers, lowers[1:] + [hi], counts))
+    counts = Counter(map(bisect_right, repeat(edges), scaled(ups)))
+    negated = [-edge for edge in reversed(edges)]
+    for missed, count in Counter(map(bisect_left, repeat(negated), scaled(downs))).items():
+        counts[len(edges) - missed] += count
+    return list(zip(lowers, lowers[1:] + [hi], [counts[i] for i in range(bins)]))

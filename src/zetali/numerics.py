@@ -20,10 +20,14 @@ by exactly mpmath's rule, on the signed mantissa, so every product is
 the value ``mpf * mpf`` would give, without an ``mpf`` per product.
 :func:`weighted_sum` adds integer-weighted pairs exactly and rounds once
 (:func:`raw_to_mpf`), so its result does not depend on the order.
-:func:`pack_mpfs` holds many finite values in one ``bytes`` buffer of
-signed mantissas plus an array of exponents, a fifth to a quarter of the
-memory of their ``mpf`` objects, and :func:`unpack_mpfs` gives back
-every ``_mpf_``; a table keeps its repeated term distributions so.
+:func:`pack_raw` rounds weighted raw terms as :func:`raw_to_mpf` does
+(both through :func:`round_raw`) and writes each straight into a packed
+form, magnitudes in ``bytes`` and exponents and signs in an array, about
+``bits / 8 + 9`` bytes a value against about 285 for an ``mpf``, so no
+``mpf`` is made on the way.  :func:`unpack_mpfs` builds the ``mpf``
+values in one pass, each with the ``_mpf_`` :func:`raw_to_mpf` gives,
+and values that share an exponent or a bit count share its int; a term
+distribution is packed so from its walk, and a table keeps it so.
 
 :func:`render` writes every CSV and JSON output of the package.  Its JSON
 is byte for byte what the stdlib's ``json.dumps`` writes with
@@ -50,7 +54,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 import mpmath as mp
-from mpmath.libmp import fzero, to_str
+from mpmath.libmp import to_str
 
 from .errors import PrecisionInfeasibleError
 
@@ -155,7 +159,7 @@ def _json_parts(v, pad: str, parts: list) -> None:
         parts.append("\n" + pad + "}")
     elif isinstance(v, (list, tuple)) and v:
         inner = pad + "  "
-        if all(type(x) is int for x in v):  # not bool: it prints as true/false
+        if set(map(type, v)) == {int}:  # not bool: it prints as true/false
             parts.append("[\n" + inner + (",\n" + inner).join(map(repr, v))
                          + "\n" + pad + "]")
         else:
@@ -234,52 +238,82 @@ def rounded_product(bits: int) -> Callable:
     return mul
 
 
-def raw_to_mpf(man: int, exp: int, bits: int) -> mp.mpf:
-    """The ``mpf`` of ``man * 2^exp`` rounded to nearest-even at ``bits``
-    bits, by the rounding of :func:`rounded_product`: the value and form
-    ``from_man_exp(man, exp, bits, round_nearest)`` gives."""
+def round_raw(man: int, exp: int, bits: int) -> tuple[int, int, int]:
+    """``man * 2^exp`` rounded to nearest-even at ``bits`` bits, by the
+    rule of :func:`rounded_product`, as ``(sign, magnitude, exp)`` with
+    an odd magnitude: the first three fields of the ``_mpf_`` that
+    :func:`raw_to_mpf` gives.  Zero is ``(0, 0, 0)``."""
+    sign = 0
+    if man < 0:  # nearest-even rounds both signs alike
+        sign, man = 1, -man
     shift = man.bit_length() - bits
     if shift > 0:
         t = man >> (shift - 1)
         if t & 1 and (t & 2 or man & ((1 << (shift - 1)) - 1)):
             t += 2
         man, exp = t >> 1, exp + shift
+    if man & 1:
+        return sign, man, exp
     if not man:
-        return _make_mpf(fzero)
+        return 0, 0, 0
     zeros = (man & -man).bit_length() - 1
-    sign, man = (1, -man >> zeros) if man < 0 else (0, man >> zeros)
-    return _make_mpf((sign, man, exp + zeros, man.bit_length()))
+    return sign, man >> zeros, exp + zeros
+
+
+def raw_to_mpf(man: int, exp: int, bits: int) -> mp.mpf:
+    """The ``mpf`` of ``man * 2^exp`` rounded to nearest-even at ``bits``
+    bits (:func:`round_raw`): the value and form ``from_man_exp(man,
+    exp, bits, round_nearest)`` gives."""
+    sign, man, exp = round_raw(man, exp, bits)
+    return _make_mpf((sign, man, exp, man.bit_length()))
 
 
 def packed_size(count: int, bits: int) -> int:
-    """The bytes :func:`pack_mpfs` gives ``count`` values of ``bits`` bits."""
+    """The bytes :func:`pack_raw` gives ``count`` values of ``bits`` bits."""
     return count * (bits // 8 + 9)
 
 
-def pack_mpfs(values, bits: int) -> tuple[bytes, array]:
-    """Finite ``mpf`` values of at most ``bits`` bits, packed: their
-    signed mantissas in one ``bytes`` buffer, ``bits // 8 + 1`` bytes
-    each, little-endian, and their exponents in an ``array('q')``.  That
-    is :func:`packed_size`, about ``bits / 8 + 9`` bytes a value against
-    about 285 for an ``mpf``; :func:`unpack_mpfs` gives the values back."""
+def pack_raw(terms: Iterable[tuple[int, int, tuple[int, int]]], weights,
+             bits: int) -> list[tuple[bytes, array]]:
+    """The values ``weights[r][p] * man * 2^exp`` of ``(r, p, (man,
+    exp))`` terms, each rounded at ``bits`` bits (:func:`round_raw`) and
+    packed as it comes, one part per r, r ascending: a part holds the
+    magnitudes of its values in one ``bytes`` buffer, ``bits // 8 + 1``
+    bytes each, little-endian, and their exponents and signs, ``2 * exp
+    + sign``, in an ``array('q')``, in the order of ``terms``.  That is
+    :func:`packed_size`, about ``bits / 8 + 9`` bytes a value against
+    about 285 for an ``mpf``; :func:`unpack_mpfs` builds the ``mpf``
+    values."""
     width = bits // 8 + 1
-    raws = [v._mpf_ for v in values]
-    buf = b"".join([(-man if sign else man).to_bytes(width, "little", signed=True)
-                    for sign, man, _, _ in raws])
-    return buf, array("q", [exp for _, _, exp, _ in raws])
+    bufs = [bytearray() for _ in weights]
+    codes = [array("q") for _ in weights]
+    for r, p, (man, exp) in terms:
+        sign, man, exp = round_raw(weights[r][p] * man, exp, bits)
+        bufs[r] += man.to_bytes(width, "little")
+        codes[r].append(exp << 1 | sign)
+    return [(bytes(buf), part) for buf, part in zip(bufs, codes)]
 
 
-def unpack_mpfs(buf: bytes, exps: array, bits: int) -> tuple[mp.mpf, ...]:
-    """The values :func:`pack_mpfs` packed at ``bits``, in their order,
-    each with the ``_mpf_`` it had."""
+def unpack_mpfs(parts: Iterable[tuple[bytes, array]], bits: int) -> tuple[mp.mpf, ...]:
+    """The ``mpf`` values of the parts :func:`pack_raw` packed at
+    ``bits``, in their order, each with the ``_mpf_`` :func:`raw_to_mpf`
+    gives its pair, built in one pass; no part is read after the next
+    one is taken.  Values that share an exponent, or a bit count, share
+    one int object for it."""
     width = bits // 8 + 1
-    view = memoryview(buf)
-    mans = [int.from_bytes(view[i:i + width], "little", signed=True)
-            for i in range(0, len(buf), width)]
-    # zero comes back as (0, 0, 0, 0), which is fzero
-    return tuple([_make_mpf((1, -man, exp, man.bit_length()) if man < 0
-                            else (0, man, exp, man.bit_length()))
-                  for man, exp in zip(mans, exps)])
+    shared: dict[int, int] = {}  # exponent -> its one int
+    exps: dict[int, int] = {}  # code -> that int
+    bit_counts = list(range(bits + 1))
+    from_bytes = int.from_bytes
+    values: list[mp.mpf] = []
+    for buf, codes in parts:
+        for code in set(codes).difference(exps):
+            exps[code] = shared.setdefault(code >> 1, code >> 1)
+        mans = [from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
+        # zero comes back as (0, 0, 0, 0), which is fzero
+        values += [_make_mpf((code & 1, man, exps[code], bit_counts[man.bit_length()]))
+                   for man, code in zip(mans, codes)]
+    return tuple(values)
 
 
 def weighted_sum(terms: Iterable[tuple[int, tuple[int, int]]], bits: int) -> mp.mpf:

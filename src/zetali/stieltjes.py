@@ -99,8 +99,9 @@ class CoefficientTable:
     A table keeps two things, per working precision: the rounded value
     each per-index explicit route (eta, gamma and lambda_tilde_n) has
     formed from it, so a repeated request is a lookup, and, on a gamma
-    table, each term distribution it has served, packed, up to 2 MiB of
-    packed terms in all; past that it keeps no more.  The batch routes
+    table, each term distribution it has served, in the packed form its
+    walk wrote (about bits / 8 + 9 bytes a term), up to 2 MiB of packed
+    terms in all; past that it keeps no more.  The batch routes
     keep nothing.  The keys are written in :mod:`zetali.coefficients`
     only.  That store is not compared, hashed or shown, and lives
     exactly as long as the table: ``dataclasses.replace`` starts an

@@ -1,6 +1,8 @@
+import bisect
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -331,6 +333,81 @@ class TestHistogram:
         dist = term_distribution(gamma40, 3, ctx256)
         with pytest.raises(ValueError):
             histogram(dist, 0, ctx256)
+
+
+class TestHistogramExact:
+    """``histogram`` rows against a reference that finds the extremes
+    and places every value with exact rationals: the bounds are the ones
+    the docstring defines, formed in ``mpf`` at working precision, and
+    a value goes to the last row whose lower bound it reaches."""
+
+    @staticmethod
+    def exact(x):
+        sign, man, exp, _ = x._mpf_
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+    def reference(self, values, bins, ctx):
+        exact = [self.exact(v) for v in values]
+        lo = values[exact.index(min(exact))]
+        hi = values[exact.index(max(exact))]
+        with ctx.workprec():
+            width = (hi - lo) / bins
+            lowers = [lo] + [lo + i * width if width else lo for i in range(1, bins)]
+        edges = [self.exact(x) for x in lowers[1:]]
+        counts = [0] * bins
+        for f in exact:
+            counts[bisect.bisect_right(edges, f)] += 1
+        return [(a._mpf_, b._mpf_, c) for a, b, c in zip(lowers, lowers[1:] + [hi], counts)]
+
+    def check(self, values, bins, ctx):
+        rows = histogram(TermDistribution(1, tuple(values)), bins, ctx)
+        assert [(a._mpf_, b._mpf_, c) for a, b, c in rows] == self.reference(values, bins, ctx)
+        return rows
+
+    @pytest.mark.parametrize("bins", [1, 2, 9, 40])
+    def test_real_distributions(self, gamma40, ctx256, bins):
+        for n in range(1, 15):
+            for ctx in (ctx256, lambda_context(192, n)):
+                self.check(term_distribution(gamma40, n, ctx).term_values, bins, ctx)
+
+    @pytest.mark.parametrize("bins", [2, 9, 40])
+    def test_values_on_bounds_across_exponents(self, bins):
+        # values from 2^-300 to 2^200 in magnitude, both signs; then each
+        # returned bound as a value, and values an ulp of 2^-40 of a
+        # bound's size to either side of it, which leave the bounds as
+        # they were
+        ctx = PrecisionContext(128, 0)
+        rng = random.Random(bins)
+        with ctx.workprec():
+            base = [mp.ldexp(rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 129)),
+                             rng.randrange(-428, 72)) for _ in range(300)]
+            base += [mp.ldexp(1, 200), -mp.ldexp(3, 150)]
+        bounds = [lower for lower, _, _ in self.check(base, bins, ctx)]
+        with mp.workprec(256):  # exact
+            near = [b + s * mp.ldexp(abs(b), -40) for b in bounds[1:] if b for s in (-1, 1)]
+        rows = self.check(base + bounds + near, bins, ctx)
+        assert [lower for lower, _, _ in rows] == bounds
+
+    @pytest.mark.parametrize("values", [
+        [0, 0, 0],
+        [0, 3, -5, 0.25, 7],
+        [-1, -2.5, -0.125, -7, -2 ** -80],
+        [-3, -3, -3],
+        [2 ** 90],
+        [0],
+    ], ids=["zeros", "with-zero", "negative", "negative-equal", "single", "single-zero"])
+    def test_small_sets(self, values):
+        ctx = PrecisionContext(64, 8)
+        with ctx.workprec():
+            values = [mp.mpf(v) for v in values]
+        for bins in (1, 2, 9, 40):
+            self.check(values, bins, ctx)
+
+    @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan])
+    def test_non_finite_message(self, ctx256, bad):
+        with pytest.raises(ValueError) as err:
+            histogram(TermDistribution(1, (mp.mpf(0), mp.mpf(2), bad)), 9, ctx256)
+        assert str(err.value) == "non-finite value"
 
 
 class TestLambdaEstimate:

@@ -1,7 +1,9 @@
+import enum
 import json
 import math
 import random
 import re
+from array import array
 from fractions import Fraction
 
 import mpmath as mp
@@ -24,9 +26,10 @@ from zetali import (
 )
 from zetali.cli import main
 from zetali.numerics import (
-    pack_mpfs,
+    pack_raw,
     packed_size,
     raw_to_mpf,
+    round_raw,
     rounded_product,
     to_raw,
     unpack_mpfs,
@@ -147,6 +150,13 @@ _json_values = st.recursive(
     max_leaves=30)
 
 
+class _Level(enum.IntEnum):
+    """An int subclass whose ``repr`` is not its JSON text."""
+
+    LOW = 1
+    HIGH = 7
+
+
 class TestRender:
     def test_csv_rows(self):
         scalars = {"tag": "a", "bits": 8, "values": ["0.5", "-1"]}
@@ -171,6 +181,7 @@ class TestRender:
     @given(st.dictionaries(_json_text, _json_values, max_size=5))
     @example({"a": {}, "b": [], "c": [{}, [[]], {"d": {}}]})
     @example({"t": (1, (2, 3), ()), "mixed": [1, True, 0, False, -1]})
+    @example({"bools": [True, False], "subclass": [_Level.LOW, 2], "only": [_Level.HIGH]})
     @example({"ints": [-1, 2 ** 64, -2 ** 200, 0], "none": None,
               "floats": [-0.0, 1e300, 0.5]})
     @example({'q"uo\\te\n\x01é': 'v"\\\x1f€\U0001f600'})
@@ -313,7 +324,10 @@ class TestRawToMpf:
     def _check(man, exp, bits):
         got = raw_to_mpf(man, exp, bits)
         assert isinstance(got, mp.mpf)
-        assert got._mpf_ == from_man_exp(man, exp, bits, round_nearest)
+        want = from_man_exp(man, exp, bits, round_nearest)
+        assert got._mpf_ == want
+        # round_raw is the same rounding, without the bit count
+        assert round_raw(man, exp, bits) == want[:3]
 
     @pytest.mark.parametrize("bits", [53, 256, 412, 1000])
     def test_edges(self, bits):
@@ -334,8 +348,10 @@ class TestRawToMpf:
 
 
 class TestPackMpfs:
-    """:func:`pack_mpfs` then :func:`unpack_mpfs` gives back every value,
-    ``_mpf_`` for ``_mpf_`` and in order, in :func:`packed_size` bytes."""
+    """``mpf`` values packed by :func:`pack_raw` from their raw pairs come
+    back from :func:`unpack_mpfs`, ``_mpf_`` for ``_mpf_`` and in order,
+    in :func:`packed_size` bytes; a value of more than ``bits`` bits
+    comes back as :func:`raw_to_mpf` rounds it."""
 
     @pytest.mark.parametrize("bits", [1, 53, 256, 432, 1000])
     def test_round_trip(self, bits):
@@ -346,14 +362,50 @@ class TestPackMpfs:
             for _ in range(200):
                 man = rng.getrandbits(rng.randrange(1, bits + 1))
                 values.append(mp.ldexp(rng.choice((-1, 1)) * man, rng.randrange(-4 * bits, 4 * bits)))
-        buf, exps = pack_mpfs(values, bits)
-        assert len(buf) + exps.itemsize * len(exps) == packed_size(len(values), bits)
-        got = unpack_mpfs(buf, exps, bits)
+        parts = pack_raw(((0, 0, to_raw(v)) for v in values), [[1]], bits)
+        assert len(parts) == 1
+        assert sum(len(buf) + codes.itemsize * len(codes) for buf, codes in parts) == \
+            packed_size(len(values), bits)
+        got = unpack_mpfs(parts, bits)
         assert isinstance(got, tuple) and all(isinstance(v, mp.mpf) for v in got)
         assert [v._mpf_ for v in got] == [v._mpf_ for v in values]
 
+    @pytest.mark.parametrize("bits", [1, 53, 432])
+    def test_weighted_rounded_grouped(self, bits):
+        # weights[r][p] scales each term, which is then rounded once; the
+        # values come r ascending, each r in the order its terms came
+        rng = random.Random(-bits)
+        weights = [[rng.randrange(-10**9, 10**9) for _ in range(3)] for _ in range(4)]
+        terms = [(rng.randrange(4), rng.randrange(3),
+                  (rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 2 * bits + 40)),
+                   rng.randrange(-3 * bits, 3 * bits)))
+                 for _ in range(300)]
+        parts = pack_raw(iter(terms), weights, bits)
+        assert [len(codes) for _, codes in parts] == [
+            sum(r == group for r, _, _ in terms) for group in range(4)]
+        want = [raw_to_mpf(weights[r][p] * man, exp, bits)._mpf_
+                for group in range(4) for r, p, (man, exp) in terms if r == group]
+        assert [v._mpf_ for v in unpack_mpfs(parts, bits)] == want
+        # a part no longer held is not needed: each is read in turn
+        assert [v._mpf_ for v in unpack_mpfs(iter(parts), bits)] == want
+
+    def test_shared_ints(self):
+        # values of one exponent share its int, whatever their sign and
+        # part, and values of one bit count share theirs
+        bits = 300
+        pairs = [((-1) ** k * ((1 << 299) + 2 * k + 1), -1000) for k in range(50)]
+        parts = pack_raw(((k % 3, 0, pair) for k, pair in enumerate(pairs)), [[1]] * 3, bits)
+        got = unpack_mpfs(parts, bits)
+        want = [raw_to_mpf(man, exp, bits)._mpf_ for r in range(3)
+                for k, (man, exp) in enumerate(pairs) if k % 3 == r]
+        assert [v._mpf_ for v in got] == want
+        assert {v._mpf_[0] for v in got} == {0, 1}
+        assert len({id(v._mpf_[2]) for v in got}) == 1
+        assert len({id(v._mpf_[3]) for v in got}) == 1
+
     def test_empty(self):
-        assert unpack_mpfs(*pack_mpfs([], 64), 64) == ()
+        assert unpack_mpfs(pack_raw([], [[1]], 64), 64) == ()
+        assert pack_raw([], [[1], [1]], 64) == [(b"", array("q"))] * 2
 
 
 class TestToRaw:

@@ -14,10 +14,12 @@ each weighted term on its own, and its reference does the same.
 """
 
 import dataclasses
+import gc
 import hashlib
 import math
 import operator
 import random
+import tracemalloc
 
 import mpmath as mp
 import pytest
@@ -568,9 +570,11 @@ class TestPackedDistributions:
         g, ctx = synthetic_table("gamma", STORE_N), STORE_CTXS[0]
         bits = ctx.working_bits
         first = term_distribution(g, 12, ctx)
-        buf, exps = g._sums["distribution", bits][12]
-        assert len(exps) == len(first) == 271
-        assert len(buf) + exps.itemsize * len(exps) == coefficients._packed_bytes(g)
+        parts = g._sums["distribution", bits][12]
+        assert [len(codes) for _, codes in parts] == [0] + [partition_count(r) for r in range(1, 13)]
+        assert sum(len(codes) for _, codes in parts) == len(first) == 271
+        assert sum(len(buf) + codes.itemsize * len(codes) for buf, codes in parts) == \
+            coefficients._packed_bytes(g)
         assert walks == [(12, bits)]
         for _ in range(3):
             again = term_distribution(g, 12, ctx)
@@ -623,9 +627,11 @@ class TestPackedDistributions:
         assert g._sums["distribution", ctx.working_bits][20] is not None
 
     def test_cli_histogram_packs_once(self, monkeypatch, capsys):
-        # the one distribution a histogram command serves is packed once
+        # the one distribution a histogram command serves is walked and
+        # packed once, straight from the walk
         tables, packs = [], []
-        kept_terms, pack = li._kept_terms, coefficients.pack_mpfs
+        kept_terms, pack = li._kept_terms, li.pack_raw
+        walks = self.counted_walks(monkeypatch)
 
         def seen(table, *args):
             tables.append(table)
@@ -636,11 +642,11 @@ class TestPackedDistributions:
             return pack(*args)
 
         monkeypatch.setattr(li, "_kept_terms", seen)
-        monkeypatch.setattr(coefficients, "pack_mpfs", counted)
+        monkeypatch.setattr(li, "pack_raw", counted)
         assert cli.main(["histogram", "--n", "12", "--raw"]) == 0
         capsys.readouterr()
-        assert len(tables) == 1 and len(packs) == 1
         bits = lambda_context(192, 12).working_bits
+        assert len(tables) == 1 and len(packs) == 1 and walks == [(12, bits)]
         assert sorted(tables[0]._sums) == [("distribution", bits)]
         assert coefficients._packed_bytes(tables[0]) == numerics.packed_size(271, bits)
 
@@ -657,3 +663,54 @@ class TestPackedDistributions:
         term_distribution(copy, 8, STORE_CTXS[0])
         assert list(copy._sums) == [("distribution", STORE_CTXS[0].working_bits)]
         assert list(copy._sums["distribution", STORE_CTXS[0].working_bits]) == [8]
+
+
+class TestDistributionMemory:
+    """Peak Python memory, by tracemalloc, of the n = 24 distribution at
+    ``lambda_context(192, 24)`` (432 bits, 7,337 terms) and of its
+    40-bin histogram.  Each bound sits between what the walk, packing
+    and binning of per-term ``mpf`` copies and shifted keys took (3.8,
+    2.4 and 0.83 MiB) and what one packed form from the walk, shared
+    exponent and bit-count ints and no per-term keys take (2.3, 1.8 and
+    0.15 MiB)."""
+
+    CTX = lambda_context(192, 24)
+
+    @staticmethod
+    def traced(call):
+        """``call()``, its peak and what it left allocated, in MiB."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = call()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak / 2 ** 20, held / 2 ** 20
+
+    @pytest.fixture
+    def table(self):
+        return synthetic_table("gamma", STORE_N)
+
+    def test_first_request(self, table):
+        dist, peak, _ = self.traced(lambda: term_distribution(table, 24, self.CTX))
+        assert len(dist) == 7337 and peak < 3.0
+
+    def test_repeat(self, table):
+        term_distribution(table, 24, self.CTX)
+        dist, peak, _ = self.traced(lambda: term_distribution(table, 24, self.CTX))
+        assert len(dist) == 7337 and peak < 2.1
+
+    def test_histogram(self, table):
+        dist = term_distribution(table, 24, self.CTX)
+        rows, peak, _ = self.traced(lambda: histogram(dist, 40, self.CTX))
+        assert sum(count for _, _, count in rows) == 7337 and peak < 0.5
+
+    def test_over_the_cap_frees_each_part(self, table):
+        # a distribution the table does not keep: each packed part goes
+        # once its terms are built, so about one part (p(23) terms, 0.08
+        # MiB) is held beside the terms, not all 0.34 MiB of them
+        term_distribution(table, 24, PrecisionContext(1936, 64))
+        dist, peak, held = self.traced(lambda: term_distribution(table, 23, self.CTX))
+        assert len(dist) == 5762 and not table._sums["distribution", self.CTX.working_bits]
+        assert peak - held < 0.25
